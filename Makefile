@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif lint-fix race verify bench bench-report fuzz-smoke
+.PHONY: build test vet lint lint-sarif lint-fix race verify bench bench-check bench-report fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -54,7 +54,17 @@ race:
 	$(GO) test -race -short ./internal/explore/ ./internal/canon/ ./internal/sched/ ./internal/runtime/ ./internal/store/ ./internal/obs/ ./internal/obs/span/ ./cmd/anonsim/
 
 # Extended tier-1 gate: what CI (and ROADMAP.md) require before merge.
-verify: build vet lint test race
+verify: build vet lint test race bench-check
+
+# The explorer benchmark is its own module (explorebench/), which the
+# root ./... patterns do not reach: vet and test it here, offline and
+# with the module settings explorebench/run.sh builds it under. Its
+# TestRecordedCountsReproduce re-runs every recorded wiring of the three
+# workloads and checks the exact state and edge counts, so it also pins
+# where the engines cut a bounded search.
+bench-check:
+	GOWORK=off GOPROXY=off GOFLAGS= $(GO) -C explorebench vet ./...
+	GOWORK=off GOPROXY=off GOFLAGS= $(GO) -C explorebench test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkExplore' -benchtime 1x .

@@ -424,9 +424,9 @@ func BenchmarkExploreThroughput(b *testing.B) {
 	b.ReportMetric(float64(states), "states/op")
 }
 
-// exploreBenchCase builds the serial-vs-parallel benchmark workload: a
+// exploreBenchCase builds the parallel-engine benchmark workload: a
 // 3-processor snapshot system cut to an untruncated ~135k-state subspace
-// by a depth-independent prune (views only grow), so every engine
+// by a depth-independent prune (views only grow), so every worker count
 // explores exactly the same states and the states/sec metrics compare
 // like for like.
 func exploreBenchCase(b *testing.B) (*machine.System, explore.Options) {
@@ -465,17 +465,9 @@ func runExploreBench(b *testing.B, sys *machine.System, opts explore.Options) {
 	b.ReportMetric(float64(states)/float64(b.N), "states/op")
 }
 
-// BenchmarkExploreSerial is the single-threaded reference for the
-// parallel engine: BFSEngine on the 3-processor snapshot subspace.
-func BenchmarkExploreSerial(b *testing.B) {
-	sys, opts := exploreBenchCase(b)
-	opts.Engine = explore.BFSEngine
-	runExploreBench(b, sys, opts)
-}
-
-// BenchmarkExploreParallel measures ParallelEngine on the identical
-// 3-processor snapshot subspace at several worker counts; compare
-// states/sec against BenchmarkExploreSerial.
+// BenchmarkExploreParallel measures ParallelEngine on the 3-processor
+// snapshot subspace at several worker counts; workers=1 runs the same
+// code as BFSEngine and is the single-threaded reference.
 func BenchmarkExploreParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

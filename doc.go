@@ -35,12 +35,13 @@
 // (internal/baseline).
 //
 // The model checker is engine-based: explore.Run(sys, explore.Options{})
-// dispatches to a breadth-first, depth-first, or work-stealing parallel
-// backend selected by Options.Engine, validates requested options against
-// each engine's capabilities (step-graph tracking, inline cycle
-// detection, parallelism), and returns per-run Stats (states/sec, peak
-// frontier, dedup hit rate). See internal/explore's package documentation
-// for the engine-selection table.
+// dispatches to one of two search implementations selected by
+// Options.Engine — a serial depth-first engine (the default, and the one
+// that detects cycles inline) or a work-stealing breadth-first engine,
+// run at one worker as BFSEngine or at Options.Workers as ParallelEngine
+// — and returns per-run Stats (states/sec, peak frontier, dedup hit
+// rate). See internal/explore's package documentation for the
+// engine-selection table.
 //
 // The checker exploits the model's defining symmetry: processors are
 // interchangeable and reach the registers only through private wiring
@@ -54,7 +55,7 @@
 // all packaged checks are except the non-atomicity witness search (it
 // pins the identity canonicalizer).
 //
-// State storage is a pluggable layer beneath all three engines
+// State storage is a pluggable layer beneath every engine
 // (internal/store): store.Mem keeps the visited set and frontier in RAM
 // with bit-identical results to the pre-layer checker, while store.Disk
 // holds RAM under a configurable ceiling (Options.MemLimit; -store disk

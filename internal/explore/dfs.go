@@ -23,10 +23,8 @@ import (
 // resume replays the stack's steps from the root to rebuild the live
 // systems.
 //
-// Options.TrackGraph is not supported (Run rejects it with an
-// *UnsupportedOptionError; cycle detection is built in and sets
-// Result.Cycle); Options.Traces is free — counterexample traces come
-// straight off the DFS stack.
+// Cycle detection is built in and sets Result.Cycle; Options.Traces is
+// free — counterexample traces come straight off the DFS stack.
 func runDFS(init *machine.System, opts Options) (Result, error) {
 	maxStates := opts.MaxStates
 	visited := opts.visited

@@ -10,33 +10,43 @@ import (
 	"anonshm/internal/store"
 )
 
-// Engine selects the search backend used by Run. Engines share the state,
-// fingerprint and option model; they differ in visit order, memory
-// profile, parallelism and which optional features they can support (see
-// Capabilities).
+// Engine selects the search backend used by Run. There are two search
+// implementations: the depth-first engine, and the work-stealing
+// breadth-first engine, which BFSEngine runs at one worker and
+// ParallelEngine at Options.Workers. They share the state, fingerprint
+// and option model and differ in visit order, memory profile and
+// parallelism.
 type Engine uint8
 
 const (
-	// AutoEngine lets Run choose: currently BFSEngine, the most
-	// featureful serial engine. Package-level helpers that historically
-	// ran depth-first (the Check* sweeps) resolve AutoEngine to DFSEngine
-	// instead, preserving their memory profile.
+	// AutoEngine is the zero value and resolves to DFSEngine everywhere:
+	// in Run, in the Check* sweeps and in sweep checkpoint identities.
 	AutoEngine Engine = iota
-	// BFSEngine is the serial breadth-first engine: visits states in
-	// minimal-depth order, can record the full step graph (TrackGraph)
-	// for offline cycle analysis, and keeps counterexample traces short.
+	// BFSEngine is the breadth-first engine at one worker: it visits
+	// states in minimal-depth order, so counterexample traces are
+	// shortest, and it is deterministic, like DFSEngine.
 	BFSEngine
 	// DFSEngine is the serial depth-first engine: smallest memory
 	// footprint (only the current path's systems stay alive), reaches
-	// terminal states early, and detects cycles inline (Result.Cycle).
+	// terminal states early, and detects cycles inline (Result.Cycle) —
+	// the only engine that does.
 	DFSEngine
-	// ParallelEngine is the work-stealing parallel breadth-first engine:
-	// the frontier is sharded across Options.Workers goroutines and the
-	// visited set is a sharded lock-free-read fingerprint table, so
-	// throughput scales with cores. Invariant violations cancel all
-	// workers and still carry a counterexample trace.
+	// ParallelEngine is the work-stealing breadth-first engine at
+	// Options.Workers goroutines: the frontier is sharded across the
+	// workers and the visited set is a sharded lock-free-read
+	// fingerprint table, so throughput scales with cores. Invariant
+	// violations cancel all workers and still carry a counterexample
+	// trace.
 	ParallelEngine
 )
+
+// resolve maps AutoEngine to DFSEngine; every other engine is itself.
+func (e Engine) resolve() Engine {
+	if e == AutoEngine {
+		return DFSEngine
+	}
+	return e
+}
 
 // String implements fmt.Stringer.
 func (e Engine) String() string {
@@ -81,36 +91,6 @@ func (e *Engine) Set(s string) error {
 	return nil
 }
 
-// Capabilities describes which optional features an engine supports. Run
-// validates Options against them up front, so feature/engine mismatches
-// are uniform *UnsupportedOptionError values instead of per-engine ad-hoc
-// errors.
-type Capabilities struct {
-	// TrackGraph: the engine can record the reachable step graph
-	// (Result.Graph) for offline analyses such as StateGraph.FindCycle.
-	TrackGraph bool
-	// CycleDetect: the engine detects cycles inline and sets
-	// Result.Cycle (and CycleTrace with Traces).
-	CycleDetect bool
-	// Traces: the engine can attach counterexample traces to invariant
-	// violations.
-	Traces bool
-	// Parallel: the engine uses multiple workers (Options.Workers).
-	Parallel bool
-}
-
-// Capabilities returns the feature set of the engine.
-func (e Engine) Capabilities() Capabilities {
-	switch e {
-	case DFSEngine:
-		return Capabilities{CycleDetect: true, Traces: true}
-	case ParallelEngine:
-		return Capabilities{Traces: true, Parallel: true}
-	default: // AutoEngine resolves to BFSEngine
-		return Capabilities{TrackGraph: true, Traces: true}
-	}
-}
-
 // UnsupportedOptionError reports an Options feature the selected engine
 // or storage tier cannot provide. Exactly one of Engine/Store identifies
 // the rejecting side: Store is non-empty ("mem", "disk") when the
@@ -137,14 +117,11 @@ func (e *UnsupportedOptionError) Error() string {
 }
 
 // Run is the single entry point for exhaustive exploration: it validates
-// opts against the selected engine's capabilities and storage tier,
-// binds the store (visited set, frontier factory, checkpoint trigger),
-// dispatches, and fills Result.Stats. AutoEngine resolves to BFSEngine.
+// opts against the storage tier, binds the store (visited set, frontier
+// factory, checkpoint trigger), dispatches, and fills Result.Stats.
+// AutoEngine resolves to DFSEngine.
 func Run(init *machine.System, opts Options) (Result, error) {
-	engine := opts.Engine
-	if engine == AutoEngine {
-		engine = BFSEngine
-	}
+	engine := opts.Engine.resolve()
 	if err := validateOptions(engine, &opts); err != nil {
 		return Result{}, err
 	}
@@ -161,8 +138,9 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	}
 	opts.hasher = hasher
 
-	// Resolve the worker count up front: the store splits its frontier
-	// memory budget per worker, and node ids pack the worker index.
+	// Resolve the worker count once, here: the store splits its frontier
+	// memory budget per worker, node ids pack the worker index, and
+	// BFSEngine is the parallel engine at one worker.
 	nw := 1
 	if engine == ParallelEngine {
 		nw = opts.Workers
@@ -206,7 +184,8 @@ func Run(init *machine.System, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("explore: %w", err)
 	}
 	defer st.Close()
-	visited, err := st.NewVisited(engine == ParallelEngine)
+	// One worker keeps the serial map on the mem tier.
+	visited, err := st.NewVisited(nw > 1)
 	if err != nil {
 		return Result{}, fmt.Errorf("explore: %w", err)
 	}
@@ -257,11 +236,9 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	start := time.Now()
 	var res Result
 	switch engine {
-	case BFSEngine:
-		res, err = runBFS(init, opts)
 	case DFSEngine:
 		res, err = runDFS(init, opts)
-	case ParallelEngine:
+	case BFSEngine, ParallelEngine:
 		res, err = runParallel(init, opts)
 	default:
 		return Result{}, fmt.Errorf("explore: unknown engine %v", opts.Engine)

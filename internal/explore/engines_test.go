@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"anonshm/internal/canon"
 	"anonshm/internal/core"
 	"anonshm/internal/machine"
 	"anonshm/internal/store"
@@ -57,8 +58,9 @@ func engineSystems(t *testing.T) map[string]engineCase {
 }
 
 // TestParallelMatchesBFS is the engine-equivalence test: on every small
-// system, ParallelEngine (at several worker counts) must visit exactly
-// the same number of states, edges and terminals as BFSEngine.
+// system, ParallelEngine at several workers must visit exactly the same
+// number of states, edges and terminals as BFSEngine — the same search
+// at one worker — and DFSEngine.
 func TestParallelMatchesBFS(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		sys := c.sys
@@ -72,7 +74,17 @@ func TestParallelMatchesBFS(t *testing.T) {
 			if ref.States == 0 || ref.Truncated {
 				t.Fatalf("degenerate reference run: %+v", ref)
 			}
-			for _, workers := range []int{1, 2, 4} {
+			dopts := c.opts
+			dopts.Engine = DFSEngine
+			dfs, err := Run(sys.Clone(), dopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dfs.States != ref.States || dfs.Edges != ref.Edges || dfs.Terminals != ref.Terminals || dfs.Pruned != ref.Pruned {
+				t.Errorf("dfs: states/edges/terminals/pruned %d/%d/%d/%d, want %d/%d/%d/%d",
+					dfs.States, dfs.Edges, dfs.Terminals, dfs.Pruned, ref.States, ref.Edges, ref.Terminals, ref.Pruned)
+			}
+			for _, workers := range []int{2, 4} {
 				popts := c.opts
 				popts.Engine = ParallelEngine
 				popts.Workers = workers
@@ -95,7 +107,7 @@ func TestParallelMatchesBFS(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesDFSVerdicts: the three engines must agree on the
+// TestParallelInvariantAgreesWithSerial: the three engines must agree on the
 // invariant verdict (violated or not) for a violated invariant, and the
 // parallel counterexample must be a real trace (replay-checked below).
 func TestParallelInvariantAgreesWithSerial(t *testing.T) {
@@ -196,8 +208,8 @@ func TestParallelStatsInternallyConsistent(t *testing.T) {
 	}
 }
 
-// TestSerialStatsRecorded checks the serial engines fill the same Stats
-// block.
+// TestSerialStatsRecorded checks the one-worker engines fill the same
+// Stats block.
 func TestSerialStatsRecorded(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {
@@ -224,25 +236,190 @@ func TestSerialStatsRecorded(t *testing.T) {
 }
 
 // TestRunCapabilityChecks: option/engine mismatches are uniform
-// *UnsupportedOptionError values.
+// *UnsupportedOptionError values naming the resolved engine, with
+// AutoEngine resolved to DFSEngine.
 func TestRunCapabilityChecks(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{Engine: engine, TrackGraph: true})
+	for engine, want := range map[Engine]Engine{
+		AutoEngine: DFSEngine, BFSEngine: BFSEngine, DFSEngine: DFSEngine, ParallelEngine: ParallelEngine,
+	} {
+		_, err := Run(sys.Clone(), Options{Engine: engine, Resume: t.TempDir(), Traces: true})
 		var ue *UnsupportedOptionError
 		if !errors.As(err, &ue) {
-			t.Fatalf("%v+TrackGraph: expected UnsupportedOptionError, got %v", engine, err)
+			t.Fatalf("%v+Resume+Traces: expected UnsupportedOptionError, got %v", engine, err)
 		}
-		if ue.Engine != engine || ue.Option != "TrackGraph" {
+		if ue.Engine != want || ue.Option != "Resume with Traces" {
 			t.Errorf("%v: error fields %+v", engine, ue)
 		}
 	}
-	if _, err := Run(sys.Clone(), Options{Engine: BFSEngine, TrackGraph: true}); err != nil {
-		t.Errorf("BFS+TrackGraph rejected: %v", err)
+}
+
+// TestAutoEngineIsDFS: the zero Engine means DFSEngine in Run, in the
+// sweeps and in the sweep checkpoint identity.
+func TestAutoEngineIsDFS(t *testing.T) {
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	res, err := Run(sys.Clone(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Engine != DFSEngine {
+		t.Errorf("Run: engine %v, want dfs", res.Stats.Engine)
+	}
+	c := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Checkpoint: t.TempDir()}
+	sweep, err := CheckSnapshotSafety(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.Stats.Engine != DFSEngine {
+		t.Errorf("sweep: engine %v, want dfs", sweep.Stats.Engine)
+	}
+	c.Resume, c.Engine = c.Checkpoint, DFSEngine
+	if _, err := CheckSnapshotSafety(c); err != nil {
+		t.Errorf("an explicit dfs resume of an AutoEngine sweep: %v", err)
+	}
+	cs, err := CheckConsensusBounded(ConsensusConfig{Inputs: []string{"x", "y"}, MaxTimestamp: 1, Wirings: FilterProc0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Stats.Engine != DFSEngine {
+		t.Errorf("consensus sweep: engine %v, want dfs", cs.Stats.Engine)
+	}
+}
+
+// TestBoundedCutIsPinned pins where the state bound cuts the
+// breadth-first engine at one worker: before the first expansion that
+// would start with more than MaxStates states known, never inside one.
+// The numbers are those the historical serial BFS engine reported.
+func TestBoundedCutIsPinned(t *testing.T) {
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b", "c"}, Nondet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{
+		"bfs":        {Engine: BFSEngine},
+		"parallel-1": {Engine: ParallelEngine, Workers: 1},
+	} {
+		for _, kind := range []store.Kind{store.Mem, store.Disk} {
+			opts := opts
+			opts.MaxStates = 1000
+			if kind == store.Disk {
+				opts = diskOpts(t, opts)
+			}
+			res, err := Run(sys.Clone(), opts)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, kind, err)
+			}
+			if res.States != 1004 || res.Edges != 1594 || res.MaxDepth != 5 || !res.Truncated {
+				t.Errorf("%s/%v: states=%d edges=%d maxDepth=%d truncated=%v, want 1004/1594/5/true",
+					name, kind, res.States, res.Edges, res.MaxDepth, res.Truncated)
+			}
+		}
+	}
+}
+
+// TestBFSTracesAreShortest: at one worker the breadth-first engine
+// reports a violation at the smallest depth any violating state has,
+// so its counterexample trace is a shortest one. A level-by-level
+// reference search computes that depth.
+func TestBFSTracesAreShortest(t *testing.T) {
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneAtLeast := func(k int) func(Node) error {
+		return func(n Node) error {
+			if n.Sys.DoneCount() >= k {
+				return fmt.Errorf("%d processors done", n.Sys.DoneCount())
+			}
+			return nil
+		}
+	}
+	cases := map[string]struct {
+		inv     func(Node) error
+		crashes int
+	}{
+		"one-done":       {doneAtLeast(1), 0},
+		"both-done":      {doneAtLeast(2), 0},
+		"one-done-crash": {doneAtLeast(1), 1},
+		"solo-bound-16":  {WaitFree(16), 0}, // first violated two steps in
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			want := minViolationDepth(t, sys, c.inv, c.crashes)
+			if want < 0 {
+				t.Fatal("the reference search found no violation")
+			}
+			for _, kind := range []store.Kind{store.Mem, store.Disk} {
+				opts := Options{Engine: BFSEngine, Invariant: c.inv, Traces: true, MaxCrashes: c.crashes}
+				if kind == store.Disk {
+					opts = diskOpts(t, opts)
+				}
+				_, err := Run(sys.Clone(), opts)
+				var ie *InvariantError
+				if !errors.As(err, &ie) {
+					t.Fatalf("%v: err = %v, want an *InvariantError", kind, err)
+				}
+				if len(ie.Trace) != want {
+					t.Errorf("%v: trace of %d steps, want the shortest, %d", kind, len(ie.Trace), want)
+				}
+			}
+		})
+	}
+}
+
+// minViolationDepth is the reference for TestBFSTracesAreShortest: it
+// explores init one whole depth level at a time and returns the first
+// level holding a state that violates inv, or -1 if none does.
+func minViolationDepth(t *testing.T, init *machine.System, inv func(Node) error, crashes int) int {
+	t.Helper()
+	hasher, err := canon.Identity{}.Bind(init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{hasher.Fingerprint(init, 0): true}
+	level := []*machine.System{init.Clone()}
+	for depth := 0; len(level) > 0; depth++ {
+		var next []*machine.System
+		for _, sys := range level {
+			if inv(Node{Sys: sys, Depth: depth}) != nil {
+				return depth
+			}
+			var succs []*machine.System
+			for p := 0; p < sys.N(); p++ {
+				if !sys.Enabled(p) {
+					continue
+				}
+				for c := range sys.Procs[p].Pending() {
+					succ := sys.Clone()
+					if _, err := succ.Step(p, c); err != nil {
+						t.Fatal(err)
+					}
+					succs = append(succs, succ)
+				}
+				if sys.CrashCount() < crashes {
+					succ := sys.Clone()
+					if _, err := succ.Crash(p); err != nil {
+						t.Fatal(err)
+					}
+					succs = append(succs, succ)
+				}
+			}
+			for _, succ := range succs {
+				if fp := hasher.Fingerprint(succ, 0); !seen[fp] {
+					seen[fp] = true
+					next = append(next, succ)
+				}
+			}
+		}
+		level = next
+	}
+	return -1
 }
 
 // TestParallelTruncation: the state bound stops the parallel engine and
@@ -364,9 +541,9 @@ func TestChecksAcceptEngines(t *testing.T) {
 		}
 	}
 
-	// Wait-freedom runs on every engine: DFS checks cycles inline, BFS
-	// via the step graph, and all three check the solo-bound invariant —
-	// which is all the parallel engine runs.
+	// Wait-freedom runs on every engine: DFS checks cycles inline, and
+	// all three check the solo-bound invariant — which is all the
+	// breadth-first engines run.
 	for _, engine := range []Engine{DFSEngine, BFSEngine, ParallelEngine} {
 		c := base
 		c.Engine = engine

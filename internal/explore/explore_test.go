@@ -121,30 +121,6 @@ func TestWiringGroupsRestrictOrbits(t *testing.T) {
 	}
 }
 
-func TestForAllWiringsCompat(t *testing.T) {
-	// The deprecated wrapper maps canonical=true to FilterProc0 and
-	// propagates callback errors.
-	count := 0
-	if err := ForAllWirings(2, 2, true, func(perms [][]int) error {
-		count++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Errorf("ForAllWirings(2,2,true) visited %d, want 2", count)
-	}
-	sentinel := errors.New("stop")
-	calls := 0
-	err := ForAllWirings(2, 2, false, func([][]int) error {
-		calls++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) || calls != 1 {
-		t.Errorf("err=%v calls=%d", err, calls)
-	}
-}
-
 // exploreBoth runs BFS and DFS on clones of the same system and asserts
 // they agree on state and terminal counts.
 func exploreBoth(t *testing.T, sys *machine.System, opts Options) (Result, Result) {
@@ -251,7 +227,7 @@ func TestFootnote4LevelN1SufficesAtN2(t *testing.T) {
 
 func TestWriteScanHasCycles(t *testing.T) {
 	// The write-scan loop never terminates: its (finite) state graph must
-	// contain a cycle, which both explorers must report.
+	// contain a cycle, which DFS must report.
 	sys, _, err := core.NewWriteScanSystem(core.Config{Inputs: []string{"a", "b"}, Registers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -266,14 +242,7 @@ func TestWriteScanHasCycles(t *testing.T) {
 	if len(d.CycleTrace) == 0 {
 		t.Error("no cycle trace recorded")
 	}
-	b, err := Run(sys.Clone(), Options{Engine: BFSEngine, TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, cyclic := b.Graph.FindCycle(); !cyclic {
-		t.Error("BFS graph has no cycle")
-	}
-	if d.Terminals != 0 || b.Terminals != 0 {
+	if d.Terminals != 0 {
 		t.Error("write-scan terminated")
 	}
 }
@@ -349,16 +318,6 @@ func TestPruneCuts(t *testing.T) {
 	}
 	if pruned.States >= full.States {
 		t.Errorf("pruned states %d >= full %d", pruned.States, full.States)
-	}
-}
-
-func TestDFSRejectsTrackGraph(t *testing.T) {
-	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(sys, Options{Engine: DFSEngine, TrackGraph: true}); err == nil {
-		t.Error("TrackGraph accepted by DFS")
 	}
 }
 

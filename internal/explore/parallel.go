@@ -11,8 +11,12 @@ import (
 	"anonshm/internal/store"
 )
 
-// This file implements ParallelEngine: a work-stealing parallel
-// breadth-first search.
+// This file implements the breadth-first engine: a work-stealing
+// parallel breadth-first search. ParallelEngine runs it at
+// Options.Workers goroutines, BFSEngine at one. With one worker there is
+// nothing to steal and no discovery race, so the search is the classic
+// FIFO breadth-first search: deterministic, every state first reached
+// at its minimum depth, and counterexample traces shortest.
 //
 // Layout. Every worker owns a frontier shard (store.Frontier) of
 // discovered-but-unexpanded states; it pops from the front (oldest
@@ -34,8 +38,8 @@ import (
 // counters all keep their serial identities — and terminate because
 // recorded depths strictly decrease toward the true BFS depth. The final
 // MaxDepth is read off the visited set after the workers join, making it
-// the exact BFS eccentricity, deterministic across runs and equal to the
-// serial engines'.
+// the exact BFS eccentricity, deterministic across runs and equal at
+// every worker count.
 //
 // Termination. A global counter tracks queued-but-unexpanded states; it
 // is incremented before a state is pushed and decremented after its
@@ -43,18 +47,23 @@ import (
 // anywhere and no expansion (which could push more) is in flight. An
 // idle worker that finds nothing to steal exits when the counter is zero.
 //
-// Cancellation and checkpoints. Invariant violations, step errors and
-// the state bound set a stop flag that every worker checks between
-// successor generations, so all workers quit promptly. The first
-// invariant violation wins; its counterexample trace is rebuilt after
-// the workers have joined, from per-worker append-only parent logs (node
-// ids pack worker and log index into an int64, so the logs need no
-// cross-worker synchronization). Periodic checkpoints use a pause
+// Stopping. Invariant violations and step errors set a stop flag that
+// every worker checks between successor generations, so all workers quit
+// promptly. The first invariant violation wins; its counterexample trace
+// is rebuilt after the workers have joined, from per-worker append-only
+// parent logs (node ids pack worker and log index into an int64, so the
+// logs need no cross-worker synchronization). The state bound and
+// Options.Cancel act only between expansions: a worker checks them at
+// its loop top (cancel) or right after a pop (the bound, which then
+// leaves the popped entry unexpanded), and the other workers finish the
+// expansion they are in before they see the flag. So no state is ever
+// half-expanded when a run stops for either reason, and the final
+// checkpoint a canceled run writes after the join holds every state's
+// successors or the state itself. Periodic checkpoints use a pause
 // barrier: the worker whose discovery makes a checkpoint due raises a
 // flag, every worker parks at its loop top (no expansion in flight), and
 // the last one to park snapshots the visited set and all frontier shards
-// before releasing the others. Options.Cancel sets the stop flag; the
-// final checkpoint is then written after the join.
+// before releasing the others.
 
 // maxParallelWorkers bounds Options.Workers so node ids can pack the
 // worker index into the top 16 bits of an int64.
@@ -114,15 +123,10 @@ type parRun struct {
 	activeW  int // workers that have not exited (ckptMu)
 }
 
-// runParallel is the work-stealing parallel BFS engine behind Run.
+// runParallel is the breadth-first engine behind Run, at the
+// opts.Workers workers Run resolved.
 func runParallel(init *machine.System, opts Options) (Result, error) {
 	nw := opts.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > maxParallelWorkers {
-		nw = maxParallelWorkers
-	}
 	p := &parRun{
 		opts:    opts,
 		workers: make([]parWorker, nw),
@@ -188,7 +192,7 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 			if err := opts.Invariant(Node{Sys: rootSys, Aux: opts.InitAux, Depth: 0}); err != nil {
 				res := p.result()
 				// The one-node trace: zero steps, but non-nil when Traces is
-				// set, matching the serial engines' root-violation behaviour.
+				// set, matching DFS's root-violation behaviour.
 				return res, &InvariantError{Err: err, Trace: p.traceTo(rootID)}
 			}
 		}
@@ -196,6 +200,10 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 		p.peak.Store(1)
 		if err := p.workers[0].fr.Push(store.Entry{Sys: rootSys, Aux: opts.InitAux, Depth: 0, Tag: rootID}); err != nil {
 			return p.result(), fmt.Errorf("explore: %w", err)
+		}
+		// The root is discovered state 1, which only a cadence of 1 reports.
+		if opts.Progress != nil && opts.ProgressEvery == 1 {
+			opts.Progress(1, 0)
 		}
 	}
 
@@ -231,18 +239,18 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 }
 
 // work is one worker's main loop: drain the own frontier shard, then
-// steal; exit on stop or when no queued work remains anywhere.
+// steal; exit on stop, cancel or the state bound, or when no queued work
+// remains anywhere.
 func (p *parRun) work(w int) {
 	self := &p.workers[w]
 	idle := 0
 	for {
-		if p.stop.Load() {
+		if p.stop.Load() || p.truncated.Load() {
 			return
 		}
 		p.maybePause()
 		if canceled(&p.opts) {
 			p.canceled.Store(true)
-			p.stop.Store(true)
 			return
 		}
 		e, ok, err := self.fr.Pop()
@@ -266,6 +274,10 @@ func (p *parRun) work(w int) {
 			continue
 		}
 		idle = 0
+		if p.states.Load() > int64(p.opts.MaxStates) {
+			p.truncated.Store(true)
+			return
+		}
 		// Entries restored from a checkpoint into the mem tier carry only
 		// their path; the disk tier replays inside Pop.
 		if e.Sys == nil {
@@ -282,7 +294,10 @@ func (p *parRun) work(w int) {
 // maybePause parks the worker at the checkpoint barrier when a periodic
 // checkpoint is due. The last worker to park (no expansion is in flight
 // anywhere) writes the checkpoint and releases the others; workers that
-// exit while the barrier is forming shrink the quorum.
+// exit while the barrier is forming shrink the quorum. A worker that
+// exits because the run is stopping or was cut may have left a state
+// half-expanded or popped, so the barrier then writes nothing and the
+// previous checkpoint stands.
 func (p *parRun) maybePause() {
 	if !p.pause.Load() {
 		return
@@ -291,8 +306,10 @@ func (p *parRun) maybePause() {
 	p.parked++
 	for p.pause.Load() {
 		if p.parked == p.activeW {
-			if err := p.writeCheckpoint(); err != nil {
-				p.fail(fmt.Errorf("explore: checkpoint: %w", err))
+			if !p.stop.Load() && !p.truncated.Load() {
+				if err := p.writeCheckpoint(); err != nil {
+					p.fail(fmt.Errorf("explore: checkpoint: %w", err))
+				}
 			}
 			p.pause.Store(false)
 			break
@@ -450,7 +467,6 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, info mach
 		}
 		return true, !found
 	}
-	p.edges.Add(1)
 	self.lookups++
 	fresh, improved, err := p.visited.Insert(fp, e.Depth+1)
 	if err != nil {
@@ -458,6 +474,7 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, info mach
 		return false, false
 	}
 	if !fresh {
+		p.edges.Add(1)
 		self.hits++
 		if improved {
 			// A shorter path to a known state: re-expand it with the
@@ -467,7 +484,13 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, info mach
 		}
 		return true, false
 	}
-	return p.discovered(w, succ, aux, e.Tag, info, e.Depth+1, path) == nil, false
+	if !p.discovered(w, succ, aux, e.Tag, info, e.Depth+1, path) {
+		return false, false
+	}
+	// Counted after discovery, so the Progress call inside it and an
+	// invariant violation both see the edges before this one.
+	p.edges.Add(1)
+	return true, false
 }
 
 // push queues a relax (or requeued) entry, maintaining pending and the
@@ -486,9 +509,9 @@ func (p *parRun) push(w int, e store.Entry) {
 }
 
 // discovered registers a newly-inserted state: counters, parent log,
-// invariant, bound check, and the frontier push. A non-nil return means
-// the search is stopping (the reason is recorded in p).
-func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int64, info machine.StepInfo, depth int32, path *store.PathNode) error {
+// invariant and the frontier push. false means the search is stopping
+// (the reason is recorded in p).
+func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int64, info machine.StepInfo, depth int32, path *store.PathNode) bool {
 	self := &p.workers[w]
 	cnt := p.states.Add(1)
 	id := int64(-1)
@@ -502,13 +525,8 @@ func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int6
 	if p.opts.Invariant != nil {
 		if err := p.opts.Invariant(Node{Sys: succ, Aux: aux, Depth: int(depth)}); err != nil {
 			p.failInvariant(err, id)
-			return err
+			return false
 		}
-	}
-	if int(cnt) > p.opts.MaxStates {
-		p.truncated.Store(true)
-		p.stop.Store(true)
-		return errStopped
 	}
 	pend := p.pending.Add(1)
 	for {
@@ -519,7 +537,7 @@ func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int6
 	}
 	if err := p.workers[w].fr.Push(store.Entry{Sys: succ, Aux: aux, Depth: depth, Tag: id, Path: path}); err != nil {
 		p.fail(fmt.Errorf("explore: %w", err))
-		return err
+		return false
 	}
 	if p.opts.ckpt.due(cnt) {
 		p.pause.Store(true)
@@ -529,11 +547,8 @@ func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int6
 		p.opts.Progress(int(cnt), int(p.edges.Load()))
 		p.progressMu.Unlock()
 	}
-	return nil
+	return true
 }
-
-// errStopped is an internal sentinel: the search hit its state bound.
-var errStopped = fmt.Errorf("explore: internal: search stopped")
 
 // fail records the first non-invariant error and cancels all workers.
 func (p *parRun) fail(err error) {

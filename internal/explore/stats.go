@@ -20,15 +20,16 @@ type Stats struct {
 	// GroupSize is the number of admissible symmetry-group elements the
 	// canonicalizer bound for the initial system (1 = no reduction).
 	GroupSize int
-	// Workers is the number of expansion workers (1 for serial engines).
+	// Workers is the number of expansion workers (1 for BFSEngine and
+	// DFSEngine).
 	Workers int
 	// WallTime is the end-to-end duration of the search.
 	WallTime time.Duration
 	// StatesPerSec is States divided by WallTime.
 	StatesPerSec float64
 	// FrontierPeak is the largest number of discovered-but-unexpanded
-	// states held at once (queue for BFS, stack for DFS, the union of all
-	// worker deques for the parallel engine).
+	// states held at once (stack for DFS; for the breadth-first engines,
+	// the union of all worker deques plus the states being expanded).
 	FrontierPeak int
 	// DedupLookups counts fingerprint-table probes (one per generated
 	// successor, plus one for the initial state).

@@ -117,8 +117,13 @@ func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 	}
 }
 
-// TestKillAndResume hard-cancels every engine mid-run, then resumes from
-// the checkpoint and demands the exact totals of an uninterrupted run.
+// TestKillAndResume hard-cancels every engine on both tiers at several
+// points of the run — right after the root, and a quarter, half and
+// three quarters of the way — then resumes from the checkpoint and
+// demands the exact totals of an uninterrupted run. A periodic
+// checkpoint every 200 states (about 50 a run) keeps the checkpoint
+// barrier active around every cancel point, while 50 repetitions of
+// the whole test still fit go test's default 10-minute timeout.
 func TestKillAndResume(t *testing.T) {
 	for _, kind := range []store.Kind{store.Mem, store.Disk} {
 		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
@@ -141,27 +146,38 @@ func TestKillAndResume(t *testing.T) {
 				if ref.States < 200 {
 					t.Fatalf("reference run too small to kill mid-flight: %d states", ref.States)
 				}
+				for _, at := range []struct {
+					name  string
+					calls int
+				}{
+					{"at-1", 1},
+					{"at-1of4", ref.States / 4},
+					{"at-2of4", ref.States / 2},
+					{"at-3of4", ref.States * 3 / 4},
+				} {
+					t.Run(at.name, func(t *testing.T) {
+						dir := t.TempDir()
+						killed := opts
+						killed.Checkpoint = dir
+						killed.CheckpointEvery = 200
+						killed.ProgressEvery = 1
+						killed.Cancel, killed.Progress = cancelAfter(at.calls)
+						if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
+							t.Fatalf("killed run: err = %v, want ErrCanceled", err)
+						}
 
-				dir := t.TempDir()
-				killed := opts
-				killed.Checkpoint = dir
-				killed.CheckpointEvery = 50
-				killed.ProgressEvery = 1
-				killed.Cancel, killed.Progress = cancelAfter(ref.States / 2)
-				if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
-					t.Fatalf("killed run: err = %v, want ErrCanceled", err)
-				}
-
-				resumed := opts
-				resumed.Resume = dir
-				resumed.Checkpoint = dir
-				resumed.CheckpointEvery = 50
-				got, err := Run(sys.Clone(), resumed)
-				if err != nil {
-					t.Fatalf("resumed run: %v", err)
-				}
-				if keyOf(got) != keyOf(ref) {
-					t.Errorf("resumed %+v, uninterrupted %+v", keyOf(got), keyOf(ref))
+						resumed := opts
+						resumed.Resume = dir
+						resumed.Checkpoint = dir
+						resumed.CheckpointEvery = 200
+						got, err := Run(sys.Clone(), resumed)
+						if err != nil {
+							t.Fatalf("resumed run: %v", err)
+						}
+						if keyOf(got) != keyOf(ref) {
+							t.Errorf("resumed %+v, uninterrupted %+v", keyOf(got), keyOf(ref))
+						}
+					})
 				}
 			})
 		}
@@ -221,8 +237,8 @@ func TestResumeReproducesViolation(t *testing.T) {
 				t.Fatalf("resumed run: err = %T, want *InvariantError", rerr)
 			}
 			if engine != ParallelEngine && got.States != ref.States {
-				// Serial engines are deterministic, so the resumed search
-				// must stop at exactly the reference witness.
+				// One-worker engines are deterministic, so the resumed
+				// search must stop at exactly the reference witness.
 				t.Errorf("resumed run found the violation at state %d, reference at %d", got.States, ref.States)
 			}
 		})
@@ -280,10 +296,7 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"mem+MemLimit", Options{MemLimit: 1 << 20}, "MemLimit"},
 		{"mem+StoreDir", Options{StoreDir: "/tmp/x"}, "StoreDir"},
-		{"disk+TrackGraph", Options{Store: store.Disk, Engine: BFSEngine, TrackGraph: true}, "TrackGraph"},
-		{"checkpoint+TrackGraph", Options{Engine: BFSEngine, TrackGraph: true, Checkpoint: "ck"}, "Checkpoint with TrackGraph"},
 		{"resume+Traces", Options{Resume: "ck", Traces: true}, "Resume with Traces"},
-		{"resume+TrackGraph", Options{Engine: BFSEngine, Resume: "ck", TrackGraph: true}, "Resume with TrackGraph"},
 	}
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {

@@ -8,73 +8,53 @@ import (
 
 // This file is the Mem tier: the explorer's historical in-RAM storage,
 // extracted behind the VisitedSet/Frontier interfaces. memVisited is
-// the serial engines' map (with dense discovery ids for step-graph
-// tracking); memTable is the parallel engine's sharded open-addressing
-// fingerprint table, extended with a per-fingerprint minimum depth so
-// MaxDepth is deterministic; memFrontier is the work deque.
+// the serial map (DFS, and the breadth-first engine at one worker);
+// memTable is the parallel engine's sharded open-addressing fingerprint
+// table; both record each fingerprint's minimum depth, so MaxDepth is
+// deterministic. memFrontier is the work deque.
 
-// memRec is one serial visited record.
-type memRec struct {
-	id    int64
-	depth int32
-}
-
-// memVisited is the serial map tier (also an IDSet).
+// memVisited is the serial map tier: fingerprint → minimum depth.
 type memVisited struct {
-	m    map[uint64]memRec
-	next int64
+	m map[uint64]int32
 }
 
 func newMemVisited() *memVisited {
-	return &memVisited{m: make(map[uint64]memRec)}
+	return &memVisited{m: make(map[uint64]int32)}
 }
 
 func (v *memVisited) Insert(fp uint64, depth int32) (fresh, improved bool, err error) {
-	_, fresh = v.insert(fp, depth, &improved)
-	return fresh, improved, nil
-}
-
-func (v *memVisited) InsertID(fp uint64, depth int32) (id int64, fresh bool) {
-	var improved bool
-	return v.insert(fp, depth, &improved)
-}
-
-func (v *memVisited) insert(fp uint64, depth int32, improved *bool) (int64, bool) {
-	if r, ok := v.m[fp]; ok {
-		if depth < r.depth {
-			r.depth = depth
-			v.m[fp] = r
-			*improved = true
-		}
-		return r.id, false
+	d, ok := v.m[fp]
+	if !ok {
+		v.m[fp] = depth
+		return true, false, nil
 	}
-	id := v.next
-	v.next++
-	v.m[fp] = memRec{id: id, depth: depth}
-	return id, true
+	if depth < d {
+		v.m[fp] = depth
+		return false, true, nil
+	}
+	return false, false, nil
 }
 
 func (v *memVisited) Relax(fp uint64, depth int32) (improved, found bool, err error) {
-	r, ok := v.m[fp]
+	d, ok := v.m[fp]
 	if !ok {
 		return false, false, nil
 	}
-	if depth >= r.depth {
+	if depth >= d {
 		return false, true, nil
 	}
-	r.depth = depth
-	v.m[fp] = r
+	v.m[fp] = depth
 	return true, true, nil
 }
 
-func (v *memVisited) Len() int64 { return v.next }
+func (v *memVisited) Len() int64 { return int64(len(v.m)) }
 
 func (v *memVisited) MaxDepth() int32 {
 	var max int32
 	//lint:ignore anonlint/determinism max over map values is order-independent
-	for _, r := range v.m {
-		if r.depth > max {
-			max = r.depth
+	for _, d := range v.m {
+		if d > max {
+			max = d
 		}
 	}
 	return max
@@ -82,8 +62,8 @@ func (v *memVisited) MaxDepth() int32 {
 
 func (v *memVisited) WriteFPFile(path string) error {
 	recs := make([]fpRec, 0, len(v.m))
-	for fp, r := range v.m {
-		recs = append(recs, fpRec{fp: fp, depth: r.depth})
+	for fp, d := range v.m {
+		recs = append(recs, fpRec{fp: fp, depth: d})
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
 	_, err := writeFPRun(path, recs)
@@ -92,16 +72,9 @@ func (v *memVisited) WriteFPFile(path string) error {
 
 func (v *memVisited) LoadFPFile(path string) error {
 	return readFPRun(path, func(r fpRec) error {
-		// Discovery ids are not persisted (checkpoint resume rejects the
-		// options that need them); reassign densely in fingerprint order.
-		v.insertLoaded(r.fp, r.depth)
-		return nil
+		_, _, err := v.Insert(r.fp, r.depth)
+		return err
 	})
-}
-
-func (v *memVisited) insertLoaded(fp uint64, depth int32) {
-	var improved bool
-	v.insert(fp, depth, &improved)
 }
 
 func (v *memVisited) Close() error { return nil }

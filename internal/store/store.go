@@ -1,8 +1,8 @@
 // Package store is the pluggable state-storage layer behind the
 // explorer engines: the visited set (fingerprint membership with
 // insert-if-absent) and the frontier (the discovered-but-unexpanded
-// work queue) live behind interfaces, so the same three engines run
-// either fully in RAM (Mem, the historical behaviour, bit-compatible
+// work queue) live behind interfaces, so every engine runs either
+// fully in RAM (Mem, the historical behaviour, bit-compatible
 // fingerprints and counts) or out-of-core (Disk) when the state space
 // exceeds memory.
 //
@@ -193,7 +193,7 @@ type Entry struct {
 	// are enabled; nil otherwise.
 	Path *PathNode
 	// Relax marks a parallel-engine re-expansion entry (depth
-	// improvement propagation); it is not persisted.
+	// improvement propagation); segments and checkpoints keep it.
 	Relax bool
 }
 
@@ -224,17 +224,6 @@ type VisitedSet interface {
 	LoadFPFile(path string) error
 	// Close releases any resources (disk runs).
 	Close() error
-}
-
-// IDSet is a VisitedSet that additionally remembers a dense discovery
-// id per fingerprint — what the BFS engine's step-graph tracking needs.
-// Only the serial mem tier implements it.
-type IDSet interface {
-	VisitedSet
-	// InsertID is Insert returning the fingerprint's discovery id: ids
-	// are assigned 0,1,2,... in insertion order, and a duplicate insert
-	// returns the existing id.
-	InsertID(fp uint64, depth int32) (id int64, fresh bool)
 }
 
 // Frontier is a work queue of discovered-but-unexpanded states.
@@ -365,8 +354,8 @@ func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
 func (s *Store) AddCheckpoint() { s.stats.checkpoints.Add(1) }
 
 // NewVisited builds the visited set. concurrent selects the sharded
-// lock-free-read mem table (the parallel engine's) over the serial map;
-// the disk tier is internally locked and serves both.
+// lock-free-read mem table (for more than one worker) over the serial
+// map; the disk tier is internally locked and serves both.
 func (s *Store) NewVisited(concurrent bool) (VisitedSet, error) {
 	switch s.cfg.Kind {
 	case Mem:
