@@ -134,7 +134,7 @@ func BenchmarkExploreCrash(b *testing.B) {
 	var states int
 	for i := 0; i < b.N; i++ {
 		sweep, err := explore.CheckSnapshotWaitFree(explore.SnapshotConfig{
-			Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, MaxCrashes: 1,
+			Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Options: explore.Options{MaxCrashes: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -26,13 +26,15 @@
 // Out-of-core exploration: -store disk bounds RAM use to -mem (e.g.
 // -mem 64MiB) by spilling visited fingerprints to sorted runs and
 // frontier overflow to path-replay segments under -store-dir (a temp
-// directory by default). -checkpoint DIR makes safety/waitfree sweeps
-// resumable: the sweep writes DIR/sweep.json after every wiring and a
-// periodic per-run checkpoint (cadence -checkpoint-every states) of the
-// wiring in flight; a first ^C checkpoints and stops cleanly, and
-// -resume DIR continues where it left off. Resumed runs cannot keep
-// counterexample traces (checkpoints do not persist parent logs), so
-// -resume reruns report the violation without a trace.
+// directory by default). -checkpoint DIR makes the safety, waitfree and
+// consensus sweeps resumable: the sweep writes DIR/sweep.json after
+// every wiring and a periodic per-run checkpoint (cadence
+// -checkpoint-every states) of the wiring in flight; a first ^C
+// checkpoints and stops cleanly, and -resume DIR continues where it
+// left off. sweep.json records every flag that shapes the explored
+// space, and a -resume under different ones is refused. Resumed runs
+// cannot keep counterexample traces (checkpoints do not persist parent
+// logs), so -resume reruns report the violation without a trace.
 //
 // Observability: results go to stdout; -progress diagnostics go to
 // stderr so piped output stays clean. -report FILE writes a JSON report
@@ -73,10 +75,13 @@
 //	anonexplore -check consensus -inputs x,y -max-ts 2
 //
 // Exit status (shared with anonsim, see internal/exitcode): 0 when every
-// checked invariant held, 1 on operational errors, 2 on usage errors,
-// 3 when the search produced a counterexample — the one-line
-// "invariant violated: ..." summary goes to stderr, the full trace to
-// stdout — and 5 when -stall-abort killed a stalled run.
+// checked invariant held; 1 on operational errors (a canceled run, a
+// truncated wait-freedom search, a missing checkpoint, an unusable
+// store directory); 2 on usage errors (bad flags, an option the check
+// or store tier cannot take, a -resume under different settings); 3
+// when the search produced a counterexample — the one-line "invariant
+// violated: ..." summary goes to stderr, the full "trace (N steps): ..."
+// to stdout — and 5 when -stall-abort killed a stalled run.
 package main
 
 import (
@@ -99,47 +104,10 @@ import (
 )
 
 func main() {
-	var (
-		engine    explore.Engine
-		wirings   = explore.FilterProc0
-		symmetry  canon.Symmetry
-		storeKind store.Kind
-		memLimit  store.Bytes
-	)
-	var (
-		check      = flag.String("check", "safety", "check: safety | waitfree | atomicity | atomicity-random | consensus")
-		inputsCSV  = flag.String("inputs", "a,b", "comma-separated processor inputs")
-		workers    = flag.Int("workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
-		progress   = flag.Int("progress", 0, "print progress to stderr every N discovered states (0 = off)")
-		nondet     = flag.Bool("nondet", true, "explore the algorithms' internal register choices")
-		level      = flag.Int("level", 0, "snapshot termination level override (0 = N)")
-		maxStates  = flag.Int("max-states", 0, "per-search state bound (0 = default)")
-		crashes    = flag.Int("crashes", 0, "crash-fault budget: explore executions with up to this many crash-stopped processors")
-		soloBound  = flag.Int("solo-bound", 0, "solo-step budget of the waitfree invariant (0 = derived from N and M)")
-		maxTS      = flag.Int("max-ts", 2, "consensus timestamp bound")
-		trials     = flag.Int("trials", 100000, "trials for atomicity-random")
-		seed       = flag.Int64("seed", 1, "seed for atomicity-random")
-		reportPath = flag.String("report", "", "write a JSON metrics report to this file")
-		httpAddr   = flag.String("http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run")
-		storeDir   = flag.String("store-dir", "", "disk store scratch directory (default: a temp directory per run)")
-		checkpoint = flag.String("checkpoint", "", "write periodic checkpoints to this directory; ^C stops cleanly after a final one")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in discovered states (0 = default)")
-		resume     = flag.String("resume", "", "resume a stopped sweep from this checkpoint directory")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON trace of the run to this file (load in Perfetto)")
-		eventsPath = flag.String("events", "", "stream engine lifecycle events to this file as JSONL")
-		ledgerPath = flag.String("ledger", "", "append a run-history entry to this JSONL ledger (conventionally "+ledger.DefaultPath+")")
-		stallAfter = flag.Duration("stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
-		stallAbort = flag.Bool("stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
-	)
-	flag.Var(&engine, "engine", "explorer engine: auto | bfs | dfs | parallel")
-	flag.Var(&wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
-	flag.Var(&symmetry, "symmetry", "state canonicalizer: none | proc | full")
-	flag.Var(&storeKind, "store", "state store tier: mem | disk")
-	flag.Var(&memLimit, "mem", "disk tier RAM ceiling, e.g. 64MiB, 2GiB (0 = 256MiB default)")
-	flag.Parse()
+	cli, _ := parseFlags(flag.CommandLine, os.Args[1:]) // flag.CommandLine exits 2 on a parse error
 	reg := obs.New()
-	if *httpAddr != "" {
-		addr, err := obs.Serve(*httpAddr, reg)
+	if cli.httpAddr != "" {
+		addr, err := obs.Serve(cli.httpAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			os.Exit(exitcode.Usage)
@@ -148,8 +116,8 @@ func main() {
 	}
 	var tr *span.Tracer
 	var traceFile *os.File
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if cli.tracePath != "" {
+		f, err := os.Create(cli.tracePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			os.Exit(exitcode.Usage)
@@ -158,43 +126,32 @@ func main() {
 	}
 	var events *obs.Sink
 	var eventsFile *os.File
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
+	if cli.eventsPath != "" {
+		f, err := os.Create(cli.eventsPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			os.Exit(exitcode.Usage)
 		}
 		eventsFile, events = f, obs.NewSink(f)
 	}
-	stallDir := ""
-	if *reportPath != "" {
+	if cli.reportPath != "" {
 		// Stall profiles land next to the report so one artifact
 		// directory carries the whole diagnosis.
-		stallDir = filepath.Dir(*reportPath)
+		cli.run.StallDir = filepath.Dir(cli.reportPath)
 	}
-	cli := options{
-		check: *check, inputsCSV: *inputsCSV,
-		engine: engine, workers: *workers, progress: *progress,
-		nondet: *nondet, wirings: wirings, symmetry: symmetry, level: *level,
-		maxStates: *maxStates, crashes: *crashes, soloBound: *soloBound,
-		maxTS: *maxTS, trials: *trials, seed: *seed,
-		store: storeKind, storeDir: *storeDir, memLimit: memLimit,
-		checkpoint: *checkpoint, ckptEvery: *ckptEvery, resume: *resume,
-		trace: tr, events: events,
-		stallAfter: *stallAfter, stallAbort: *stallAbort, stallDir: stallDir,
-		cancel: interruptChannel(),
-	}
+	cli.run.Obs, cli.run.Trace, cli.run.Events = reg, tr, events
+	cli.run.Cancel = interruptChannel()
 	rep := obs.NewReport("anonexplore", os.Args[1:])
-	runErr := run(cli, reg, rep)
+	runErr := run(cli, rep)
 	if tr != nil {
-		rep.Section("trace", map[string]any{"file": *tracePath, "phases": tr.PhaseSeconds()})
+		rep.Section("trace", map[string]any{"file": cli.tracePath, "phases": tr.PhaseSeconds()})
 		if err := tr.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			if runErr == nil {
 				runErr = err
 			}
 		} else {
-			fmt.Fprintf(os.Stderr, "anonexplore: wrote trace to %s\n", *tracePath)
+			fmt.Fprintf(os.Stderr, "anonexplore: wrote trace to %s\n", cli.tracePath)
 		}
 		if err := traceFile.Close(); err != nil && runErr == nil {
 			runErr = err
@@ -208,24 +165,24 @@ func main() {
 			runErr = err
 		}
 	}
-	if *ledgerPath != "" {
-		if err := ledger.Append(*ledgerPath, ledgerEntry(cli, rep, tr, runErr)); err != nil {
+	if cli.ledgerPath != "" {
+		if err := ledger.Append(cli.ledgerPath, ledgerEntry(cli, rep, tr, runErr)); err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			if runErr == nil {
 				runErr = err
 			}
 		}
 	}
-	if *reportPath != "" {
+	if cli.reportPath != "" {
 		if runErr != nil {
 			rep.Section("error", runErr.Error())
 		}
 		rep.AddMetrics(reg)
-		if err := rep.WriteFile(*reportPath); err != nil {
+		if err := rep.WriteFile(cli.reportPath); err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			os.Exit(exitcode.Error)
 		}
-		fmt.Fprintf(os.Stderr, "anonexplore: wrote report to %s\n", *reportPath)
+		fmt.Fprintf(os.Stderr, "anonexplore: wrote report to %s\n", cli.reportPath)
 	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, "anonexplore:", exitcode.Summary(runErr))
@@ -233,34 +190,66 @@ func main() {
 	}
 }
 
+// options is the parsed command line: the check and the system it
+// explores, the output files, and in run the one explore.Options every
+// check's config embeds.
 type options struct {
-	check      string
-	inputsCSV  string
-	engine     explore.Engine
-	workers    int
-	progress   int
-	nondet     bool
-	wirings    explore.WiringFilter
-	symmetry   canon.Symmetry
-	level      int
-	maxStates  int
-	crashes    int
-	soloBound  int
-	maxTS      int
-	trials     int
-	seed       int64
-	store      store.Kind
-	storeDir   string
-	memLimit   store.Bytes
-	checkpoint string
-	ckptEvery  int
-	resume     string
-	trace      *span.Tracer
-	events     *obs.Sink
-	stallAfter time.Duration
-	stallAbort bool
-	stallDir   string
-	cancel     <-chan struct{}
+	check, inputsCSV string
+	nondet           bool
+	wirings          explore.WiringFilter
+	level, soloBound int
+	maxTS, trials    int
+	seed             int64
+
+	reportPath, httpAddr, tracePath, eventsPath, ledgerPath string
+
+	run explore.Options
+}
+
+// parseFlags registers the command line on fs, run options straight
+// into their explore.Options fields, and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	cli := options{wirings: explore.FilterProc0}
+	var symmetry canon.Symmetry
+	fs.StringVar(&cli.check, "check", "safety", "check: safety | waitfree | atomicity | atomicity-random | consensus")
+	fs.StringVar(&cli.inputsCSV, "inputs", "a,b", "comma-separated processor inputs")
+	fs.IntVar(&cli.run.Workers, "workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cli.run.ProgressEvery, "progress", 0, "print progress to stderr every N discovered states (0 = off)")
+	fs.BoolVar(&cli.nondet, "nondet", true, "explore the algorithms' internal register choices")
+	fs.IntVar(&cli.level, "level", 0, "snapshot termination level override (0 = N)")
+	fs.IntVar(&cli.run.MaxStates, "max-states", 0, "per-search state bound (0 = default)")
+	fs.IntVar(&cli.run.MaxCrashes, "crashes", 0, "crash-fault budget: explore executions with up to this many crash-stopped processors")
+	fs.IntVar(&cli.soloBound, "solo-bound", 0, "solo-step budget of the waitfree invariant (0 = derived from N and M)")
+	fs.IntVar(&cli.maxTS, "max-ts", 2, "consensus timestamp bound")
+	fs.IntVar(&cli.trials, "trials", 100000, "trials for atomicity-random")
+	fs.Int64Var(&cli.seed, "seed", 1, "seed for atomicity-random")
+	fs.StringVar(&cli.reportPath, "report", "", "write a JSON metrics report to this file")
+	fs.StringVar(&cli.httpAddr, "http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run")
+	fs.StringVar(&cli.run.StoreDir, "store-dir", "", "disk store scratch directory (default: a temp directory per run)")
+	fs.StringVar(&cli.run.Checkpoint, "checkpoint", "", "write periodic checkpoints to this directory; ^C stops cleanly after a final one")
+	fs.IntVar(&cli.run.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in discovered states (0 = default)")
+	fs.StringVar(&cli.run.Resume, "resume", "", "resume a stopped sweep from this checkpoint directory")
+	fs.StringVar(&cli.tracePath, "trace", "", "write a Chrome trace_event JSON trace of the run to this file (load in Perfetto)")
+	fs.StringVar(&cli.eventsPath, "events", "", "stream engine lifecycle events to this file as JSONL")
+	fs.StringVar(&cli.ledgerPath, "ledger", "", "append a run-history entry to this JSONL ledger (conventionally "+ledger.DefaultPath+")")
+	fs.DurationVar(&cli.run.StallAfter, "stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
+	fs.BoolVar(&cli.run.StallAbort, "stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
+	fs.Var(&cli.run.Engine, "engine", "explorer engine: auto | bfs | dfs | parallel")
+	fs.Var(&cli.wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
+	fs.Var(&symmetry, "symmetry", "state canonicalizer: none | proc | full")
+	fs.Var(&cli.run.Store, "store", "state store tier: mem | disk")
+	fs.Var(&cli.run.MemLimit, "mem", "disk tier RAM ceiling, e.g. 64MiB, 2GiB (0 = 256MiB default)")
+	if err := fs.Parse(args); err != nil {
+		return cli, err
+	}
+	cli.run.Canonicalizer = symmetry.Canonicalizer()
+	// Checkpoints do not persist parent logs, so only a fresh run keeps
+	// counterexample traces.
+	cli.run.Traces = cli.run.Resume == ""
+	if cli.run.ProgressEvery > 0 {
+		cli.run.Progress = progressPrinter()
+	}
+	return cli, nil
 }
 
 // ledgerEntry condenses a finished run into its run-history record: the
@@ -377,105 +366,60 @@ func sectionOf(sweep explore.SweepResult) sweepSection {
 	return s
 }
 
-func run(cli options, reg *obs.Registry, rep *obs.Report) error {
+func run(cli options, rep *obs.Report) error {
 	inputs := strings.Split(cli.inputsCSV, ",")
+	opts := cli.run
 	rep.Section("check", map[string]any{
 		"check":      cli.check,
 		"inputs":     inputs,
-		"engine":     cli.engine.String(),
-		"workers":    cli.workers,
+		"engine":     opts.Engine.String(),
+		"workers":    opts.Workers,
 		"nondet":     cli.nondet,
 		"wirings":    cli.wirings.String(),
-		"symmetry":   cli.symmetry.String(),
-		"crashes":    cli.crashes,
-		"store":      cli.store.String(),
-		"mem":        cli.memLimit.String(),
-		"checkpoint": cli.checkpoint,
-		"resume":     cli.resume,
+		"symmetry":   opts.Canonicalizer.String(),
+		"crashes":    opts.MaxCrashes,
+		"store":      opts.Store.String(),
+		"mem":        opts.MemLimit.String(),
+		"checkpoint": opts.Checkpoint,
+		"resume":     opts.Resume,
 	})
-	if cli.checkpoint != "" || cli.resume != "" {
-		switch cli.check {
-		case "safety", "waitfree":
-		default:
-			return fmt.Errorf("anonexplore: -checkpoint/-resume support only the safety and waitfree sweeps, not %q", cli.check)
-		}
-	}
-	cfg := explore.SnapshotConfig{
-		Inputs:     inputs,
-		Nondet:     cli.nondet,
-		Wirings:    cli.wirings,
-		Symmetry:   cli.symmetry,
-		Level:      cli.level,
-		MaxStates:  cli.maxStates,
-		MaxCrashes: cli.crashes,
-		SoloBound:  cli.soloBound,
-		Traces:     true,
-		Engine:     cli.engine,
-		Workers:    cli.workers,
-		Obs:        reg,
-		Store:      cli.store,
-		StoreDir:   cli.storeDir,
-		MemLimit:   cli.memLimit,
-		Checkpoint: cli.checkpoint,
-		Resume:     cli.resume,
-		Events:     cli.events,
-		Trace:      cli.trace,
-		StallAfter: cli.stallAfter,
-		StallAbort: cli.stallAbort,
-		StallDir:   cli.stallDir,
-		Cancel:     cli.cancel,
-	}
-	if cli.ckptEvery > 0 {
-		cfg.CheckpointEvery = cli.ckptEvery
-	}
-	if cli.resume != "" {
-		// Checkpoints do not persist parent logs, so a resumed run cannot
-		// keep counterexample traces.
-		cfg.Traces = false
+	if opts.Resume != "" {
 		fmt.Fprintln(os.Stderr, "anonexplore: resuming — counterexample traces disabled for this run")
 	}
-	if cli.progress > 0 {
-		cfg.ProgressEvery = cli.progress
-		cfg.Progress = progressPrinter()
+	cfg := explore.SnapshotConfig{
+		Inputs:    inputs,
+		Nondet:    cli.nondet,
+		Wirings:   cli.wirings,
+		Level:     cli.level,
+		SoloBound: cli.soloBound,
+		Options:   opts,
 	}
 	start := time.Now()
+	var (
+		sweep            explore.SweepResult
+		err              error
+		invariant, holds string
+	)
 	switch cli.check {
 	case "safety":
-		sweep, err := explore.CheckSnapshotSafety(cfg)
-		report(sweep, start)
-		rep.Section("sweep", sectionOf(sweep))
-		if errors.Is(err, explore.ErrStalled) {
-			return exitcode.WithCode(exitcode.Stalled, err)
-		}
-		if errors.Is(err, explore.ErrCanceled) {
-			return canceledError(cli)
-		}
-		if err != nil {
-			return exitcode.Violated("snapshot safety", err)
-		}
-		fmt.Println("snapshot-task safety holds over every explored interleaving")
+		sweep, err = explore.CheckSnapshotSafety(cfg)
+		invariant, holds = "snapshot safety", "snapshot-task safety holds over every explored interleaving"
 	case "waitfree":
-		sweep, err := explore.CheckSnapshotWaitFree(cfg)
-		var unsupported *explore.UnsupportedOptionError
-		if errors.As(err, &unsupported) {
-			return err
-		}
-		report(sweep, start)
-		rep.Section("sweep", sectionOf(sweep))
-		if errors.Is(err, explore.ErrStalled) {
-			return exitcode.WithCode(exitcode.Stalled, err)
-		}
-		if errors.Is(err, explore.ErrCanceled) {
-			return canceledError(cli)
-		}
-		if err != nil {
-			return exitcode.Violated("wait-freedom", err)
-		}
-		fmt.Println(waitFreeVerdict(sweep.Stats.Engine, cli.crashes))
+		sweep, err = explore.CheckSnapshotWaitFree(cfg)
+		invariant, holds = "wait-freedom", waitFreeVerdict(sweep.Stats.Engine, opts.MaxCrashes)
+	case "consensus":
+		sweep, err = explore.CheckConsensusBounded(explore.ConsensusConfig{
+			Inputs:       inputs,
+			MaxTimestamp: cli.maxTS,
+			Wirings:      cli.wirings,
+			Options:      opts,
+		})
+		invariant = "consensus safety"
+		holds = fmt.Sprintf("agreement and validity hold over every state with timestamps ≤ %d", cli.maxTS)
 	case "atomicity":
 		r, err := explore.FindNonAtomicityWitness(cfg)
 		if err != nil {
-			return err
+			return verdict(opts, "snapshot atomicity", err)
 		}
 		fmt.Printf("elapsed %v\n", time.Since(start).Round(time.Millisecond))
 		rep.Section("witness", map[string]any{"found": r.Found, "exhaustive": r.Exhaustive})
@@ -492,6 +436,7 @@ func run(cli options, reg *obs.Registry, rep *obs.Report) error {
 		} else {
 			fmt.Println("no witness found within the state bound (search truncated; not a proof)")
 		}
+		return nil
 	case "atomicity-random":
 		w, found, err := explore.RandomNonAtomicityWitness(inputs, cli.trials, cli.seed)
 		if err != nil {
@@ -506,43 +451,46 @@ func run(cli options, reg *obs.Registry, rep *obs.Report) error {
 				fmt.Errorf("processor %d outputs %v, never the memory union (seed %d)", w.Proc, w.Output, w.Seed))
 		}
 		fmt.Printf("no witness in %d random executions\n", cli.trials)
-	case "consensus":
-		sweep, err := explore.CheckConsensusBounded(explore.ConsensusConfig{
-			Inputs:       inputs,
-			MaxTimestamp: cli.maxTS,
-			Wirings:      cli.wirings,
-			Symmetry:     cli.symmetry,
-			MaxStates:    cli.maxStates,
-			MaxCrashes:   cli.crashes,
-			Engine:       cli.engine,
-			Workers:      cli.workers,
-			Obs:          reg,
-			Events:       cli.events,
-			Trace:        cli.trace,
-			StallAfter:   cli.stallAfter,
-			StallAbort:   cli.stallAbort,
-			StallDir:     cli.stallDir,
-			Store:        cli.store,
-			StoreDir:     cli.storeDir,
-			MemLimit:     cli.memLimit,
-			Cancel:       cli.cancel,
-		})
-		report(sweep, start)
-		rep.Section("sweep", sectionOf(sweep))
-		if errors.Is(err, explore.ErrStalled) {
-			return exitcode.WithCode(exitcode.Stalled, err)
-		}
-		if errors.Is(err, explore.ErrCanceled) {
-			return canceledError(cli)
-		}
-		if err != nil {
-			return exitcode.Violated("consensus safety", err)
-		}
-		fmt.Printf("agreement and validity hold over every state with timestamps ≤ %d\n", cli.maxTS)
+		return nil
 	default:
 		return fmt.Errorf("unknown check %q", cli.check)
 	}
+	report(sweep, start)
+	rep.Section("sweep", sectionOf(sweep))
+	if err != nil {
+		return verdict(opts, invariant, err)
+	}
+	fmt.Println(holds)
 	return nil
+}
+
+// verdict maps a failed check onto the exit codes of internal/exitcode:
+// a counterexample (*explore.InvariantError) exits 3 and prints its
+// trace on stdout, a watchdog abort (ErrStalled) exits 5, an option the
+// run cannot take (*UnsupportedOptionError) or a resume under another
+// identity (*CheckpointMismatchError) exits 2, and anything else — a
+// cancel, an I/O failure, a truncated wait-freedom search — exits 1.
+// A nil err stays nil.
+func verdict(opts explore.Options, invariant string, err error) error {
+	var (
+		violation   *explore.InvariantError
+		unsupported *explore.UnsupportedOptionError
+		mismatch    *explore.CheckpointMismatchError
+	)
+	switch {
+	case errors.As(err, &violation):
+		if opts.Traces {
+			fmt.Printf("trace (%d steps): %s\n", len(violation.Trace), explore.FormatTrace(violation.Trace))
+		}
+		return exitcode.Violated(invariant, err)
+	case errors.Is(err, explore.ErrStalled):
+		return exitcode.WithCode(exitcode.Stalled, err)
+	case errors.As(err, &unsupported), errors.As(err, &mismatch):
+		return exitcode.WithCode(exitcode.Usage, err)
+	case errors.Is(err, explore.ErrCanceled):
+		return canceledError(opts.Checkpoint)
+	}
+	return err
 }
 
 // waitFreeVerdict is the line a passing -check waitfree prints. It
@@ -563,9 +511,9 @@ func waitFreeVerdict(engine explore.Engine, crashes int) string {
 // error, not a violation: the run was cut short, nothing was refuted.
 // %.0w wraps ErrCanceled without repeating its message, so the ledger
 // can still classify the outcome with errors.Is.
-func canceledError(cli options) error {
-	if cli.checkpoint != "" {
-		return fmt.Errorf("run canceled; checkpoint saved under %s — rerun with -resume %s to continue%.0w", cli.checkpoint, cli.checkpoint, explore.ErrCanceled)
+func canceledError(checkpoint string) error {
+	if checkpoint != "" {
+		return fmt.Errorf("run canceled; checkpoint saved under %s — rerun with -resume %s to continue%.0w", checkpoint, checkpoint, explore.ErrCanceled)
 	}
 	return fmt.Errorf("run canceled (no -checkpoint dir; progress was not saved)%.0w", explore.ErrCanceled)
 }

@@ -153,7 +153,7 @@ func runDAG() error {
 func runSafety() error {
 	start := time.Now()
 	sweep, err := explore.CheckSnapshotSafety(explore.SnapshotConfig{
-		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Traces: true,
+		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Options: explore.Options{Traces: true},
 	})
 	if err != nil {
 		return fmt.Errorf("SAFETY VIOLATED: %w", err)
@@ -186,7 +186,7 @@ func runSafety() error {
 func runWaitFree() error {
 	start := time.Now()
 	sweep, err := explore.CheckSnapshotWaitFree(explore.SnapshotConfig{
-		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Traces: true,
+		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Options: explore.Options{Traces: true},
 	})
 	if err != nil {
 		return fmt.Errorf("WAIT-FREEDOM VIOLATED: %w", err)
@@ -210,7 +210,7 @@ func runWaitFree() error {
 func runAtomicity() error {
 	start := time.Now()
 	r, err := explore.FindNonAtomicityWitness(explore.SnapshotConfig{
-		Inputs: []string{"a", "b"}, Wirings: explore.FilterProc0, Traces: true,
+		Inputs: []string{"a", "b"}, Wirings: explore.FilterProc0, Options: explore.Options{Traces: true},
 	})
 	if err != nil {
 		return err
@@ -605,10 +605,9 @@ func runSteps() error {
 func runSafety3() error {
 	start := time.Now()
 	sweep, err := explore.CheckSnapshotSafety(explore.SnapshotConfig{
-		Inputs:    []string{"a", "b", "c"},
-		Wirings:   explore.FilterProc0,
-		MaxStates: 600_000,
-		Traces:    true,
+		Inputs:  []string{"a", "b", "c"},
+		Wirings: explore.FilterProc0,
+		Options: explore.Options{MaxStates: 600_000, Traces: true},
 	})
 	if err != nil {
 		return fmt.Errorf("SAFETY VIOLATED: %w", err)
@@ -625,7 +624,7 @@ func runConsensus3() error {
 		Inputs:       []string{"x", "y", "z"},
 		MaxTimestamp: 1,
 		Wirings:      explore.FilterProc0,
-		MaxStates:    400_000,
+		Options:      explore.Options{MaxStates: 400_000},
 	})
 	if err != nil {
 		return fmt.Errorf("CONSENSUS SAFETY VIOLATED: %w", err)

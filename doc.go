@@ -64,9 +64,11 @@
 // regenerated by deterministic replay. The disk tier supports periodic
 // checkpoints (Options.Checkpoint / -checkpoint dir) from which a killed
 // run resumes (Options.Resume / -resume dir) to the identical state
-// count; checkpoints are versioned and record engine, symmetry, inputs
-// and crash budget, and resuming under different settings fails with a
-// CheckpointMismatchError rather than silently mixing state spaces.
+// count; checkpoints are versioned and record engine, symmetry, the root
+// state and crash budget (a wiring sweep's also the check, inputs,
+// wiring filter, level and bounds), and resuming under different
+// settings fails with a CheckpointMismatchError rather than silently
+// mixing state spaces.
 //
 // Every execution layer also implements crash-stop faults: a crashed
 // processor takes no further steps and produces no output, but its last

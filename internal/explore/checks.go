@@ -3,15 +3,11 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"anonshm/internal/canon"
 	"anonshm/internal/consensus"
 	"anonshm/internal/core"
 	"anonshm/internal/machine"
-	"anonshm/internal/obs"
-	"anonshm/internal/obs/span"
-	"anonshm/internal/store"
 	"anonshm/internal/view"
 )
 
@@ -75,7 +71,12 @@ type SweepResult struct {
 // StatesPerSec is the aggregate exploration rate of the sweep.
 func (s SweepResult) StatesPerSec() float64 { return s.Stats.MergedRate(s.TotalStates) }
 
-// SnapshotConfig describes one exhaustive snapshot check.
+// SnapshotConfig describes one exhaustive snapshot check: the system
+// (Inputs, Nondet, Level), the wiring sweep (Wirings), the solo-step
+// budget (SoloBound), and the Options every per-wiring run executes
+// with. On a sweep, Checkpoint and Resume name the sweep directory
+// (sweep.json plus run/; see runSweep), and a caller-set Invariant,
+// Aux, InitAux or Prune is rejected: the check sets them itself.
 type SnapshotConfig struct {
 	Inputs []string
 	// Nondet explores the algorithm's internal register choices too.
@@ -87,98 +88,12 @@ type SnapshotConfig struct {
 	// cut is sound here because Figure 3 and the snapshot-task invariants
 	// are oblivious to input-value identity.
 	Wirings WiringFilter
-	// Symmetry selects state-level canonicalization for every per-wiring
-	// run: canon.None (exact states), canon.Proc (processor
-	// permutations), canon.Full (joint processor and register
-	// permutations). See Options.Canonicalizer.
-	Symmetry canon.Symmetry
 	// Level overrides the termination level (0 = N), for the ablation.
-	Level     int
-	MaxStates int
-	// MaxCrashes explores crash faults: at every state with fewer than
-	// MaxCrashes crashed processors, each enabled processor may crash (see
-	// Options.MaxCrashes). Set to N−1 to check the full crash-fault model.
-	MaxCrashes int
+	Level int
 	// SoloBound overrides the solo-step budget of the wait-freedom
 	// invariant (0 = DefaultSoloBound for the configuration).
 	SoloBound int
-	// Traces keeps counterexample traces (memory-heavy on large runs).
-	Traces bool
-	// Engine selects the search backend (AutoEngine = DFSEngine, chosen
-	// for its memory profile on ~10⁸-state spaces).
-	Engine Engine
-	// Workers is the ParallelEngine worker count (0 = GOMAXPROCS).
-	Workers int
-	// Progress, when set with ProgressEvery > 0, receives per-wiring
-	// progress callbacks (states, edges discovered so far).
-	Progress      func(states, edges int)
-	ProgressEvery int
-	// Obs, when set, publishes every per-wiring run through the metrics
-	// registry (see Options.Obs); counters accumulate across the sweep.
-	Obs *obs.Registry
-	// Events, when set, receives engine.start/engine.finish events for
-	// every per-wiring run.
-	Events *obs.Sink
-	// Trace, when set, records the sweep as Chrome trace_event spans:
-	// one "sweep" span over the whole check, one "wiring" span per
-	// wiring, plus the per-run engine/store/checkpoint phases (see
-	// Options.Trace).
-	Trace *span.Tracer
-	// StallAfter/StallAbort/StallDir arm the per-run stall watchdog (see
-	// Options.StallAfter).
-	StallAfter time.Duration
-	StallAbort bool
-	StallDir   string
-	// Store selects the state-store tier for every per-wiring run:
-	// store.Mem (default, everything in RAM) or store.Disk (bounded hot
-	// set, overflow spilled to sorted runs; see Options.Store).
-	Store store.Kind
-	// StoreDir is the scratch directory of the disk tier (disk tier only;
-	// "" = a temporary directory per run).
-	StoreDir string
-	// MemLimit is the disk tier's in-RAM ceiling (0 = store.DefaultMemLimit).
-	MemLimit store.Bytes
-	// Checkpoint, when non-empty, makes the sweep resumable: the directory
-	// gains a sweep.json (completed-wiring count plus accumulated totals,
-	// rewritten after every wiring) and a run/ subdirectory holding the
-	// periodic per-run checkpoint of the wiring in flight.
-	Checkpoint string
-	// CheckpointEvery is the per-run checkpoint cadence in discovered
-	// states (0 = DefaultCheckpointEvery).
-	CheckpointEvery int
-	// Resume restarts a sweep from a Checkpoint directory: completed
-	// wirings are skipped, the in-flight one resumes mid-run, and
-	// accumulation continues into the restored totals. The sweep identity
-	// (check, engine, symmetry, inputs, nondet, crashes) must match or the
-	// load fails with a *CheckpointMismatchError.
-	Resume string
-	// Cancel, when closed, stops the sweep at the next state boundary with
-	// ErrCanceled (after a final checkpoint when Checkpoint is set).
-	Cancel <-chan struct{}
-}
-
-// options assembles the per-wiring exploration options.
-func (c SnapshotConfig) options() Options {
-	return Options{
-		Engine:        c.Engine,
-		Workers:       c.Workers,
-		MaxStates:     c.MaxStates,
-		MaxCrashes:    c.MaxCrashes,
-		Canonicalizer: c.Symmetry.Canonicalizer(),
-		Traces:        c.Traces,
-		Progress:      c.Progress,
-		ProgressEvery: c.ProgressEvery,
-		Obs:           c.Obs,
-		Events:        c.Events,
-		Trace:         c.Trace,
-		StallAfter:    c.StallAfter,
-		StallAbort:    c.StallAbort,
-		StallDir:      c.StallDir,
-		Store:         c.Store,
-		StoreDir:      c.StoreDir,
-		MemLimit:      c.MemLimit,
-		Cancel:        c.Cancel,
-	}
+	Options
 }
 
 func (c SnapshotConfig) system(perms [][]int) (*machine.System, []view.ID, error) {
@@ -207,8 +122,8 @@ func (c SnapshotConfig) system(perms [][]int) (*machine.System, []view.ID, error
 // *InvariantError. With Checkpoint/Resume set the sweep is resumable
 // across process restarts (see runSweep).
 func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
-	var sweep SweepResult
-	err := c.runSweep("safety", &sweep, func(perms [][]int, opts Options) (Result, error) {
+	id := sweepCheckpoint{Check: "safety", Inputs: c.Inputs, Nondet: c.Nondet, Level: c.Level}
+	return runSweep(id, c.Options, WiringOptions{Filter: c.Wirings}, func(perms [][]int, opts Options) (Result, error) {
 		sys, ids, err := c.system(perms)
 		if err != nil {
 			return Result{}, err
@@ -216,7 +131,6 @@ func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
 		opts.Invariant = SnapshotInvariant(ids)
 		return Run(sys, opts)
 	})
-	return sweep, err
 }
 
 // CheckSnapshotWaitFree exhaustively verifies wait-freedom over every
@@ -228,36 +142,43 @@ func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
 // DFSEngine additionally verifies, inline and on every tier, that the
 // reachable step graph is acyclic: the stronger guarantee that no
 // adversarial interleaving runs forever. The breadth-first engines run
-// the invariant form only.
+// the invariant form only. Either violation is an *InvariantError
+// carrying its trace; a truncated search establishes neither form.
 func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
-	var sweep SweepResult
 	bound := c.SoloBound
 	if bound <= 0 {
-		bound = DefaultSoloBound(len(c.Inputs), registersFor(c))
+		bound = DefaultSoloBound(len(c.Inputs), len(c.Inputs)) // the paper's algorithms use N registers
 	}
-	err := c.runSweep("waitfree", &sweep, func(perms [][]int, opts Options) (Result, error) {
+	id := sweepCheckpoint{Check: "waitfree", Inputs: c.Inputs, Nondet: c.Nondet, Level: c.Level, SoloBound: bound}
+	return runSweep(id, c.Options, WiringOptions{Filter: c.Wirings}, func(perms [][]int, opts Options) (Result, error) {
 		sys, _, err := c.system(perms)
 		if err != nil {
 			return Result{}, err
 		}
 		opts.Invariant = WaitFree(bound)
 		res, err := Run(sys, opts)
-		if err != nil {
+		switch {
+		case err != nil:
 			return res, err
-		}
-		if res.Truncated {
+		case res.Truncated:
 			return res, fmt.Errorf("explore: truncated at %d states; wait-freedom not established", res.States)
-		}
-		if res.Cycle {
-			return res, fmt.Errorf("explore: wait-freedom violated under wiring %v: %s", perms, FormatTrace(res.CycleTrace))
+		case res.Cycle:
+			return res, &InvariantError{
+				Err:   fmt.Errorf("wait-freedom violated under wiring %v: the reachable step graph has a cycle", perms),
+				Trace: res.CycleTrace,
+			}
 		}
 		return res, nil
 	})
-	return sweep, err
 }
 
-func registersFor(c SnapshotConfig) int {
-	return len(c.Inputs) // the paper's algorithms use N registers
+// rejectOwned rejects a caller-set Invariant, Aux, InitAux or Prune:
+// a packaged check sets those itself.
+func rejectOwned(check string, opts Options) error {
+	if opts.Invariant == nil && opts.Aux == nil && opts.InitAux == 0 && opts.Prune == nil {
+		return nil
+	}
+	return &UnsupportedOptionError{Check: check, Option: "Invariant, Aux, InitAux or Prune", Hint: "the check sets them itself"}
 }
 
 func (s *SweepResult) accumulate(res Result) {
@@ -325,6 +246,13 @@ type WitnessResult struct {
 // single auxiliary bit tracking "the memory union has equaled the
 // candidate", to keep the augmented state space small.
 func FindNonAtomicityWitnessIn(c SnapshotConfig, perms [][]int) (WitnessResult, error) {
+	if err := rejectOwned("atomicity", c.Options); err != nil {
+		return WitnessResult{}, err
+	}
+	if c.Checkpoint != "" || c.Resume != "" {
+		return WitnessResult{}, &UnsupportedOptionError{Check: "atomicity", Option: "Checkpoint or Resume",
+			Hint: "the witness search runs one search per candidate and keeps no sweep checkpoint"}
+	}
 	sys, ids, err := c.system(perms)
 	if err != nil {
 		return WitnessResult{}, err
@@ -370,7 +298,7 @@ func FindNonAtomicityWitnessIn(c SnapshotConfig, perms [][]int) (WitnessResult, 
 			}
 			return true
 		}
-		opts := c.options()
+		opts := c.Options
 		opts.Aux = aux
 		opts.Invariant = invariant
 		opts.Prune = prune
@@ -378,7 +306,7 @@ func FindNonAtomicityWitnessIn(c SnapshotConfig, perms [][]int) (WitnessResult, 
 		// the candidate-directed prune track a FIXED view, which a
 		// symmetry canonicalizer's value relabeling does not preserve —
 		// they are not orbit-invariant. The witness search therefore
-		// always runs unreduced, whatever c.Symmetry says.
+		// always runs unreduced, whatever c.Canonicalizer says.
 		opts.Canonicalizer = canon.Identity{}
 		res, err := Run(sys.Clone(), opts)
 		if err != nil {
@@ -402,11 +330,14 @@ func FindNonAtomicityWitnessIn(c SnapshotConfig, perms [][]int) (WitnessResult, 
 // FindNonAtomicityWitness sweeps every wiring assignment with
 // FindNonAtomicityWitnessIn and returns the first witness. If none is
 // found and no search was truncated, the result proves atomicity for the
-// configuration.
+// configuration. It keeps its own wiring loop rather than runSweep's,
+// because it runs one search per candidate and stops at the first
+// witness; it therefore rejects Checkpoint and Resume, as well as the
+// Invariant, Aux, InitAux and Prune it sets itself.
 func FindNonAtomicityWitness(c SnapshotConfig) (WitnessResult, error) {
 	n := len(c.Inputs)
 	result := WitnessResult{Exhaustive: true}
-	err := forEachWiring(n, registersFor(c), WiringOptions{Filter: c.Wirings}, func(perms [][]int) error {
+	err := forEachWiring(n, n, WiringOptions{Filter: c.Wirings}, func(perms [][]int) error {
 		if result.Found {
 			return nil
 		}
@@ -451,7 +382,10 @@ func subsetsOf(ids []view.ID) []view.View {
 	return out
 }
 
-// ConsensusConfig describes a timestamp-bounded consensus exploration.
+// ConsensusConfig describes a timestamp-bounded consensus check: the
+// system (Inputs), the bound (MaxTimestamp), the wiring sweep (Wirings)
+// and the Options every per-wiring run executes with. Checkpoint and
+// Resume name the sweep directory, as on SnapshotConfig.
 type ConsensusConfig struct {
 	Inputs []string
 	// MaxTimestamp bounds exploration: states where any processor's
@@ -460,72 +394,34 @@ type ConsensusConfig struct {
 	// Wirings selects which wiring assignments the sweep visits. The
 	// orbit cut passes the inputs as groups: Figure 5 breaks timestamp
 	// ties by smallest label, so only equal-input processors may be
-	// permuted.
+	// permuted. A symmetry Canonicalizer likewise only exchanges
+	// processors with equal inputs (see Consensus.SymmetryClass).
 	Wirings WiringFilter
-	// Symmetry selects state-level canonicalization for every per-wiring
-	// run (processors are only exchanged within equal inputs, for the
-	// same tie-breaking reason; see Consensus.SymmetryClass).
-	Symmetry  canon.Symmetry
-	MaxStates int
-	// MaxCrashes explores crash faults (see Options.MaxCrashes); agreement
-	// and validity are safety properties, so they must hold in every crash
-	// pattern too.
-	MaxCrashes int
-	// Engine selects the search backend (AutoEngine = DFSEngine).
-	Engine Engine
-	// Workers is the ParallelEngine worker count (0 = GOMAXPROCS).
-	Workers int
-	// Obs, when set, publishes every per-wiring run through the metrics
-	// registry (see Options.Obs).
-	Obs *obs.Registry
-	// Events, when set, receives engine.start/engine.finish events.
-	Events *obs.Sink
-	// Trace, when set, records sweep/wiring/run spans (see
-	// SnapshotConfig.Trace).
-	Trace *span.Tracer
-	// StallAfter/StallAbort/StallDir arm the per-run stall watchdog (see
-	// Options.StallAfter).
-	StallAfter time.Duration
-	StallAbort bool
-	StallDir   string
-	// Store, StoreDir, and MemLimit select the state-store tier of every
-	// per-wiring run (see SnapshotConfig).
-	Store    store.Kind
-	StoreDir string
-	MemLimit store.Bytes
-	// Cancel, when closed, stops the sweep with ErrCanceled.
-	Cancel <-chan struct{}
+	Options
 }
 
 // CheckConsensusBounded explores the Figure 5 consensus algorithm up to a
 // timestamp bound over every wiring, verifying agreement and validity on
 // every reachable state. The bound makes this a bounded (not complete)
-// verification; Result.Pruned counts cut states.
+// verification; Result.Pruned counts cut states. Agreement and validity
+// are safety properties, so they must hold under MaxCrashes too.
 func CheckConsensusBounded(c ConsensusConfig) (SweepResult, error) {
-	var sweep SweepResult
-	n := len(c.Inputs)
-	valid := make(map[string]bool, n)
+	valid := make(map[string]bool, len(c.Inputs))
 	for _, v := range c.Inputs {
 		valid[v] = true
 	}
-	sweepSpan := c.Trace.StartArgs("sweep", "sweep consensus",
-		map[string]any{"check": "consensus"})
-	defer sweepSpan.End()
-	wiringIdx := 0
-	err := forEachWiring(n, n, WiringOptions{Filter: c.Wirings, Groups: c.Inputs}, func(perms [][]int) error {
-		wsp := c.Trace.StartArgs("wiring", fmt.Sprintf("wiring %d", wiringIdx),
-			map[string]any{"wiring": wiringIdx})
-		defer wsp.End()
-		wiringIdx++
+	id := sweepCheckpoint{Check: "consensus", Inputs: c.Inputs, MaxTimestamp: c.MaxTimestamp}
+	wo := WiringOptions{Filter: c.Wirings, Groups: c.Inputs}
+	return runSweep(id, c.Options, wo, func(perms [][]int, opts Options) (Result, error) {
 		sys, in, err := consensus.NewSystem(consensus.Config{Inputs: c.Inputs, Wirings: perms})
 		if err != nil {
-			return err
+			return Result{}, err
 		}
 		// Deterministic IDs across branches: pre-intern all pairs up to
 		// one past the bound (a machine at the bound can still write
 		// bound+1 before being pruned).
 		consensus.PreinternPairs(in, c.Inputs, c.MaxTimestamp+2)
-		invariant := func(node Node) error {
+		opts.Invariant = func(node Node) error {
 			vals, done := consensus.Decisions(node.Sys)
 			decided := ""
 			for p := range vals {
@@ -543,7 +439,7 @@ func CheckConsensusBounded(c ConsensusConfig) (SweepResult, error) {
 			}
 			return nil
 		}
-		prune := func(node Node) bool {
+		opts.Prune = func(node Node) bool {
 			for _, m := range node.Sys.Procs {
 				if cm, ok := m.(*consensus.Consensus); ok && cm.Timestamp() > c.MaxTimestamp {
 					return true
@@ -551,27 +447,6 @@ func CheckConsensusBounded(c ConsensusConfig) (SweepResult, error) {
 			}
 			return false
 		}
-		res, err := Run(sys, Options{
-			Engine:        c.Engine,
-			Workers:       c.Workers,
-			MaxStates:     c.MaxStates,
-			MaxCrashes:    c.MaxCrashes,
-			Canonicalizer: c.Symmetry.Canonicalizer(),
-			Invariant:     invariant,
-			Prune:         prune,
-			Obs:           c.Obs,
-			Events:        c.Events,
-			Trace:         c.Trace,
-			StallAfter:    c.StallAfter,
-			StallAbort:    c.StallAbort,
-			StallDir:      c.StallDir,
-			Store:         c.Store,
-			StoreDir:      c.StoreDir,
-			MemLimit:      c.MemLimit,
-			Cancel:        c.Cancel,
-		})
-		sweep.accumulate(res)
-		return err
+		return Run(sys, opts)
 	})
-	return sweep, err
 }

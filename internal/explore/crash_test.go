@@ -138,11 +138,10 @@ func TestCrashTerminalsAreQuiescent(t *testing.T) {
 // with identical state counts across engines.
 func TestWaitFreeWithCrashes(t *testing.T) {
 	c := SnapshotConfig{
-		Inputs:     []string{"a", "b"},
-		Nondet:     true,
-		Wirings:    FilterProc0,
-		MaxCrashes: 1,
-		Traces:     true,
+		Inputs:  []string{"a", "b"},
+		Nondet:  true,
+		Wirings: FilterProc0,
+		Options: Options{MaxCrashes: 1, Traces: true},
 	}
 	states := map[Engine]int{}
 	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {

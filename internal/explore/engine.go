@@ -91,13 +91,14 @@ func (e *Engine) Set(s string) error {
 	return nil
 }
 
-// UnsupportedOptionError reports an Options feature the selected engine
-// or storage tier cannot provide. Exactly one of Engine/Store identifies
-// the rejecting side: Store is non-empty ("mem", "disk") when the
-// storage tier, not the engine, is what cannot honor the option.
+// UnsupportedOptionError reports an Options feature the selected engine,
+// storage tier or packaged check cannot provide. Exactly one of
+// Engine/Store/Check identifies the rejecting side: Check ("safety",
+// "atomicity", ...) or Store ("mem", "disk") when non-empty, else Engine.
 type UnsupportedOptionError struct {
 	Engine Engine
 	Store  string
+	Check  string
 	Option string
 	Hint   string
 }
@@ -105,15 +106,28 @@ type UnsupportedOptionError struct {
 // Error implements error.
 func (e *UnsupportedOptionError) Error() string {
 	var msg string
-	if e.Store != "" {
+	switch {
+	case e.Check != "":
+		msg = fmt.Sprintf("explore: the %s check does not take %s", e.Check, e.Option)
+	case e.Store != "":
 		msg = fmt.Sprintf("explore: store %s does not support %s", e.Store, e.Option)
-	} else {
+	default:
 		msg = fmt.Sprintf("explore: engine %s does not support %s", e.Engine, e.Option)
 	}
 	if e.Hint != "" {
 		msg += " (" + e.Hint + ")"
 	}
 	return msg
+}
+
+// canonicalizer is Options.Canonicalizer with its nil default,
+// canon.Identity, applied: Run and the sweep identity both resolve it
+// here.
+func (o *Options) canonicalizer() canon.Canonicalizer {
+	if o.Canonicalizer == nil {
+		return canon.Identity{}
+	}
+	return o.Canonicalizer
 }
 
 // Run is the single entry point for exhaustive exploration: it validates
@@ -128,10 +142,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
-	canonicalizer := opts.Canonicalizer
-	if canonicalizer == nil {
-		canonicalizer = canon.Identity{}
-	}
+	canonicalizer := opts.canonicalizer()
 	hasher, err := canonicalizer.Bind(init)
 	if err != nil {
 		return Result{}, fmt.Errorf("explore: %w", err)

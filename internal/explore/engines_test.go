@@ -271,7 +271,7 @@ func TestAutoEngineIsDFS(t *testing.T) {
 	if res.Stats.Engine != DFSEngine {
 		t.Errorf("Run: engine %v, want dfs", res.Stats.Engine)
 	}
-	c := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Checkpoint: t.TempDir()}
+	c := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Options: Options{Checkpoint: t.TempDir()}}
 	sweep, err := CheckSnapshotSafety(c)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +554,7 @@ func TestChecksAcceptEngines(t *testing.T) {
 
 	// The witness search runs on any engine; at N=2 all prove atomicity.
 	for _, engine := range []Engine{DFSEngine, ParallelEngine} {
-		w := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Engine: engine, Workers: 2}
+		w := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Options: Options{Engine: engine, Workers: 2}}
 		r, err := FindNonAtomicityWitness(w)
 		if err != nil {
 			t.Fatalf("witness with %v: %v", engine, err)
@@ -571,7 +571,7 @@ func TestChecksAcceptEngines(t *testing.T) {
 	}
 	cpar, err := CheckConsensusBounded(ConsensusConfig{
 		Inputs: []string{"x", "y"}, MaxTimestamp: 2, Wirings: FilterProc0,
-		Engine: ParallelEngine, Workers: 4,
+		Options: Options{Engine: ParallelEngine, Workers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -579,6 +579,45 @@ func TestChecksAcceptEngines(t *testing.T) {
 	if cpar.TotalStates != cref.TotalStates || cpar.Terminals != cref.Terminals {
 		t.Errorf("consensus parallel sweep %+v, want totals of %+v", cpar, cref)
 	}
+}
+
+// TestChecksRejectOwnedOptions: the packaged checks set Invariant, Aux,
+// InitAux and Prune themselves, so a caller-set one is rejected before
+// any state is explored; the witness search, which keeps no sweep
+// checkpoint, also rejects Checkpoint and Resume.
+func TestChecksRejectOwnedOptions(t *testing.T) {
+	snapshot := func(o Options) SnapshotConfig {
+		return SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Options: o}
+	}
+	witness := func(o Options) error { _, err := FindNonAtomicityWitness(snapshot(o)); return err }
+	checks := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"safety", func(o Options) error { _, err := CheckSnapshotSafety(snapshot(o)); return err }},
+		{"waitfree", func(o Options) error { _, err := CheckSnapshotWaitFree(snapshot(o)); return err }},
+		{"consensus", func(o Options) error { _, err := consensusSweep(o); return err }},
+		{"atomicity", witness},
+	}
+	rejected := func(t *testing.T, err error, check string) {
+		t.Helper()
+		var ue *UnsupportedOptionError
+		if !errors.As(err, &ue) || ue.Check != check {
+			t.Errorf("err = %v, want an *UnsupportedOptionError from the %s check", err, check)
+		}
+	}
+	for _, owned := range []Options{
+		{Invariant: func(Node) error { return nil }},
+		{Aux: func(aux uint64, _ machine.StepInfo, _ *machine.System) uint64 { return aux }},
+		{InitAux: 1},
+		{Prune: func(Node) bool { return false }},
+	} {
+		for _, c := range checks {
+			rejected(t, c.run(owned), c.name)
+		}
+	}
+	rejected(t, witness(Options{Checkpoint: t.TempDir()}), "atomicity")
+	rejected(t, witness(Options{Resume: t.TempDir()}), "atomicity")
 }
 
 // TestFPTable exercises the parallel engine's visited set through the

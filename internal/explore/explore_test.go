@@ -165,7 +165,7 @@ func TestSnapshotSafetyN2AllWirings(t *testing.T) {
 		Inputs:  []string{"a", "b"},
 		Nondet:  true,
 		Wirings: FilterProc0,
-		Traces:  true,
+		Options: Options{Traces: true},
 	})
 	if err != nil {
 		t.Fatalf("safety violated: %v", err)
@@ -194,7 +194,7 @@ func TestSnapshotWaitFreeN2AllWirings(t *testing.T) {
 		Inputs:  []string{"a", "b"},
 		Nondet:  true,
 		Wirings: FilterProc0,
-		Traces:  true,
+		Options: Options{Traces: true},
 	})
 	if err != nil {
 		t.Fatalf("wait-freedom violated: %v", err)
@@ -328,7 +328,7 @@ func TestNoWitnessAtN2(t *testing.T) {
 	r, err := FindNonAtomicityWitness(SnapshotConfig{
 		Inputs:  []string{"a", "b"},
 		Wirings: FilterProc0,
-		Traces:  true,
+		Options: Options{Traces: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,11 +415,10 @@ func TestCheckSnapshotSafetyDetectsBrokenLevel(t *testing.T) {
 	// sweep must find a violation if one exists within the bound. We keep
 	// the bound small here — the full result is produced by cmd/figures.
 	_, err := CheckSnapshotSafety(SnapshotConfig{
-		Inputs:    []string{"a", "b", "c"},
-		Level:     1,
-		Wirings:   FilterProc0,
-		MaxStates: 60_000,
-		Traces:    true,
+		Inputs:  []string{"a", "b", "c"},
+		Level:   1,
+		Wirings: FilterProc0,
+		Options: Options{MaxStates: 60_000, Traces: true},
 	})
 	var ie *InvariantError
 	if err == nil {

@@ -106,7 +106,7 @@ func TestObsProgressGauges(t *testing.T) {
 func TestSweepAccumulatesMetrics(t *testing.T) {
 	reg := obs.New()
 	sweep, err := CheckSnapshotSafety(SnapshotConfig{
-		Inputs: []string{"a", "b"}, Wirings: FilterProc0, Obs: reg,
+		Inputs: []string{"a", "b"}, Wirings: FilterProc0, Options: Options{Obs: reg},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ func TestProbeSizes(t *testing.T) {
 	if os.Getenv("ANONSHM_PROBE") == "" {
 		t.Skip("set ANONSHM_PROBE=1 to run")
 	}
-	c := SnapshotConfig{Inputs: []string{"a", "b", "c"}, Wirings: FilterProc0, MaxStates: 400_000_000}
+	c := SnapshotConfig{Inputs: []string{"a", "b", "c"}, Wirings: FilterProc0, Options: Options{MaxStates: 400_000_000}}
 	sys, _, err := c.system(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -245,43 +246,67 @@ func TestResumeReproducesViolation(t *testing.T) {
 	}
 }
 
+// safetySweep and consensusSweep are the two sweep shapes the resume
+// tests drive: the N=2 snapshot-safety sweep (2 wirings) and the N=2
+// consensus sweep at timestamp bound 1 (2 wirings, 45,857 states).
+func safetySweep(o Options) (SweepResult, error) {
+	return CheckSnapshotSafety(SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Options: o})
+}
+
+func consensusSweep(o Options) (SweepResult, error) {
+	return CheckConsensusBounded(ConsensusConfig{Inputs: []string{"x", "y"}, MaxTimestamp: 1, Wirings: FilterProc0, Options: o})
+}
+
 // TestSweepKillAndResume kills a wiring sweep mid-flight and resumes it:
 // completed wirings are skipped, the in-flight one resumes from its run
 // checkpoint, and the aggregate totals match an uninterrupted sweep.
+// The consensus sweep is cut a quarter, half and three quarters of the
+// way on every engine (only halfway under -short, which make race
+// uses). Each checkpoint re-sorts the whole visited set, so its larger
+// space takes a sparser cadence than the safety sweep.
 func TestSweepKillAndResume(t *testing.T) {
-	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Engine: BFSEngine}
-	ref, err := CheckSnapshotSafety(base)
-	if err != nil {
-		t.Fatal(err)
+	quarters := []int{1, 2, 3}
+	if testing.Short() {
+		quarters = []int{2}
 	}
-	if ref.Wirings < 2 || ref.TotalStates < 400 {
-		t.Fatalf("reference sweep too small to kill mid-flight: %+v", ref)
-	}
-
-	dir := t.TempDir()
-	killed := base
-	killed.Checkpoint = dir
-	killed.CheckpointEvery = 50
-	killed.ProgressEvery = 1
-	// Fire inside the second half of the sweep's total work so at least
-	// one wiring has completed and one is in flight.
-	killed.Cancel, killed.Progress = cancelAfter(ref.TotalStates * 3 / 4)
-	if _, err := CheckSnapshotSafety(killed); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("killed sweep: err = %v, want ErrCanceled", err)
-	}
-
-	resumed := base
-	resumed.Resume = dir
-	resumed.Checkpoint = dir
-	resumed.CheckpointEvery = 50
-	got, err := CheckSnapshotSafety(resumed)
-	if err != nil {
-		t.Fatalf("resumed sweep: %v", err)
-	}
-	if got.Wirings != ref.Wirings || got.TotalStates != ref.TotalStates ||
-		got.TotalEdges != ref.TotalEdges || got.MaxStates != ref.MaxStates ||
-		got.Terminals != ref.Terminals || got.Truncated != ref.Truncated {
-		t.Errorf("resumed sweep %+v, uninterrupted %+v", got, ref)
+	for _, tc := range []struct {
+		name     string
+		sweep    func(Options) (SweepResult, error)
+		engines  []Engine
+		quarters []int
+		every    int
+	}{
+		{"safety", safetySweep, []Engine{BFSEngine}, []int{3}, 50},
+		{"consensus", consensusSweep, []Engine{BFSEngine, DFSEngine, ParallelEngine}, quarters, 500},
+	} {
+		for _, engine := range tc.engines {
+			ref, err := tc.sweep(Options{Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Wirings < 2 || ref.TotalStates < 400 {
+				t.Fatalf("reference sweep too small to kill mid-flight: %+v", ref)
+			}
+			for _, q := range tc.quarters {
+				t.Run(fmt.Sprintf("%s/%v/at-%dof4", tc.name, engine, q), func(t *testing.T) {
+					dir := t.TempDir()
+					killed := Options{Engine: engine, Checkpoint: dir, CheckpointEvery: tc.every, ProgressEvery: 1}
+					killed.Cancel, killed.Progress = cancelAfter(ref.TotalStates * q / 4)
+					if _, err := tc.sweep(killed); !errors.Is(err, ErrCanceled) {
+						t.Fatalf("killed sweep: err = %v, want ErrCanceled", err)
+					}
+					got, err := tc.sweep(Options{Engine: engine, Checkpoint: dir, CheckpointEvery: tc.every, Resume: dir})
+					if err != nil {
+						t.Fatalf("resumed sweep: %v", err)
+					}
+					if got.Wirings != ref.Wirings || got.TotalStates != ref.TotalStates ||
+						got.TotalEdges != ref.TotalEdges || got.MaxStates != ref.MaxStates ||
+						got.Terminals != ref.Terminals || got.Truncated != ref.Truncated {
+						t.Errorf("resumed sweep %+v, uninterrupted %+v", got, ref)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -371,34 +396,88 @@ func TestResumeMismatchRejected(t *testing.T) {
 	})
 }
 
-// TestSweepResumeMismatchRejected: a sweep checkpoint likewise pins the
-// sweep identity.
+// TestSweepResumeMismatchRejected: a sweep checkpoint pins every field
+// of the sweep identity. Resuming under a different value of any one
+// of them fails with a *CheckpointMismatchError naming it, before any
+// state is explored — state keys exclude the wirings and the
+// termination level, so the run checkpoint cannot tell those apart.
 func TestSweepResumeMismatchRejected(t *testing.T) {
-	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Engine: BFSEngine}
-	dir := t.TempDir()
-	ck := base
-	ck.Checkpoint = dir
+	snapshot := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Options: Options{Engine: BFSEngine}}
+	consensus := ConsensusConfig{Inputs: []string{"x", "y"}, MaxTimestamp: 1, Wirings: FilterProc0, Options: Options{Engine: BFSEngine}}
+	safetyDir, waitFreeDir, consensusDir := t.TempDir(), t.TempDir(), t.TempDir()
+	ck := snapshot
+	ck.Checkpoint = safetyDir
 	if _, err := CheckSnapshotSafety(ck); err != nil {
 		t.Fatal(err)
 	}
-	bad := base
-	bad.Resume = dir
-	bad.Engine = DFSEngine
-	_, err := CheckSnapshotSafety(bad)
-	var me *CheckpointMismatchError
-	if !errors.As(err, &me) {
-		t.Fatalf("err = %v, want *CheckpointMismatchError", err)
+	ck.Checkpoint = waitFreeDir
+	if _, err := CheckSnapshotWaitFree(ck); err != nil {
+		t.Fatal(err)
 	}
-	if me.Field != "engine" {
-		t.Errorf("mismatch on field %q, want engine", me.Field)
+	cck := consensus
+	cck.Checkpoint = consensusDir
+	if _, err := CheckConsensusBounded(cck); err != nil {
+		t.Fatal(err)
 	}
+
+	safety := func(edit func(*SnapshotConfig)) func() (SweepResult, error) {
+		return func() (SweepResult, error) {
+			c := snapshot
+			c.Resume = safetyDir
+			edit(&c)
+			return CheckSnapshotSafety(c)
+		}
+	}
+	cases := []struct {
+		field  string
+		resume func() (SweepResult, error)
+	}{
+		{"check", func() (SweepResult, error) {
+			c := snapshot
+			c.Resume = safetyDir
+			return CheckSnapshotWaitFree(c)
+		}},
+		{"engine", safety(func(c *SnapshotConfig) { c.Engine = DFSEngine })},
+		{"symmetry", safety(func(c *SnapshotConfig) { c.Canonicalizer = canon.ProcSymmetry{} })},
+		{"inputs", safety(func(c *SnapshotConfig) { c.Inputs = []string{"a", "c"} })},
+		{"wirings", safety(func(c *SnapshotConfig) { c.Wirings = FilterOrbits })},
+		{"nondet", safety(func(c *SnapshotConfig) { c.Nondet = false })},
+		{"level", safety(func(c *SnapshotConfig) { c.Level = 1 })},
+		{"soloBound", func() (SweepResult, error) {
+			c := snapshot
+			c.Resume, c.SoloBound = waitFreeDir, 1
+			return CheckSnapshotWaitFree(c)
+		}},
+		{"maxTimestamp", func() (SweepResult, error) {
+			c := consensus
+			c.Resume, c.MaxTimestamp = consensusDir, 2
+			return CheckConsensusBounded(c)
+		}},
+		{"maxCrashes", safety(func(c *SnapshotConfig) { c.MaxCrashes = 1 })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			got, err := tc.resume()
+			var me *CheckpointMismatchError
+			if !errors.As(err, &me) {
+				t.Fatalf("err = %v, want *CheckpointMismatchError", err)
+			}
+			if me.Field != tc.field {
+				t.Errorf("mismatch on field %q, want %q", me.Field, tc.field)
+			}
+			if got.TotalStates != 0 {
+				t.Errorf("explored %d states before rejecting the resume", got.TotalStates)
+			}
+		})
+	}
+
 	// A completed sweep resumes to a no-op with identical totals.
-	ref, err := CheckSnapshotSafety(base)
+	ref, err := CheckSnapshotSafety(snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := base
-	again.Resume = dir
+	again := snapshot
+	again.Resume = safetyDir
 	got, err := CheckSnapshotSafety(again)
 	if err != nil {
 		t.Fatalf("resume of completed sweep: %v", err)

@@ -11,36 +11,44 @@ import (
 )
 
 // Sweep-level checkpointing. A wiring sweep (CheckSnapshotSafety,
-// CheckSnapshotWaitFree) is many independent Run calls; its checkpoint
-// directory layers on top of the per-run format:
+// CheckSnapshotWaitFree, CheckConsensusBounded) is many independent Run
+// calls; its checkpoint directory layers on top of the per-run format:
 //
-//	<dir>/sweep.json — sweep identity (check, engine, symmetry, inputs),
-//	                   the number of wirings fully explored, and the
-//	                   accumulated SweepResult
+//	<dir>/sweep.json — the sweep identity (check, engine, symmetry,
+//	                   inputs, wiring filter, nondet, level, solo bound,
+//	                   timestamp bound, crash budget), the number of
+//	                   wirings fully explored, and the accumulated
+//	                   SweepResult
 //	<dir>/run        — a per-run checkpoint (store.WriteCheckpoint) of
 //	                   the wiring in flight, removed when it completes
 //
 // sweep.json is rewritten (atomically) after every completed wiring; a
-// resume skips the completed wirings, re-enters the in-flight one
-// through Options.Resume when <dir>/run exists, and continues
-// accumulating into the restored totals. The per-run root fingerprint
-// check makes a stale run directory impossible to attach to the wrong
-// wiring.
+// resume matches the identity field by field, skips the completed
+// wirings, re-enters the in-flight one through Options.Resume when
+// <dir>/run exists, and continues accumulating into the restored
+// totals. The identity must be complete on its own: state keys exclude
+// both the wirings and the termination level, so the run checkpoint's
+// root fingerprint cannot tell a wiring filter or a level apart.
 
 // sweepMetaVersion versions sweep.json alongside store.MetaVersion.
-const sweepMetaVersion = 1
+const sweepMetaVersion = 2
 
-// sweepCheckpoint is the sweep.json document.
+// sweepCheckpoint is the sweep.json document: the sweep identity, which
+// a resume must match field by field, then the progress made.
 type sweepCheckpoint struct {
-	Version    int         `json:"version"`
-	Check      string      `json:"check"`
-	Engine     string      `json:"engine"`
-	Symmetry   string      `json:"symmetry"`
-	Inputs     []string    `json:"inputs"`
-	Nondet     bool        `json:"nondet"`
-	MaxCrashes int         `json:"maxCrashes"`
-	Completed  int         `json:"completed"`
-	Sweep      SweepResult `json:"sweep"`
+	Version      int         `json:"version"`
+	Check        string      `json:"check"`
+	Engine       string      `json:"engine"`
+	Symmetry     string      `json:"symmetry"`
+	Inputs       []string    `json:"inputs"`
+	Wirings      string      `json:"wirings"`
+	Nondet       bool        `json:"nondet"`
+	Level        int         `json:"level"`
+	SoloBound    int         `json:"soloBound"`
+	MaxTimestamp int         `json:"maxTimestamp"`
+	MaxCrashes   int         `json:"maxCrashes"`
+	Completed    int         `json:"completed"`
+	Sweep        SweepResult `json:"sweep"`
 }
 
 func sweepMetaPath(dir string) string { return filepath.Join(dir, "sweep.json") }
@@ -49,49 +57,35 @@ func sweepMetaPath(dir string) string { return filepath.Join(dir, "sweep.json") 
 // checkpoint.
 func sweepRunDir(dir string) string { return filepath.Join(dir, "run") }
 
-// sweepID builds the identity half of a sweep checkpoint.
-func (c SnapshotConfig) sweepID(check string) sweepCheckpoint {
-	return sweepCheckpoint{
-		Version:    sweepMetaVersion,
-		Check:      check,
-		Engine:     c.Engine.resolve().String(),
-		Symmetry:   c.Symmetry.Canonicalizer().String(),
-		Inputs:     c.Inputs,
-		Nondet:     c.Nondet,
-		MaxCrashes: c.MaxCrashes,
-	}
-}
-
-// loadSweepCheckpoint reads and validates <c.Resume>/sweep.json.
-func loadSweepCheckpoint(c SnapshotConfig, check string) (*sweepCheckpoint, error) {
-	blob, err := os.ReadFile(sweepMetaPath(c.Resume))
+// loadSweepCheckpoint reads <dir>/sweep.json and matches it against the
+// requested identity id.
+func loadSweepCheckpoint(dir string, id sweepCheckpoint) (*sweepCheckpoint, error) {
+	blob, err := os.ReadFile(sweepMetaPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("explore: resume: %w", err)
 	}
 	var sc sweepCheckpoint
 	if err := json.Unmarshal(blob, &sc); err != nil {
-		return nil, fmt.Errorf("explore: resume: %s: %w", sweepMetaPath(c.Resume), err)
+		return nil, fmt.Errorf("explore: resume: %s: %w", sweepMetaPath(dir), err)
 	}
 	if sc.Version != sweepMetaVersion {
 		return nil, fmt.Errorf("explore: resume: sweep checkpoint has version %d; this build reads version %d", sc.Version, sweepMetaVersion)
 	}
-	id := c.sweepID(check)
-	mismatch := func(field, ck, req string) error {
-		return &CheckpointMismatchError{Field: field, Checkpoint: ck, Requested: req}
-	}
-	switch {
-	case sc.Check != id.Check:
-		return nil, mismatch("check", sc.Check, id.Check)
-	case sc.Engine != id.Engine:
-		return nil, mismatch("engine", sc.Engine, id.Engine)
-	case sc.Symmetry != id.Symmetry:
-		return nil, mismatch("symmetry", sc.Symmetry, id.Symmetry)
-	case fmt.Sprint(sc.Inputs) != fmt.Sprint(id.Inputs):
-		return nil, mismatch("inputs", fmt.Sprint(sc.Inputs), fmt.Sprint(id.Inputs))
-	case sc.Nondet != id.Nondet:
-		return nil, mismatch("nondet", fmt.Sprint(sc.Nondet), fmt.Sprint(id.Nondet))
-	case sc.MaxCrashes != id.MaxCrashes:
-		return nil, mismatch("maxCrashes", fmt.Sprint(sc.MaxCrashes), fmt.Sprint(id.MaxCrashes))
+	for _, f := range []struct{ name, checkpoint, requested string }{
+		{"check", sc.Check, id.Check},
+		{"engine", sc.Engine, id.Engine},
+		{"symmetry", sc.Symmetry, id.Symmetry},
+		{"inputs", fmt.Sprintf("%q", sc.Inputs), fmt.Sprintf("%q", id.Inputs)},
+		{"wirings", sc.Wirings, id.Wirings},
+		{"nondet", fmt.Sprint(sc.Nondet), fmt.Sprint(id.Nondet)},
+		{"level", fmt.Sprint(sc.Level), fmt.Sprint(id.Level)},
+		{"soloBound", fmt.Sprint(sc.SoloBound), fmt.Sprint(id.SoloBound)},
+		{"maxTimestamp", fmt.Sprint(sc.MaxTimestamp), fmt.Sprint(id.MaxTimestamp)},
+		{"maxCrashes", fmt.Sprint(sc.MaxCrashes), fmt.Sprint(id.MaxCrashes)},
+	} {
+		if f.checkpoint != f.requested {
+			return nil, &CheckpointMismatchError{Field: f.name, Checkpoint: f.checkpoint, Requested: f.requested}
+		}
 	}
 	return &sc, nil
 }
@@ -113,70 +107,82 @@ func writeSweepCheckpoint(dir string, sc sweepCheckpoint) error {
 	return nil
 }
 
-// runSweep drives body over every wiring assignment, layering sweep
-// checkpointing (c.Checkpoint) and resume (c.Resume) around the per-run
-// engine support. body receives fully-assembled per-run Options and must
-// call Run with them.
-func (c SnapshotConfig) runSweep(check string, sweep *SweepResult, body func(perms [][]int, opts Options) (Result, error)) error {
-	sweepSpan := c.Trace.StartArgs("sweep", "sweep "+check,
-		map[string]any{"check": check, "engine": c.Engine.resolve().String(),
-			"symmetry": c.Symmetry.Canonicalizer().String()})
+// runSweep is the one wiring-sweep driver: it calls body once per
+// assignment wo keeps, for len(id.Inputs) processors over as many
+// registers (the paper's algorithms use N), and accumulates the
+// results. id is the check's half of the sweep identity; runSweep fills
+// in the engine, symmetry and crash budget from opts and the filter from
+// wo. opts.Checkpoint and opts.Resume name the sweep directory; body
+// gets opts with both rewritten to the run checkpoint of the wiring in
+// flight, sets the check's Invariant (and Prune), and calls Run.
+func runSweep(id sweepCheckpoint, opts Options, wo WiringOptions, body func(perms [][]int, opts Options) (Result, error)) (SweepResult, error) {
+	var sweep SweepResult
+	if err := rejectOwned(id.Check, opts); err != nil {
+		return sweep, err
+	}
+	id.Version = sweepMetaVersion
+	id.Engine = opts.Engine.resolve().String()
+	id.Symmetry = opts.canonicalizer().String()
+	id.Wirings = wo.Filter.String()
+	id.MaxCrashes = opts.MaxCrashes
+	sweepSpan := opts.Trace.StartArgs("sweep", "sweep "+id.Check,
+		map[string]any{"check": id.Check, "engine": id.Engine, "symmetry": id.Symmetry})
 	defer sweepSpan.End()
-	var resume *sweepCheckpoint
-	if c.Resume != "" {
-		sc, err := loadSweepCheckpoint(c, check)
+	dir, resumeDir := opts.Checkpoint, opts.Resume
+	completed := 0
+	if resumeDir != "" {
+		sc, err := loadSweepCheckpoint(resumeDir, id)
 		if err != nil {
-			return err
+			return sweep, err
 		}
-		resume = sc
-		*sweep = sc.Sweep
-	} else if c.Checkpoint != "" {
+		completed, sweep = sc.Completed, sc.Sweep
+	} else if dir != "" {
 		// Seed sweep.json before the first wiring so a cancel at any
 		// point — even inside wiring 0 — leaves a resumable directory.
-		if err := writeSweepCheckpoint(c.Checkpoint, c.sweepID(check)); err != nil {
-			return err
+		if err := writeSweepCheckpoint(dir, id); err != nil {
+			return sweep, err
 		}
 	}
 	idx := 0
-	n := len(c.Inputs)
-	return forEachWiring(n, registersFor(c), WiringOptions{Filter: c.Wirings}, func(perms [][]int) error {
+	n := len(id.Inputs)
+	err := forEachWiring(n, n, wo, func(perms [][]int) error {
 		i := idx
 		idx++
-		if resume != nil && i < resume.Completed {
+		if i < completed {
 			return nil
 		}
-		opts := c.options()
-		if c.Checkpoint != "" {
-			opts.Checkpoint = sweepRunDir(c.Checkpoint)
-			opts.CheckpointEvery = c.CheckpointEvery
+		run := opts
+		run.Checkpoint, run.Resume = "", ""
+		if dir != "" {
+			run.Checkpoint = sweepRunDir(dir)
 		}
-		if resume != nil && i == resume.Completed {
+		if resumeDir != "" && i == completed {
 			// Re-enter the wiring that was in flight when the sweep
 			// stopped, if its run checkpoint exists (the sweep may also
 			// have stopped exactly between wirings).
-			if _, err := store.LoadCheckpoint(sweepRunDir(c.Resume)); err == nil {
-				opts.Resume = sweepRunDir(c.Resume)
+			if _, err := store.LoadCheckpoint(sweepRunDir(resumeDir)); err == nil {
+				run.Resume = sweepRunDir(resumeDir)
 			}
 		}
-		wsp := c.Trace.StartArgs("wiring", fmt.Sprintf("wiring %d", i),
+		wsp := opts.Trace.StartArgs("wiring", fmt.Sprintf("wiring %d", i),
 			map[string]any{"wiring": i})
-		res, err := body(perms, opts)
+		res, err := body(perms, run)
 		wsp.End()
 		sweep.accumulate(res)
 		if err != nil {
 			return err
 		}
-		if c.Checkpoint != "" {
-			if err := os.RemoveAll(sweepRunDir(c.Checkpoint)); err != nil {
+		if dir != "" {
+			if err := os.RemoveAll(sweepRunDir(dir)); err != nil {
 				return fmt.Errorf("explore: sweep checkpoint: %w", err)
 			}
-			sc := c.sweepID(check)
-			sc.Completed = i + 1
-			sc.Sweep = *sweep
-			if err := writeSweepCheckpoint(c.Checkpoint, sc); err != nil {
+			sc := id
+			sc.Completed, sc.Sweep = i+1, sweep
+			if err := writeSweepCheckpoint(dir, sc); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+	return sweep, err
 }

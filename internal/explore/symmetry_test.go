@@ -76,7 +76,7 @@ func TestEnginesAgreeUnderSymmetry(t *testing.T) {
 		states := map[Engine]int{}
 		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
 			c := base
-			c.Symmetry = sym
+			c.Canonicalizer = sym.Canonicalizer()
 			c.Engine = engine
 			c.Workers = 4
 			sweep, err := CheckSnapshotSafety(c)
@@ -218,9 +218,9 @@ func TestSymmetryReducesStates(t *testing.T) {
 // prove atomicity at N=2.
 func TestWitnessSearchPinsIdentity(t *testing.T) {
 	r, err := FindNonAtomicityWitness(SnapshotConfig{
-		Inputs:   []string{"a", "b"},
-		Wirings:  FilterProc0,
-		Symmetry: canon.Full,
+		Inputs:  []string{"a", "b"},
+		Wirings: FilterProc0,
+		Options: Options{Canonicalizer: canon.FullSymmetry{}},
 	})
 	if err != nil {
 		t.Fatal(err)

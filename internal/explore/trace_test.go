@@ -21,11 +21,9 @@ func TestTracedSweepSchema(t *testing.T) {
 	var buf bytes.Buffer
 	tr := span.New(&buf)
 	sweep, err := CheckSnapshotSafety(SnapshotConfig{
-		Inputs:   []string{"a", "b"},
-		Nondet:   true,
-		Symmetry: canon.Full,
-		Engine:   DFSEngine,
-		Trace:    tr,
+		Inputs:  []string{"a", "b"},
+		Nondet:  true,
+		Options: Options{Canonicalizer: canon.FullSymmetry{}, Engine: DFSEngine, Trace: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,12 +96,14 @@ func TestTracedSweepSchema(t *testing.T) {
 func TestTracedDiskRunRecordsStorePhases(t *testing.T) {
 	tr := span.Collect()
 	sweep, err := CheckSnapshotSafety(SnapshotConfig{
-		Inputs:   []string{"a", "b"},
-		Nondet:   true,
-		Engine:   BFSEngine,
-		Store:    store.Disk,
-		MemLimit: 1 << 10, // force the hot table and frontier to spill
-		Trace:    tr,
+		Inputs: []string{"a", "b"},
+		Nondet: true,
+		Options: Options{
+			Engine:   BFSEngine,
+			Store:    store.Disk,
+			MemLimit: 1 << 10, // force the hot table and frontier to spill
+			Trace:    tr,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +131,9 @@ func TestTracedCheckpointSpans(t *testing.T) {
 	dir := t.TempDir()
 	tr := span.Collect()
 	_, err := CheckSnapshotSafety(SnapshotConfig{
-		Inputs:          []string{"a", "b"},
-		Nondet:          true,
-		Engine:          DFSEngine,
-		Checkpoint:      dir,
-		CheckpointEvery: 100,
-		Trace:           tr,
+		Inputs:  []string{"a", "b"},
+		Nondet:  true,
+		Options: Options{Engine: DFSEngine, Checkpoint: dir, CheckpointEvery: 100, Trace: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
