@@ -79,7 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sched/ -run '^$$' -fuzz FuzzRenamingSchedule -fuzztime 10s
 
 # Machine-readable benchmark artifacts: one report file per engine with
-# sweep totals, states/sec and the full metrics snapshot, plus the
+# sweep totals, states/sec and per-wiring rows, plus the
 # symmetry-reduction comparison (same check at -symmetry none/proc/full).
 # The N=3 rows run the same-group system with deterministic write order —
 # the one N=3 snapshot space small enough to sweep untruncated (~72M

@@ -37,28 +37,30 @@
 // logs), so -resume reruns report the violation without a trace.
 //
 // Observability: results go to stdout; -progress diagnostics go to
-// stderr so piped output stays clean. -report FILE writes a JSON report
-// (check parameters, sweep totals, final metrics including states/sec),
-// and -http ADDR serves live metrics (/metrics) and pprof
-// (/debug/pprof/) while the search runs. cmd/figures -load renders
-// report files back into tables.
+// stderr so piped output stays clean. A run explains itself through
+// three artifacts only: the report, the ledger and the trace. -report
+// FILE writes a JSON report (check parameters; the sweep totals,
+// states/sec, dedup and store counters, pruned states, maximum depth,
+// fingerprint-collision odds and one row per wiring; the traced phase
+// totals), and -http ADDR serves pprof (/debug/pprof/) while the search
+// runs. cmd/figures -load renders report files back into tables.
 //
 // Tracing and run history: -trace FILE records the run as Chrome
 // trace_event JSON — one span per sweep, wiring, engine run, store
 // spill/compaction/replay and checkpoint write — loadable in Perfetto
 // or chrome://tracing; the per-phase totals also land in the report's
-// "trace" section. -events FILE streams engine lifecycle events as
-// JSONL (the same stream anonsim's -events carries per step). -ledger
-// FILE appends one JSONL entry per run (config, totals, wall time,
-// phase breakdown, outcome) to a persistent history — conventionally
-// .anonledger/runs.jsonl — that cmd/figures -trend turns into
-// throughput trajectories and regression checks.
+// "trace" section. -ledger FILE appends one JSONL entry per run
+// (config, totals, wall time, phase breakdown, outcome) to a persistent
+// history — conventionally .anonledger/runs.jsonl — that cmd/figures
+// -trend turns into throughput trajectories and regression checks.
+// (-events, the JSONL event stream, is anonsim's.)
 //
 // Stall watchdog: -stall-after DUR arms a watchdog that fires when no
-// state has been discovered for DUR; it records the stall in the
-// metrics/events/trace streams and dumps goroutine and heap profiles
-// next to the report (stall-goroutine.pprof, stall-heap.pprof).
-// With -stall-abort the run is also aborted with exit code 5.
+// state has been discovered for DUR; it records the stall as a trace
+// instant and dumps goroutine and heap profiles next to the report
+// (stall-goroutine.pprof, stall-heap.pprof). With -stall-abort the run
+// is also aborted with exit code 5, and the ledger records the outcome
+// "stalled".
 //
 // Examples:
 //
@@ -105,14 +107,13 @@ import (
 
 func main() {
 	cli, _ := parseFlags(flag.CommandLine, os.Args[1:]) // flag.CommandLine exits 2 on a parse error
-	reg := obs.New()
 	if cli.httpAddr != "" {
-		addr, err := obs.Serve(cli.httpAddr, reg)
+		addr, err := obs.Serve(cli.httpAddr, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			os.Exit(exitcode.Usage)
 		}
-		fmt.Fprintf(os.Stderr, "anonexplore: serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "anonexplore: serving pprof on http://%s/debug/pprof/\n", addr)
 	}
 	var tr *span.Tracer
 	var traceFile *os.File
@@ -124,22 +125,12 @@ func main() {
 		}
 		traceFile, tr = f, span.New(f)
 	}
-	var events *obs.Sink
-	var eventsFile *os.File
-	if cli.eventsPath != "" {
-		f, err := os.Create(cli.eventsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			os.Exit(exitcode.Usage)
-		}
-		eventsFile, events = f, obs.NewSink(f)
-	}
 	if cli.reportPath != "" {
 		// Stall profiles land next to the report so one artifact
 		// directory carries the whole diagnosis.
 		cli.run.StallDir = filepath.Dir(cli.reportPath)
 	}
-	cli.run.Obs, cli.run.Trace, cli.run.Events = reg, tr, events
+	cli.run.Trace = tr
 	cli.run.Cancel = interruptChannel()
 	rep := obs.NewReport("anonexplore", os.Args[1:])
 	runErr := run(cli, rep)
@@ -157,14 +148,6 @@ func main() {
 			runErr = err
 		}
 	}
-	if events != nil {
-		if err := events.Err(); err != nil && runErr == nil {
-			runErr = err
-		}
-		if err := eventsFile.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
 	if cli.ledgerPath != "" {
 		if err := ledger.Append(cli.ledgerPath, ledgerEntry(cli, rep, tr, runErr)); err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
@@ -177,7 +160,6 @@ func main() {
 		if runErr != nil {
 			rep.Section("error", runErr.Error())
 		}
-		rep.AddMetrics(reg)
 		if err := rep.WriteFile(cli.reportPath); err != nil {
 			fmt.Fprintln(os.Stderr, "anonexplore:", err)
 			os.Exit(exitcode.Error)
@@ -201,7 +183,7 @@ type options struct {
 	maxTS, trials    int
 	seed             int64
 
-	reportPath, httpAddr, tracePath, eventsPath, ledgerPath string
+	reportPath, httpAddr, tracePath, ledgerPath string
 
 	run explore.Options
 }
@@ -223,14 +205,13 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&cli.maxTS, "max-ts", 2, "consensus timestamp bound")
 	fs.IntVar(&cli.trials, "trials", 100000, "trials for atomicity-random")
 	fs.Int64Var(&cli.seed, "seed", 1, "seed for atomicity-random")
-	fs.StringVar(&cli.reportPath, "report", "", "write a JSON metrics report to this file")
-	fs.StringVar(&cli.httpAddr, "http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run")
+	fs.StringVar(&cli.reportPath, "report", "", "write a JSON report (check, sweep totals and per-wiring rows, trace phases) to this file")
+	fs.StringVar(&cli.httpAddr, "http", "", "serve pprof (/debug/pprof/) on this address during the run")
 	fs.StringVar(&cli.run.StoreDir, "store-dir", "", "disk store scratch directory (default: a temp directory per run)")
 	fs.StringVar(&cli.run.Checkpoint, "checkpoint", "", "write periodic checkpoints to this directory; ^C stops cleanly after a final one")
 	fs.IntVar(&cli.run.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in discovered states (0 = default)")
 	fs.StringVar(&cli.run.Resume, "resume", "", "resume a stopped sweep from this checkpoint directory")
 	fs.StringVar(&cli.tracePath, "trace", "", "write a Chrome trace_event JSON trace of the run to this file (load in Perfetto)")
-	fs.StringVar(&cli.eventsPath, "events", "", "stream engine lifecycle events to this file as JSONL")
 	fs.StringVar(&cli.ledgerPath, "ledger", "", "append a run-history entry to this JSONL ledger (conventionally "+ledger.DefaultPath+")")
 	fs.DurationVar(&cli.run.StallAfter, "stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
 	fs.BoolVar(&cli.run.StallAbort, "stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
@@ -311,57 +292,79 @@ func interruptChannel() <-chan struct{} {
 // sweepSection is the machine-readable form of a wiring sweep for
 // report files.
 type sweepSection struct {
-	Wirings      int     `json:"wirings"`
-	TotalStates  int     `json:"totalStates"`
-	TotalEdges   int     `json:"totalEdges"`
-	Terminals    int     `json:"terminals"`
-	MaxStates    int     `json:"maxStates"`
-	Truncated    bool    `json:"truncated"`
-	Engine       string  `json:"engine"`
-	Symmetry     string  `json:"symmetry,omitempty"`
-	GroupSize    int     `json:"groupSize,omitempty"`
-	Workers      int     `json:"workers"`
-	WallSeconds  float64 `json:"wallSeconds"`
-	StatesPerSec float64 `json:"statesPerSec"`
-	FrontierPeak int     `json:"frontierPeak"`
-	DedupHitRate float64 `json:"dedupHitRate"`
+	Wirings       int     `json:"wirings"`
+	TotalStates   int     `json:"totalStates"`
+	TotalEdges    int     `json:"totalEdges"`
+	Terminals     int     `json:"terminals"`
+	MaxStates     int     `json:"maxStates"`
+	Truncated     bool    `json:"truncated"`
+	Pruned        int     `json:"pruned"`
+	MaxDepth      int     `json:"maxDepth"`
+	CollisionOdds float64 `json:"collisionOdds"`
+	Engine        string  `json:"engine"`
+	Symmetry      string  `json:"symmetry,omitempty"`
+	GroupSize     int     `json:"groupSize,omitempty"`
+	Workers       int     `json:"workers"`
+	WallSeconds   float64 `json:"wallSeconds"`
+	StatesPerSec  float64 `json:"statesPerSec"`
+	FrontierPeak  int     `json:"frontierPeak"`
+	DedupLookups  int64   `json:"dedupLookups"`
+	DedupHits     int64   `json:"dedupHits"`
+	DedupHitRate  float64 `json:"dedupHitRate"`
+	WorkerSteps   []int64 `json:"workerSteps"`
 	// Out-of-core fields, present when the disk store was in use.
 	Store          string `json:"store,omitempty"`
 	Spills         int64  `json:"spills,omitempty"`
 	Compactions    int64  `json:"compactions,omitempty"`
 	FrontierSpills int64  `json:"frontierSpills,omitempty"`
+	FrontierLoads  int64  `json:"frontierLoads,omitempty"`
 	Replays        int64  `json:"replays,omitempty"`
 	ReplaySteps    int64  `json:"replaySteps,omitempty"`
 	DiskBytes      int64  `json:"diskBytes,omitempty"`
+	VisitedRuns    int64  `json:"visitedRuns,omitempty"`
+	DiskFootprint  int64  `json:"diskFootprint,omitempty"`
 	Checkpoints    int64  `json:"checkpoints,omitempty"`
+	// PerWiring has one row per explored wiring, in sweep order.
+	PerWiring []explore.WiringRow `json:"perWiring"`
 }
 
 func sectionOf(sweep explore.SweepResult) sweepSection {
+	st := sweep.Stats
 	s := sweepSection{
-		Wirings:      sweep.Wirings,
-		TotalStates:  sweep.TotalStates,
-		TotalEdges:   sweep.TotalEdges,
-		Terminals:    sweep.Terminals,
-		MaxStates:    sweep.MaxStates,
-		Truncated:    sweep.Truncated,
-		Engine:       sweep.Stats.Engine.String(),
-		Symmetry:     sweep.Stats.Symmetry,
-		GroupSize:    sweep.Stats.GroupSize,
-		Workers:      sweep.Stats.Workers,
-		WallSeconds:  sweep.Stats.WallTime.Seconds(),
-		StatesPerSec: sweep.StatesPerSec(),
-		FrontierPeak: sweep.Stats.FrontierPeak,
-		DedupHitRate: sweep.Stats.DedupHitRate,
-		Checkpoints:  sweep.Stats.Store.Checkpoints,
+		Wirings:       sweep.Wirings,
+		TotalStates:   sweep.TotalStates,
+		TotalEdges:    sweep.TotalEdges,
+		Terminals:     sweep.Terminals,
+		MaxStates:     sweep.MaxStates,
+		Truncated:     sweep.Truncated,
+		Pruned:        sweep.Pruned,
+		MaxDepth:      sweep.MaxDepth,
+		CollisionOdds: sweep.CollisionOdds,
+		Engine:        st.Engine.String(),
+		Symmetry:      st.Symmetry,
+		GroupSize:     st.GroupSize,
+		Workers:       st.Workers,
+		WallSeconds:   st.WallTime.Seconds(),
+		StatesPerSec:  sweep.StatesPerSec(),
+		FrontierPeak:  st.FrontierPeak,
+		DedupLookups:  st.DedupLookups,
+		DedupHits:     st.DedupHits,
+		DedupHitRate:  st.DedupHitRate(),
+		WorkerSteps:   st.WorkerSteps,
+		Checkpoints:   st.Store.Checkpoints,
+		PerWiring:     sweep.PerWiring,
 	}
-	if sweep.Stats.StoreKind == "disk" {
-		s.Store = sweep.Stats.StoreKind
-		s.Spills = sweep.Stats.Store.Spills
-		s.Compactions = sweep.Stats.Store.Compactions
-		s.FrontierSpills = sweep.Stats.Store.FrontierSpills
-		s.Replays = sweep.Stats.Store.Replays
-		s.ReplaySteps = sweep.Stats.Store.ReplaySteps
-		s.DiskBytes = sweep.Stats.Store.DiskBytesWritten
+	if st.StoreKind == "disk" {
+		s.Store = st.StoreKind
+		s.Spills = st.Store.Spills
+		s.Compactions = st.Store.Compactions
+		s.FrontierSpills = st.Store.FrontierSpills
+		s.FrontierLoads = st.Store.FrontierLoads
+		s.Replays = st.Store.Replays
+		s.ReplaySteps = st.Store.ReplaySteps
+		s.DiskBytes = st.Store.DiskBytesWritten
+		s.VisitedRuns = st.Store.Runs
+		s.DiskFootprint = st.Store.DiskBytes
 	}
 	return s
 }
@@ -519,9 +522,7 @@ func canceledError(checkpoint string) error {
 }
 
 // progressPrinter returns the -progress callback. It writes to stderr —
-// never stdout — so results and reports survive piping; the live
-// explore_live_states/explore_live_edges gauges carry the same numbers
-// to the -http endpoint.
+// never stdout — so results and reports survive piping.
 func progressPrinter() func(states, edges int) {
 	return func(states, edges int) {
 		fmt.Fprintf(os.Stderr, "... %d states, %d edges\n", states, edges)
@@ -529,12 +530,12 @@ func progressPrinter() func(states, edges int) {
 }
 
 func report(sweep explore.SweepResult, start time.Time) {
-	fmt.Printf("wirings=%d states=%d edges=%d terminals=%d largest=%d truncated=%v elapsed=%v\n",
-		sweep.Wirings, sweep.TotalStates, sweep.TotalEdges, sweep.Terminals,
-		sweep.MaxStates, sweep.Truncated, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("engine=%s workers=%d states/sec=%.0f frontier-peak=%d dedup-hit=%.1f%%",
+	fmt.Printf("wirings=%d states=%d edges=%d terminals=%d largest=%d pruned=%d max-depth=%d truncated=%v elapsed=%v\n",
+		sweep.Wirings, sweep.TotalStates, sweep.TotalEdges, sweep.Terminals, sweep.MaxStates,
+		sweep.Pruned, sweep.MaxDepth, sweep.Truncated, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("engine=%s workers=%d states/sec=%.0f frontier-peak=%d dedup-hit=%.1f%% collision-odds=%.2g",
 		sweep.Stats.Engine, sweep.Stats.Workers, sweep.StatesPerSec(),
-		sweep.Stats.FrontierPeak, 100*sweep.Stats.DedupHitRate)
+		sweep.Stats.FrontierPeak, 100*sweep.Stats.DedupHitRate(), sweep.CollisionOdds)
 	if sweep.Stats.Symmetry != "" && sweep.Stats.Symmetry != "none" {
 		fmt.Printf(" symmetry=%s group=%d", sweep.Stats.Symmetry, sweep.Stats.GroupSize)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -144,5 +145,57 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stdout lacks %q:\n%s", c.stdout, stdout)
 			}
 		})
+	}
+}
+
+// TestReportSweepSection pins what the report's sweep section carries
+// by key: the consensus sweep at timestamp bound 1 prunes 2,614 states,
+// and its two wiring rows hold 23,975 and 21,882 states at depths 86 and
+// 83; the dedup counts, per-worker steps and collision odds are there
+// too, and the section reports no disk-tier key on the mem tier.
+func TestReportSweepSection(t *testing.T) {
+	args := []string{"-check", "consensus", "-inputs", "x,y", "-max-ts", "1"}
+	cli, err := parseFlags(flag.NewFlagSet("anonexplore", flag.ContinueOnError), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := obs.NewReport("anonexplore", args)
+	if err := run(cli, rep); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(rep.Sections["sweep"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(blob, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"pruned", "maxDepth", "collisionOdds", "dedupLookups", "dedupHits", "workerSteps", "perWiring"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("sweep section lacks %q: %s", k, blob)
+		}
+	}
+	for _, k := range []string{"frontierLoads", "visitedRuns", "diskFootprint"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("mem-tier sweep section carries disk-tier key %q", k)
+		}
+	}
+	var sec sweepSection
+	if err := json.Unmarshal(blob, &sec); err != nil {
+		t.Fatal(err)
+	}
+	if sec.Pruned != 2614 || sec.MaxDepth != 86 || sec.DedupLookups != 86488 || sec.DedupHits != 40631 {
+		t.Errorf("pruned=%d maxDepth=%d dedup=%d/%d, want 2614, 86 and 40631/86488",
+			sec.Pruned, sec.MaxDepth, sec.DedupHits, sec.DedupLookups)
+	}
+	want := []struct{ states, depth int }{{23975, 86}, {21882, 83}}
+	if len(sec.PerWiring) != len(want) {
+		t.Fatalf("%d rows, want %d", len(sec.PerWiring), len(want))
+	}
+	for i, w := range want {
+		if row := sec.PerWiring[i]; row.States != w.states || row.MaxDepth != w.depth {
+			t.Errorf("row %d: %+v, want states=%d maxDepth=%d", i, row, w.states, w.depth)
+		}
 	}
 }

@@ -104,10 +104,10 @@ func campaignCellsTable(cells []any) string {
 }
 
 // renderValue renders one section value. Byte-count fields written by
-// the out-of-core store (diskBytes) are humanized — "161MiB" reads,
-// 168821440 does not.
+// the out-of-core store (diskBytes, diskFootprint) are humanized —
+// "161MiB" reads, 168821440 does not.
 func renderValue(key string, v any) string {
-	if key == "diskBytes" {
+	if key == "diskBytes" || key == "diskFootprint" {
 		if f, ok := v.(float64); ok && f >= 0 && f == float64(int64(f)) {
 			return store.Bytes(f).String()
 		}

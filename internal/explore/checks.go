@@ -63,13 +63,32 @@ type SweepResult struct {
 	MaxStates   int // largest single-wiring state count
 	Terminals   int
 	Truncated   bool
+	Pruned      int // summed over wirings
+	MaxDepth    int // largest single-wiring MaxDepth
+	// CollisionOdds sums the wirings' Result.CollisionOdds: each wiring
+	// runs with its own visited set, so each can merge states on its own.
+	CollisionOdds float64
+	// PerWiring holds one row per explored wiring, in sweep order.
+	PerWiring []WiringRow
 	// Stats merges the per-wiring run stats (wall time and dedup counters
 	// add, frontier peak takes the maximum across wirings).
 	Stats Stats
 }
 
+// WiringRow is one wiring's share of a sweep.
+type WiringRow struct {
+	States      int     `json:"states"`
+	Edges       int     `json:"edges"`
+	MaxDepth    int     `json:"maxDepth"`
+	Pruned      int     `json:"pruned"`
+	Truncated   bool    `json:"truncated"`
+	WallSeconds float64 `json:"wallSeconds"`
+}
+
 // StatesPerSec is the aggregate exploration rate of the sweep.
-func (s SweepResult) StatesPerSec() float64 { return s.Stats.MergedRate(s.TotalStates) }
+func (s SweepResult) StatesPerSec() float64 {
+	return ratio(float64(s.TotalStates), s.Stats.WallTime.Seconds())
+}
 
 // SnapshotConfig describes one exhaustive snapshot check: the system
 // (Inputs, Nondet, Level), the wiring sweep (Wirings), the solo-step
@@ -192,6 +211,13 @@ func (s *SweepResult) accumulate(res Result) {
 	if res.Truncated {
 		s.Truncated = true
 	}
+	s.Pruned += res.Pruned
+	s.MaxDepth = max(s.MaxDepth, res.MaxDepth)
+	s.CollisionOdds += res.CollisionOdds
+	s.PerWiring = append(s.PerWiring, WiringRow{
+		States: res.States, Edges: res.Edges, MaxDepth: res.MaxDepth, Pruned: res.Pruned,
+		Truncated: res.Truncated, WallSeconds: res.Stats.WallTime.Seconds(),
+	})
 	s.Stats.Merge(res.Stats)
 }
 

@@ -58,8 +58,6 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 	expanded := int64(0)
 	finish := func() Result {
 		res.States = int(states)
-		s := float64(states)
-		res.CollisionOdds = s * s / (2.0 * (1 << 63) * 2.0)
 		res.Stats.WorkerSteps = []int64{expanded}
 		return res
 	}

@@ -235,10 +235,8 @@ func Run(init *machine.System, opts Options) (Result, error) {
 		opts.ckpt.tr = opts.Trace
 	}
 
-	opts = hookObsProgress(opts)
 	wd := startWatchdog(&opts)
 	defer wd.stop()
-	emitEngineStart(opts.Events, engine, opts.Workers)
 	runSpan := opts.Trace.StartArgs("run", "engine "+engine.String(),
 		map[string]any{"engine": engine.String(), "workers": opts.Workers})
 	defer runSpan.End()
@@ -263,8 +261,15 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	res.Stats.GroupSize = hasher.GroupSize()
 	res.Stats.Store = st.Snapshot()
 	res.Stats.StoreKind = st.Kind().String()
-	res.Stats.finalize(time.Since(start), res.States)
-	publishStats(opts.Obs, res)
-	emitEngineFinish(opts.Events, res, err)
+	res.Stats.WallTime = time.Since(start)
+	res.CollisionOdds = collisionOdds(res.States, res.Stats.GroupSize)
 	return res, err
+}
+
+// collisionOdds is Result.CollisionOdds for a run that stored states
+// states under a group of k admissible elements: about states²/2 pairs,
+// each equal with probability k²/(2k−1)·2⁻⁶⁴ as minima of k hashes.
+func collisionOdds(states, k int) float64 {
+	s, g := float64(states), float64(max(k, 1))
+	return s * s / 0x1p65 * g * g / (2*g - 1)
 }

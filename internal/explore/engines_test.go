@@ -200,7 +200,7 @@ func TestParallelStatsInternallyConsistent(t *testing.T) {
 	if res.Stats.DedupHits != int64(res.Edges)-int64(res.States)+1 {
 		t.Errorf("dedup hits %d != edges-states+1 %d", res.Stats.DedupHits, res.Edges-res.States+1)
 	}
-	if res.Stats.WallTime <= 0 || res.Stats.StatesPerSec <= 0 {
+	if res.Stats.WallTime <= 0 || res.StatesPerSec() <= 0 {
 		t.Errorf("wall/rate not recorded: %+v", res.Stats)
 	}
 	if res.Stats.FrontierPeak <= 0 {
@@ -226,10 +226,10 @@ func TestSerialStatsRecorded(t *testing.T) {
 		if len(res.Stats.WorkerSteps) != 1 || res.Stats.WorkerSteps[0] == 0 {
 			t.Errorf("%v: worker steps %v", engine, res.Stats.WorkerSteps)
 		}
-		if res.Stats.DedupLookups == 0 || res.Stats.DedupHits == 0 || res.Stats.DedupHitRate <= 0 {
+		if res.Stats.DedupLookups == 0 || res.Stats.DedupHits == 0 || res.Stats.DedupHitRate() <= 0 {
 			t.Errorf("%v: dedup counters empty: %+v", engine, res.Stats)
 		}
-		if res.Stats.FrontierPeak <= 0 || res.Stats.StatesPerSec <= 0 {
+		if res.Stats.FrontierPeak <= 0 || res.StatesPerSec() <= 0 {
 			t.Errorf("%v: stats incomplete: %+v", engine, res.Stats)
 		}
 	}
@@ -536,7 +536,9 @@ func TestChecksAcceptEngines(t *testing.T) {
 		if sweep.TotalStates != ref.TotalStates || sweep.TotalEdges != ref.TotalEdges || sweep.Terminals != ref.Terminals {
 			t.Errorf("%v: sweep %+v, want totals of %+v", engine, sweep, ref)
 		}
-		if sweep.Stats.Engine != engine || sweep.Stats.WallTime <= 0 {
+		hitRate := float64(sweep.Stats.DedupHits) / float64(sweep.Stats.DedupLookups)
+		if sweep.Stats.Engine != engine || sweep.Stats.WallTime <= 0 || sweep.StatesPerSec() <= 0 ||
+			sweep.Stats.DedupHitRate() != hitRate {
 			t.Errorf("%v: sweep stats not merged: %+v", engine, sweep.Stats)
 		}
 	}
@@ -578,6 +580,39 @@ func TestChecksAcceptEngines(t *testing.T) {
 	}
 	if cpar.TotalStates != cref.TotalStates || cpar.Terminals != cref.Terminals {
 		t.Errorf("consensus parallel sweep %+v, want totals of %+v", cpar, cref)
+	}
+}
+
+// TestSweepAccumulatesMetrics checks that a wiring sweep keeps one row
+// per wiring and that the rows add up to the sweep totals: states,
+// edges and pruned states sum, MaxDepth is the deepest row, and the
+// sweep is truncated iff a row is.
+func TestSweepAccumulatesMetrics(t *testing.T) {
+	sweep, err := consensusSweep(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.PerWiring) != sweep.Wirings {
+		t.Fatalf("%d rows for %d wirings", len(sweep.PerWiring), sweep.Wirings)
+	}
+	var sum WiringRow
+	for _, row := range sweep.PerWiring {
+		sum.States += row.States
+		sum.Edges += row.Edges
+		sum.Pruned += row.Pruned
+		sum.MaxDepth = max(sum.MaxDepth, row.MaxDepth)
+		sum.Truncated = sum.Truncated || row.Truncated
+		if row.WallSeconds <= 0 {
+			t.Errorf("row %+v carries no wall time", row)
+		}
+	}
+	if sum.States != sweep.TotalStates || sum.Edges != sweep.TotalEdges || sum.Pruned != sweep.Pruned ||
+		sum.MaxDepth != sweep.MaxDepth || sum.Truncated != sweep.Truncated {
+		t.Errorf("rows sum to %+v; sweep has states=%d edges=%d pruned=%d max-depth=%d truncated=%v",
+			sum, sweep.TotalStates, sweep.TotalEdges, sweep.Pruned, sweep.MaxDepth, sweep.Truncated)
+	}
+	if sweep.Pruned == 0 || sweep.CollisionOdds <= 0 {
+		t.Errorf("consensus sweep reports pruned=%d collision-odds=%g; want both positive", sweep.Pruned, sweep.CollisionOdds)
 	}
 }
 

@@ -11,8 +11,9 @@
 // machines expose it, every internal register-choice alternative),
 // deduplicating global states by 64-bit fingerprint exactly as TLC does
 // (the probability of a hash collision masking a state is about
-// states²/2⁶⁵ and is reported in Result.CollisionOdds). On top of the
-// raw search the package provides:
+// states²/2⁶⁵ × k²/(2k−1) for a symmetry group of k admissible
+// elements, and is reported in Result.CollisionOdds). On top of the raw
+// search the package provides:
 //
 //   - invariant checking, optionally with counterexample traces (safety);
 //   - cycle detection over the reachable step graph (DFSEngine, inline),
@@ -62,7 +63,6 @@ import (
 
 	"anonshm/internal/canon"
 	"anonshm/internal/machine"
-	"anonshm/internal/obs"
 	"anonshm/internal/obs/span"
 	"anonshm/internal/store"
 )
@@ -133,15 +133,6 @@ type Options struct {
 	// Progress, when set, is called every ProgressEvery discovered states.
 	Progress      func(states, edges int)
 	ProgressEvery int
-	// Obs, when set, publishes the run through the metrics registry:
-	// live explore_live_states/explore_live_edges gauges on the Progress
-	// cadence (ProgressEvery defaults to 100k when unset) and the final
-	// Stats as explore_* counters, gauges and histograms. Nil disables
-	// publication at no hot-path cost.
-	Obs *obs.Registry
-	// Events, when set, receives engine.start/engine.finish JSONL events
-	// describing the run.
-	Events *obs.Sink
 	// Trace, when set, records the run as Chrome trace_event spans: the
 	// engine run itself, checkpoint writes/resumes, and (propagated into
 	// the store config) spill/compaction/replay phases. Nil disables
@@ -149,10 +140,11 @@ type Options struct {
 	Trace *span.Tracer
 	// StallAfter arms the stall watchdog: when no Progress callback
 	// advances the discovered-state count for this long, the watchdog
-	// emits a watchdog.stall event/trace instant, dumps goroutine and
-	// heap profiles into StallDir, and — with StallAbort — cancels the
-	// run, which then returns ErrStalled (exit code 5 in the binaries).
-	// Zero disables the watchdog.
+	// records a watchdog trace instant, dumps goroutine and heap
+	// profiles into StallDir, and — with StallAbort — cancels the run,
+	// which then returns ErrStalled (exit code 5 in the binaries).
+	// ProgressEvery defaults to 100k while it is armed. Zero disables
+	// the watchdog.
 	StallAfter time.Duration
 	// StallAbort upgrades a detected stall from diagnosis to abort.
 	StallAbort bool
@@ -216,7 +208,10 @@ type Result struct {
 	Truncated bool
 	Pruned    int // states whose successors were cut by Options.Prune
 	// CollisionOdds estimates the probability that fingerprinting merged
-	// two distinct states: roughly states²/2⁶⁵.
+	// two distinct states: states²/2⁶⁵ × k²/(2k−1), where k is
+	// Stats.GroupSize. A canonical fingerprint is the minimum of up to k
+	// mirror hashes, so two orbits collide up to k²/(2k−1) times as often
+	// as two uniform hashes (1 without symmetry, 36/11 at k = 6).
 	CollisionOdds float64
 	// Cycle reports that DFS found a back edge: an execution that
 	// revisits a global state — a wait-freedom violation for terminating
@@ -224,8 +219,8 @@ type Result struct {
 	// state.
 	Cycle      bool
 	CycleTrace []machine.StepInfo
-	// Stats instruments the run: throughput, frontier peak, dedup hit
-	// rate, per-worker load and wall time.
+	// Stats instruments the run: wall time, frontier peak, dedup
+	// counters and per-worker load; StatesPerSec derives throughput.
 	Stats Stats
 }
 

@@ -604,8 +604,6 @@ func (p *parRun) result() Result {
 	res.Pruned = int(p.pruned.Load())
 	res.MaxDepth = int(p.visited.MaxDepth())
 	res.Truncated = p.truncated.Load()
-	s := float64(res.States)
-	res.CollisionOdds = s * s / (2.0 * (1 << 63) * 2.0)
 	res.Stats.Workers = len(p.workers)
 	res.Stats.FrontierPeak = int(p.peak.Load())
 	res.Stats.WorkerSteps = make([]int64, len(p.workers))

@@ -1,8 +1,6 @@
 package explore
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"anonshm/internal/store"
@@ -25,8 +23,6 @@ type Stats struct {
 	Workers int
 	// WallTime is the end-to-end duration of the search.
 	WallTime time.Duration
-	// StatesPerSec is States divided by WallTime.
-	StatesPerSec float64
 	// FrontierPeak is the largest number of discovered-but-unexpanded
 	// states held at once (stack for DFS; for the breadth-first engines,
 	// the union of all worker deques plus the states being expanded).
@@ -37,8 +33,6 @@ type Stats struct {
 	// DedupHits counts probes that found an already-known state; the hit
 	// rate DedupHits/DedupLookups is how much work fingerprinting saved.
 	DedupHits int64
-	// DedupHitRate is DedupHits/DedupLookups (0 when no lookups).
-	DedupHitRate float64
 	// WorkerSteps is the number of states expanded by each worker; a
 	// skewed distribution means work stealing failed to balance the load.
 	WorkerSteps []int64
@@ -49,22 +43,24 @@ type Stats struct {
 	Store store.Stats
 }
 
-// finalize derives the ratio fields once the raw counters are in.
-func (s *Stats) finalize(wall time.Duration, states int) {
-	s.WallTime = wall
-	if secs := wall.Seconds(); secs > 0 {
-		s.StatesPerSec = float64(states) / secs
+// DedupHitRate is DedupHits/DedupLookups (0 when no lookups).
+func (s Stats) DedupHitRate() float64 { return ratio(float64(s.DedupHits), float64(s.DedupLookups)) }
+
+// StatesPerSec is States divided by Stats.WallTime (0 when no time
+// was recorded).
+func (r Result) StatesPerSec() float64 { return ratio(float64(r.States), r.Stats.WallTime.Seconds()) }
+
+// ratio is n/d, or 0 when d is not positive.
+func ratio(n, d float64) float64 {
+	if d <= 0 {
+		return 0
 	}
-	if s.DedupLookups > 0 {
-		s.DedupHitRate = float64(s.DedupHits) / float64(s.DedupLookups)
-	}
+	return n / d
 }
 
 // Merge folds another run's stats into s, for sweeps over many wirings:
 // durations and counters add, peaks take the maximum, and the per-worker
-// step counts add element-wise. StatesPerSec and DedupHitRate are
-// recomputed from the merged totals by the next finalize; callers that
-// merge by hand should use MergedRate.
+// step counts add element-wise.
 func (s *Stats) Merge(o Stats) {
 	if s.Engine == AutoEngine {
 		s.Engine = o.Engine
@@ -84,9 +80,6 @@ func (s *Stats) Merge(o Stats) {
 	}
 	s.DedupLookups += o.DedupLookups
 	s.DedupHits += o.DedupHits
-	if s.DedupLookups > 0 {
-		s.DedupHitRate = float64(s.DedupHits) / float64(s.DedupLookups)
-	}
 	for len(s.WorkerSteps) < len(o.WorkerSteps) {
 		s.WorkerSteps = append(s.WorkerSteps, 0)
 	}
@@ -110,30 +103,4 @@ func (s *Stats) Merge(o Stats) {
 	if o.Store.DiskBytes > s.Store.DiskBytes {
 		s.Store.DiskBytes = o.Store.DiskBytes
 	}
-}
-
-// MergedRate returns states/sec over merged stats for the given total
-// state count.
-func (s Stats) MergedRate(totalStates int) float64 {
-	if secs := s.WallTime.Seconds(); secs > 0 {
-		return float64(totalStates) / secs
-	}
-	return 0
-}
-
-// String renders a compact one-line summary for command-line tools.
-func (s Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s workers=%d wall=%v states/sec=%.0f frontier-peak=%d dedup-hit=%.1f%%",
-		s.Engine, s.Workers, s.WallTime.Round(time.Millisecond), s.StatesPerSec,
-		s.FrontierPeak, 100*s.DedupHitRate)
-	if s.Symmetry != "" && s.Symmetry != "none" {
-		fmt.Fprintf(&b, " symmetry=%s group=%d", s.Symmetry, s.GroupSize)
-	}
-	if s.StoreKind == "disk" {
-		fmt.Fprintf(&b, " store=disk spills=%d compactions=%d replays=%d disk=%s",
-			s.Store.Spills, s.Store.Compactions, s.Store.Replays,
-			store.Bytes(s.Store.DiskBytesWritten))
-	}
-	return b.String()
 }

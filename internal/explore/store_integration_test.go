@@ -259,7 +259,8 @@ func consensusSweep(o Options) (SweepResult, error) {
 
 // TestSweepKillAndResume kills a wiring sweep mid-flight and resumes it:
 // completed wirings are skipped, the in-flight one resumes from its run
-// checkpoint, and the aggregate totals match an uninterrupted sweep.
+// checkpoint, and the aggregate totals and every per-wiring row but its
+// wall time match an uninterrupted sweep.
 // The consensus sweep is cut a quarter, half and three quarters of the
 // way on every engine (only halfway under -short, which make race
 // uses). Each checkpoint re-sorts the whole visited set, so its larger
@@ -301,8 +302,19 @@ func TestSweepKillAndResume(t *testing.T) {
 					}
 					if got.Wirings != ref.Wirings || got.TotalStates != ref.TotalStates ||
 						got.TotalEdges != ref.TotalEdges || got.MaxStates != ref.MaxStates ||
-						got.Terminals != ref.Terminals || got.Truncated != ref.Truncated {
+						got.Terminals != ref.Terminals || got.Truncated != ref.Truncated ||
+						got.Pruned != ref.Pruned || got.MaxDepth != ref.MaxDepth ||
+						got.CollisionOdds != ref.CollisionOdds {
 						t.Errorf("resumed sweep %+v, uninterrupted %+v", got, ref)
+					}
+					if len(got.PerWiring) != len(ref.PerWiring) {
+						t.Fatalf("resumed sweep has %d rows, uninterrupted %d", len(got.PerWiring), len(ref.PerWiring))
+					}
+					for i, row := range got.PerWiring {
+						row.WallSeconds = ref.PerWiring[i].WallSeconds
+						if row != ref.PerWiring[i] {
+							t.Errorf("wiring %d: resumed row %+v, uninterrupted %+v", i, got.PerWiring[i], ref.PerWiring[i])
+						}
 					}
 				})
 			}

@@ -31,7 +31,8 @@ import (
 // root fingerprint cannot tell a wiring filter or a level apart.
 
 // sweepMetaVersion versions sweep.json alongside store.MetaVersion.
-const sweepMetaVersion = 2
+// Version 3 added the per-wiring rows to the accumulated SweepResult.
+const sweepMetaVersion = 3
 
 // sweepCheckpoint is the sweep.json document: the sweep identity, which
 // a resume must match field by field, then the progress made.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"anonshm/internal/canon"
@@ -227,5 +228,45 @@ func TestWitnessSearchPinsIdentity(t *testing.T) {
 	}
 	if r.Found || !r.Exhaustive {
 		t.Errorf("witness result %+v", r)
+	}
+}
+
+// TestCollisionOddsFactor pins the symmetry correction of the collision
+// estimate: without symmetry (k = 1) it is the uniform-hash states²/2⁶⁵,
+// and the largest N=3 group (k = 6) multiplies that by 36/11.
+func TestCollisionOddsFactor(t *testing.T) {
+	const states = 1 << 20
+	uniform := float64(states) * float64(states) / 0x1p65
+	for _, c := range []struct {
+		k      int
+		factor float64
+	}{{1, 1}, {6, 36.0 / 11}} {
+		if got := collisionOdds(states, c.k); math.Abs(got/uniform-c.factor) > 1e-12 {
+			t.Errorf("k=%d: odds %g = %g × uniform, want × %g", c.k, got, got/uniform, c.factor)
+		}
+	}
+}
+
+// TestCollisionOddsUnderSymmetry: every engine reports the corrected
+// odds of a reduced run, not the uniform-hash estimate.
+func TestCollisionOddsUnderSymmetry(t *testing.T) {
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"g", "g"}, Nondet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
+		res, err := Run(sys.Clone(), Options{Engine: engine, Workers: 2, Canonicalizer: canon.FullSymmetry{}})
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		k := float64(res.Stats.GroupSize)
+		if k < 2 {
+			t.Fatalf("%v: group size %v, want a nontrivial group", engine, k)
+		}
+		s := float64(res.States)
+		want := s * s / 0x1p65 * k * k / (2*k - 1)
+		if math.Abs(res.CollisionOdds/want-1) > 1e-12 {
+			t.Errorf("%v: collision odds %g, want %g (states=%d, k=%v)", engine, res.CollisionOdds, want, res.States, k)
+		}
 	}
 }

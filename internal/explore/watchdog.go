@@ -11,13 +11,14 @@ import (
 )
 
 // The stall watchdog turns a silently hung overnight run into a
-// diagnosable artifact. It rides the same Progress hook the obs gauges
-// use: every callback bumps a heartbeat, and a background ticker checks
+// diagnosable artifact. It rides the Progress hook (every
+// heartbeatEvery discovered states unless the caller picked a cadence):
+// every callback bumps a heartbeat, and a background ticker checks
 // whether the heartbeat moved. After Options.StallAfter without
-// movement the watchdog fires once — ledger/trace/metrics event plus
-// goroutine and heap profiles next to the report — and, when
-// Options.StallAbort is set, cancels the run so it returns ErrStalled
-// instead of blocking forever.
+// movement the watchdog fires once — a trace instant plus goroutine and
+// heap profiles next to the report — and, when Options.StallAbort is
+// set, cancels the run so it returns ErrStalled instead of blocking
+// forever.
 //
 // The ticker divides StallAfter into wdTicks sub-intervals and counts
 // consecutive stale observations, so detection latency is at most
@@ -33,6 +34,11 @@ var ErrStalled = errors.New("explore: stalled: no progress within the watchdog i
 
 // wdTicks is how many sub-intervals the watchdog splits StallAfter into.
 const wdTicks = 4
+
+// heartbeatEvery is the Progress cadence the watchdog arms when the
+// caller did not pick one: frequent enough to detect a stall, rare
+// enough to stay off the hot path.
+const heartbeatEvery = 100_000
 
 // Stall profile artifact names, written into Options.StallDir.
 const (
@@ -75,7 +81,7 @@ func startWatchdog(opts *Options) *watchdog {
 		}
 	}
 	if opts.ProgressEvery <= 0 {
-		opts.ProgressEvery = obsProgressDefault
+		opts.ProgressEvery = heartbeatEvery
 	}
 	if opts.StallAbort {
 		orig := opts.Cancel
@@ -122,15 +128,11 @@ func (wd *watchdog) watch() {
 	}
 }
 
-// fire emits the stall through every attached channel — metrics, event
-// sink, trace — dumps the profiles, and (with StallAbort) releases the
-// merged cancel channel.
+// fire records the stall as a trace instant, dumps the profiles, and
+// (with StallAbort) releases the merged cancel channel.
 func (wd *watchdog) fire() {
 	wd.fired.Store(true)
 	opts := wd.opts
-	if opts.Obs != nil {
-		opts.Obs.Counter("explore_watchdog_stalls_total").Inc()
-	}
 	dir := opts.StallDir
 	if dir == "" {
 		dir = "."
@@ -151,7 +153,6 @@ func (wd *watchdog) fire() {
 	if herr != nil {
 		fields["heapError"] = herr.Error()
 	}
-	opts.Events.Emit("watchdog.stall", -1, fields)
 	opts.Trace.Instant("watchdog", "stall", fields)
 	if opts.StallAbort {
 		close(wd.stall)

@@ -9,20 +9,24 @@ import (
 
 // Handler returns the live-introspection HTTP handler:
 //
-//	/metrics        the registry snapshot as JSON (expvar-style)
+//	/metrics        the registry snapshot as JSON (expvar-style), only
+//	                for a non-nil reg
 //	/debug/pprof/   the standard net/http/pprof profiles
 //	/               an index of the above
 //
-// It is what cmd/anonexplore and cmd/anonsim serve under -http so long
-// runs can be inspected while they execute.
+// It is what cmd/anonsim serves under -http so long runs can be
+// inspected while they execute; cmd/anonexplore passes a nil registry
+// and serves pprof only.
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := reg.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+	if reg != nil {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			if err := reg.WriteJSON(w); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -35,7 +39,9 @@ func Handler(reg *Registry) http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "anonshm observability endpoints:")
-		fmt.Fprintln(w, "  /metrics       live metrics snapshot (JSON)")
+		if reg != nil {
+			fmt.Fprintln(w, "  /metrics       live metrics snapshot (JSON)")
+		}
 		fmt.Fprintln(w, "  /debug/pprof/  Go runtime profiles")
 	})
 	return mux

@@ -15,11 +15,14 @@
 //     call sites, and the no-op path costs about a nanosecond (see
 //     BenchmarkCounterDisabled).
 //
-// The explorer engines (internal/explore), the step schedulers
-// (internal/sched) and the goroutine runtime (internal/runtime) all
-// publish through this package; cmd/anonexplore and cmd/anonsim expose
-// the results via -report files and a -http introspection endpoint, and
-// cmd/figures renders report files back into tables.
+// The step schedulers (internal/sched) and the goroutine runtime
+// (internal/runtime) publish metrics through this package, and
+// cmd/anonsim exposes them via -report files, -events and a -http
+// introspection endpoint. The explorer (internal/explore) publishes no
+// metrics or events: cmd/anonexplore reports a run through the sections
+// of its Report, the run ledger (internal/obs/ledger) and the span
+// trace (internal/obs/span), and serves pprof only under -http.
+// cmd/figures renders report files of both tools back into tables.
 package obs
 
 import (

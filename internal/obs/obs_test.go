@@ -204,8 +204,10 @@ func TestHTTPHandler(t *testing.T) {
 	reg.Counter("hits").Add(7)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
+	pprofOnly := httptest.NewServer(Handler(nil))
+	defer pprofOnly.Close()
 
-	get := func(path string) (int, string) {
+	getFrom := func(srv *httptest.Server, path string) (int, string) {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -214,6 +216,7 @@ func TestHTTPHandler(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
+	get := func(path string) (int, string) { return getFrom(srv, path) }
 
 	code, body := get("/metrics")
 	if code != http.StatusOK {
@@ -235,6 +238,18 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if code, _ := get("/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path status %d", code)
+	}
+
+	// A nil registry serves pprof only: no /metrics, and the index does
+	// not list it.
+	if code, _ := getFrom(pprofOnly, "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("nil registry: /debug/pprof/ status %d", code)
+	}
+	if code, _ := getFrom(pprofOnly, "/metrics"); code != http.StatusNotFound {
+		t.Errorf("nil registry: /metrics status %d, want 404", code)
+	}
+	if code, body := getFrom(pprofOnly, "/"); code != http.StatusOK || strings.Contains(body, "/metrics") {
+		t.Errorf("nil registry: index status %d body %q", code, body)
 	}
 }
 
