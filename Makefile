@@ -40,10 +40,10 @@ test:
 # The explorer, scheduler (crash adversary) and runtime are the packages
 # with real concurrency or fault injection; everything else is
 # single-threaded model code, so the race detector runs only where it can
-# find something. internal/canon rides along because its hashers are
-# shared read-only across the parallel engine's workers, and the
-# symmetry-equivalence tests in internal/explore drive exactly that
-# sharing; internal/store because its visited table and frontier are the
+# find something. internal/canon rides along because one hasher, and
+# its pool of scratch buffers, is shared by all of the parallel engine's
+# workers (TestFingerprintConcurrent, and the symmetry-equivalence tests
+# in internal/explore, drive exactly that sharing); internal/store because its visited table and frontier are the
 # shared mutable state under those workers; internal/obs and its span
 # tracer because metrics, histograms and trace spans are written from
 # all of those goroutines at once; cmd/anonsim because the campaign

@@ -50,7 +50,9 @@
 // under admissible processor permutations, register permutations and
 // input relabelings before fingerprinting (explore.Options.Canonicalizer;
 // -symmetry none|proc|full on the command line), storing one state per
-// symmetry orbit. The wiring sweep composes with it: -wirings orbits
+// symmetry orbit. A state's fingerprint is one hash of its
+// lexicographically least mirror, built from word encodings of its
+// machines and registers (their AppendState methods). The wiring sweep composes with it: -wirings orbits
 // enumerates one representative wiring per orbit of the same group
 // action. The reduction is sound for orbit-invariant checks only, which
 // all packaged checks are except the non-atomicity witness search (it

@@ -124,3 +124,11 @@ func (b *Blocking) StateKey() string {
 	sb.WriteString(strconv.Itoa(b.scanIdx))
 	return sb.String()
 }
+
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the phase and the scan index (below
+// m ≤ 64), then the view.
+func (b *Blocking) AppendState(dst []uint64) []uint64 {
+	dst = append(dst, machine.TagBlocking.Word(uint64(b.phase)|uint64(b.scanIdx)<<8))
+	return b.v.AppendWords(dst)
+}

@@ -35,8 +35,8 @@ type DoubleCollect struct {
 	unwritten uint64
 	phase     dcPhase
 	scanIdx   int
-	prev      []string // previous collect, register keys
-	cur       []string
+	prev      []view.View // previous collect, one view per register
+	cur       []view.View
 	acc       view.View
 	collects  int
 	done      bool
@@ -115,19 +115,19 @@ func (d *DoubleCollect) Advance(_ int, read anonmem.Word) {
 		}
 		d.phase = dcScan
 		d.scanIdx = 0
-		d.cur = make([]string, 0, d.m)
+		d.cur = make([]view.View, 0, d.m)
 		d.acc = view.Empty()
 	case dcScan:
 		cell, ok := read.(core.Cell)
 		if !ok {
 			panic(fmt.Sprintf("baseline: read unexpected word %T", read))
 		}
-		d.cur = append(d.cur, cell.View.Key())
+		d.cur = append(d.cur, cell.View)
 		d.acc = d.acc.Union(cell.View)
 		d.scanIdx++
 		if d.scanIdx == d.m {
 			d.collects++
-			same := d.prev != nil && equalStrings(d.prev, d.cur)
+			same := d.prev != nil && equalViews(d.prev, d.cur)
 			d.prev = d.cur
 			d.v = d.v.Union(d.acc)
 			if same {
@@ -145,12 +145,12 @@ func (d *DoubleCollect) Advance(_ int, read anonmem.Word) {
 	}
 }
 
-func equalStrings(a, b []string) bool {
+func equalViews(a, b []view.View) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}
@@ -171,8 +171,8 @@ func (d *DoubleCollect) Output() anonmem.Word {
 // Clone implements machine.Machine.
 func (d *DoubleCollect) Clone() machine.Machine {
 	cp := *d
-	cp.prev = append([]string(nil), d.prev...)
-	cp.cur = append([]string(nil), d.cur...)
+	cp.prev = append([]view.View(nil), d.prev...)
+	cp.cur = append([]view.View(nil), d.cur...)
 	return &cp
 }
 
@@ -188,8 +188,34 @@ func (d *DoubleCollect) StateKey() string {
 	sb.WriteByte(':')
 	sb.WriteString(strconv.Itoa(d.scanIdx))
 	sb.WriteByte(':')
-	sb.WriteString(strings.Join(d.prev, ","))
+	writeKeys(&sb, d.prev)
 	sb.WriteByte(';')
-	sb.WriteString(strings.Join(d.cur, ","))
+	writeKeys(&sb, d.cur)
 	return sb.String()
+}
+
+// writeKeys renders a collect as its views' keys, comma-separated.
+func writeKeys(sb *strings.Builder, collect []view.View) {
+	for i, v := range collect {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(v.Key())
+	}
+}
+
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the phase and the scan index (at
+// most m ≤ 64), the unwritten mask, the view, then the previous and the
+// current collect, each as its length followed by its views.
+func (d *DoubleCollect) AppendState(dst []uint64) []uint64 {
+	dst = append(dst, machine.TagDoubleCollect.Word(uint64(d.phase)|uint64(d.scanIdx)<<8), d.unwritten)
+	dst = d.v.AppendWords(dst)
+	for _, collect := range [2][]view.View{d.prev, d.cur} {
+		dst = append(dst, uint64(len(collect)))
+		for _, v := range collect {
+			dst = v.AppendWords(dst)
+		}
+	}
+	return dst
 }

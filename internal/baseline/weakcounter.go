@@ -22,6 +22,16 @@ func (m Mark) Key() string {
 
 var _ anonmem.Word = Mark(false)
 
+// AppendState appends the mark's word encoding: the tag word with the
+// flag in its low bit (canon.Encoder).
+func (m Mark) AppendState(dst []uint64) []uint64 {
+	var set uint64
+	if m {
+		set = 1
+	}
+	return append(dst, machine.TagMark.Word(set))
+}
+
 // UnsetMark is the initial register contents for weak-counter systems.
 const UnsetMark = Mark(false)
 
@@ -74,6 +84,12 @@ type Value int
 func (v Value) Key() string { return strconv.Itoa(int(v)) }
 
 var _ anonmem.Word = Value(0)
+
+// AppendState appends the value's word encoding: the tag, then the value
+// (canon.Encoder).
+func (v Value) AppendState(dst []uint64) []uint64 {
+	return append(dst, machine.TagValue.Word(0), uint64(v))
+}
 
 // Pending implements machine.Machine.
 func (w *WeakCounter) Pending() []machine.Op {
@@ -143,4 +159,11 @@ func (w *WeakCounter) Clone() machine.Machine {
 // StateKey implements machine.Machine.
 func (w *WeakCounter) StateKey() string {
 	return fmt.Sprintf("wc:%d:%d:%d", w.phase, w.pos, w.out)
+}
+
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the phase, then the position and
+// the output.
+func (w *WeakCounter) AppendState(dst []uint64) []uint64 {
+	return append(dst, machine.TagWeakCounter.Word(uint64(w.phase)), uint64(w.pos), uint64(w.out))
 }

@@ -26,14 +26,21 @@
 // Under these rules the mirrored execution steps in lockstep: when
 // processor p steps from state s, processor π(p) takes the β-relabeled
 // step from the mirrored state, touching global register ρ(g) instead of
-// g. The canonical fingerprint of a state is the minimum, over all
-// admissible triples, of the hash of the mirrored state; orbit members
-// therefore share a fingerprint and are merged by the explorer's
-// deduplication. Soundness does not require the admissible set to be
-// closed under composition: equal fingerprints still imply (modulo the
-// usual 64-bit hash collision odds) that some mirror of one state equals
-// some mirror of the other, i.e. the states share an orbit, and the
-// explorer's coverage argument only needs that.
+// g.
+//
+// States are compared as words, never as strings. Every machine and
+// register word appends a self-delimiting encoding of its live state
+// (Encoder); the mirror of a state under a triple is the registers'
+// encodings in ρ order, then the machines' in π order, each prefixed by
+// its length, then the crash mask permuted by π. The canonical form of a
+// state is its lexicographically least mirror, and its fingerprint is
+// one 64-bit hash of that form. The admissible triples form a group, so
+// orbit members have the same mirrors and therefore the same
+// fingerprint, and the explorer's deduplication merges them. Soundness
+// needs less: the encoding is injective, so equal canonical forms mean
+// some mirror of one state equals some mirror of the other, i.e. the
+// states share an orbit, and equal fingerprints mean the same up to the
+// odds of a 64-bit hash collision.
 //
 // The reduction is sound only for orbit-invariant checks: Options
 // callbacks (Invariant, Prune, Aux) must not distinguish states within
@@ -61,8 +68,9 @@ import (
 // values whose String names the -symmetry spelling.
 type Canonicalizer interface {
 	// Bind computes the admissible symmetry group of init and returns a
-	// Hasher for states reachable from it. The Hasher is read-only and
-	// safe for concurrent use by the parallel engine's workers.
+	// Hasher for states reachable from it. The Hasher is safe for
+	// concurrent use by the parallel engine's workers. Bind fails when a
+	// machine or an initial register word of init is not an Encoder.
 	Bind(init *machine.System) (Hasher, error)
 	// String names the canonicalizer ("none", "proc", "full").
 	String() string
@@ -70,12 +78,33 @@ type Canonicalizer interface {
 
 // Hasher fingerprints states under a bound symmetry group.
 type Hasher interface {
-	// Fingerprint hashes the canonical representative of sys's orbit,
+	// Fingerprint hashes the canonical form of sys (its least mirror),
 	// folding aux in afterwards (aux is orbit-independent by contract).
 	Fingerprint(sys *machine.System, aux uint64) uint64
 	// GroupSize is the number of admissible group elements (1 = no
 	// reduction beyond exact-state deduplication).
 	GroupSize() int
+}
+
+// Encoder is implemented by every machine and register word the explorer
+// fingerprints (see machine.Tag for the encoding's conventions).
+type Encoder interface {
+	// AppendState appends a type-tagged, self-delimiting word encoding
+	// of exactly the state the value's StateKey (or Key) renders: two
+	// values have equal encodings iff they render equally.
+	AppendState(dst []uint64) []uint64
+}
+
+// Relabeler is implemented by machines and register words whose
+// encodings can be rewritten under a bijective relabeling of input-value
+// IDs — the β component of a group element. Group elements with a
+// non-identity β skip (soundly) any state holding a word without it.
+type Relabeler interface {
+	// AppendRelabeled appends the AppendState encoding the value would
+	// have if every input ID i in it were replaced by beta[i] (IDs past
+	// len(beta) stay put). A nil beta is the identity: the result then
+	// equals AppendState's.
+	AppendRelabeled(dst []uint64, beta []view.ID) []uint64
 }
 
 // Symmetric is implemented by machines that may be exchanged by a
@@ -92,35 +121,23 @@ type Symmetric interface {
 	SymmetryClass() string
 }
 
-// Relabelable is implemented by machines whose state keys can be
-// rewritten under a bijective relabeling of input-value IDs — the β
-// component of a group element. Only algorithms oblivious to value
-// identity (using views solely through set operations) qualify.
+// Relabelable is implemented by machines oblivious to value identity
+// (they use views solely through set operations), which is what lets a
+// group element carry a non-identity β.
 type Relabelable interface {
+	Relabeler
 	// InputID returns the machine's input value ID; β is induced from
 	// these (β(input_p) = input_{π(p)}).
 	InputID() view.ID
-	// RelabelStateKey returns the StateKey the machine would have if
-	// every input ID in its state were replaced via relabel.
-	RelabelStateKey(relabel func(view.ID) view.ID) string
-}
-
-// WordRelabeler is implemented by register words whose keys can be
-// rewritten under an input-ID relabeling. Group elements with a
-// non-identity β skip (soundly) any state holding a word without it.
-type WordRelabeler interface {
-	// RelabelKey returns the Key the word would have if every input ID
-	// in it were replaced via relabel.
-	RelabelKey(relabel func(view.ID) view.ID) string
 }
 
 // Identity is the trivial canonicalizer: no symmetry reduction, states
-// are fingerprinted exactly as stored. Its fingerprints are
-// bit-compatible with the explorer's historical hashing.
+// are fingerprinted exactly as stored. It binds the group that holds
+// only the identity element.
 type Identity struct{}
 
 // Bind implements Canonicalizer.
-func (Identity) Bind(init *machine.System) (Hasher, error) { return identityHasher{}, nil }
+func (Identity) Bind(init *machine.System) (Hasher, error) { return bind(init, None) }
 
 // String implements Canonicalizer.
 func (Identity) String() string { return "none" }
@@ -130,7 +147,7 @@ func (Identity) String() string { return "none" }
 type ProcSymmetry struct{}
 
 // Bind implements Canonicalizer.
-func (ProcSymmetry) Bind(init *machine.System) (Hasher, error) { return bindGroup(init, false) }
+func (ProcSymmetry) Bind(init *machine.System) (Hasher, error) { return bind(init, Proc) }
 
 // String implements Canonicalizer.
 func (ProcSymmetry) String() string { return "proc" }
@@ -141,7 +158,7 @@ func (ProcSymmetry) String() string { return "proc" }
 type FullSymmetry struct{}
 
 // Bind implements Canonicalizer.
-func (FullSymmetry) Bind(init *machine.System) (Hasher, error) { return bindGroup(init, true) }
+func (FullSymmetry) Bind(init *machine.System) (Hasher, error) { return bind(init, Full) }
 
 // String implements Canonicalizer.
 func (FullSymmetry) String() string { return "full" }
@@ -205,63 +222,3 @@ func (s Symmetry) Canonicalizer() Canonicalizer {
 		return Identity{}
 	}
 }
-
-// FNV-1a constants, inlined to avoid per-state hasher allocations. The
-// identity element's hash is bit-compatible with the explorer's
-// historical fingerprint function, so -symmetry=none reproduces old
-// state counts exactly.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvString(fp uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		fp ^= uint64(s[i])
-		fp *= fnvPrime64
-	}
-	fp ^= 0xff // separator
-	fp *= fnvPrime64
-	return fp
-}
-
-// mixCrash folds a (possibly permuted) crash mask into fp. Failure-free
-// states (mask 0) keep their historical hash.
-func mixCrash(fp, mask uint64) uint64 {
-	if mask == 0 {
-		return fp
-	}
-	// Mix the mask so single-bit crash differences flip ~half the
-	// fingerprint.
-	z := mask + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	return fp ^ z ^ (z >> 27)
-}
-
-// mixAux folds the auxiliary value into a finished fingerprint.
-func mixAux(fp, aux uint64) uint64 {
-	if aux == 0 {
-		return fp
-	}
-	return fp ^ (aux+0x9e3779b97f4a7c15)*0xff51afd7ed558ccd
-}
-
-// identityHasher hashes states exactly: registers in global order, then
-// every machine's state key, then the crash mask and aux.
-type identityHasher struct{}
-
-// Fingerprint implements Hasher.
-func (identityHasher) Fingerprint(sys *machine.System, aux uint64) uint64 {
-	fp := uint64(fnvOffset64)
-	for g := 0; g < sys.Mem.M(); g++ {
-		fp = fnvString(fp, sys.Mem.CellAt(g).Key())
-	}
-	for _, m := range sys.Procs {
-		fp = fnvString(fp, m.StateKey())
-	}
-	fp = mixCrash(fp, sys.CrashMask())
-	return mixAux(fp, aux)
-}
-
-// GroupSize implements Hasher.
-func (identityHasher) GroupSize() int { return 1 }

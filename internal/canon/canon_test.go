@@ -2,8 +2,11 @@ package canon_test
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
+	"anonshm/internal/anonmem"
+	"anonshm/internal/baseline"
 	"anonshm/internal/canon"
 	"anonshm/internal/consensus"
 	"anonshm/internal/core"
@@ -14,13 +17,29 @@ import (
 // The symmetry layer only works if the machines and register words
 // actually expose the interfaces it quotients by.
 var (
-	_ canon.Symmetric     = (*core.Snapshot)(nil)
-	_ canon.Relabelable   = (*core.Snapshot)(nil)
-	_ canon.Symmetric     = (*core.WriteScan)(nil)
-	_ canon.Relabelable   = (*core.WriteScan)(nil)
-	_ canon.WordRelabeler = core.Cell{}
-	_ canon.Symmetric     = (*renaming.Renaming)(nil)
-	_ canon.Symmetric     = (*consensus.Consensus)(nil)
+	_ canon.Symmetric   = (*core.Snapshot)(nil)
+	_ canon.Relabelable = (*core.Snapshot)(nil)
+	_ canon.Symmetric   = (*core.WriteScan)(nil)
+	_ canon.Relabelable = (*core.WriteScan)(nil)
+	_ canon.Relabeler   = core.Cell{}
+	_ canon.Symmetric   = (*renaming.Renaming)(nil)
+	_ canon.Symmetric   = (*consensus.Consensus)(nil)
+)
+
+// Every production machine and register word has a word encoding.
+var (
+	_ canon.Encoder = (*core.Snapshot)(nil)
+	_ canon.Encoder = (*core.WriteScan)(nil)
+	_ canon.Encoder = (*renaming.Renaming)(nil)
+	_ canon.Encoder = (*consensus.Consensus)(nil)
+	_ canon.Encoder = (*baseline.Blocking)(nil)
+	_ canon.Encoder = (*baseline.DoubleCollect)(nil)
+	_ canon.Encoder = (*baseline.WeakCounter)(nil)
+	_ canon.Encoder = core.Cell{}
+	_ canon.Encoder = renaming.Name(0)
+	_ canon.Encoder = consensus.Decision("")
+	_ canon.Encoder = baseline.Mark(false)
+	_ canon.Encoder = baseline.Value(0)
 )
 
 func snapSys(t *testing.T, inputs []string, wirings [][]int) *machine.System {
@@ -214,5 +233,47 @@ func TestSymmetrySelector(t *testing.T) {
 	}
 	if err := s.Set("bogus"); err == nil {
 		t.Error("Set(bogus) accepted")
+	}
+}
+
+// opaqueMachine and opaqueWord hide everything but the Machine and Word
+// method sets of what they wrap, AppendState included.
+type (
+	opaqueMachine struct{ machine.Machine }
+	opaqueWord    struct{ anonmem.Word }
+)
+
+// TestBindRejectsUnencodable: a machine or an initial register word the
+// explorer could not fingerprint fails Bind, on every canonicalizer,
+// with an error naming its type.
+func TestBindRejectsUnencodable(t *testing.T) {
+	build := func(initial anonmem.Word, wrap bool) *machine.System {
+		procs := []machine.Machine{core.NewSnapshot(2, 2, 0, false), core.NewSnapshot(2, 2, 1, false)}
+		if wrap {
+			procs[1] = opaqueMachine{procs[1]}
+		}
+		mem, err := anonmem.New(2, initial, anonmem.IdentityWirings(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := machine.NewSystem(mem, procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for _, c := range []struct {
+		sys  *machine.System
+		want string
+	}{
+		{build(core.EmptyCell, true), "machine canon_test.opaqueMachine has no AppendState"},
+		{build(opaqueWord{core.EmptyCell}, false), "register word canon_test.opaqueWord has no AppendState"},
+	} {
+		for _, can := range []canon.Canonicalizer{canon.Identity{}, canon.ProcSymmetry{}, canon.FullSymmetry{}} {
+			_, err := can.Bind(c.sys)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%v: Bind err = %v, want it to say %q", can, err, c.want)
+			}
+		}
 	}
 }

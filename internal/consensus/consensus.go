@@ -38,6 +38,26 @@ func (d Decision) Key() string { return string(d) }
 
 var _ anonmem.Word = Decision("")
 
+// AppendState appends the decision's word encoding: the tag, then the
+// label (canon.Encoder).
+func (d Decision) AppendState(dst []uint64) []uint64 {
+	return appendString(append(dst, machine.TagDecision.Word(0)), string(d))
+}
+
+// appendString appends the self-delimiting word encoding of s: its
+// length in bytes, then its bytes packed eight to a word.
+func appendString(dst []uint64, s string) []uint64 {
+	dst = append(dst, uint64(len(s)))
+	for i := 0; i < len(s); i += 8 {
+		var w uint64
+		for j := i; j < len(s) && j < i+8; j++ {
+			w |= uint64(s[j]) << (8 * uint(j-i))
+		}
+		dst = append(dst, w)
+	}
+	return dst
+}
+
 // pairSep separates value and timestamp in interned snapshot inputs. Value
 // labels must not contain it.
 const pairSep = "\x1f"
@@ -201,6 +221,23 @@ func (c *Consensus) StateKey() string {
 		return "cs:o:" + c.decision
 	default:
 		return "cs:" + c.pref + ":" + strconv.Itoa(c.ts) + ":" + c.snap.StateKey()
+	}
+}
+
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the stage (0 running, 1 output
+// pending, 2 done), then the decision once reached, or the preference,
+// the timestamp and the embedded snapshot machine's encoding while it
+// runs.
+func (c *Consensus) AppendState(dst []uint64) []uint64 {
+	switch {
+	case c.done:
+		return appendString(append(dst, machine.TagConsensus.Word(2)), c.decision)
+	case c.ready:
+		return appendString(append(dst, machine.TagConsensus.Word(1)), c.decision)
+	default:
+		dst = appendString(append(dst, machine.TagConsensus.Word(0)), c.pref)
+		return c.snap.AppendState(append(dst, uint64(c.ts)))
 	}
 }
 

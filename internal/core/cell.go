@@ -22,6 +22,7 @@ import (
 	"strconv"
 
 	"anonshm/internal/anonmem"
+	"anonshm/internal/machine"
 	"anonshm/internal/view"
 )
 
@@ -45,11 +46,17 @@ func (c Cell) Key() string {
 
 var _ anonmem.Word = Cell{}
 
-// RelabelKey returns the Key the cell would have if every input ID in
-// its view were replaced via relabel. It implements the register-word
-// half of the symmetry-reduction contract (canon.WordRelabeler).
-func (c Cell) RelabelKey(relabel func(view.ID) view.ID) string {
-	return Cell{View: c.View.Relabel(relabel), Level: c.Level}.Key()
+// AppendState appends the cell's word encoding: the tag, the level,
+// then the view (canon.Encoder).
+func (c Cell) AppendState(dst []uint64) []uint64 { return c.AppendRelabeled(dst, nil) }
+
+// AppendRelabeled is AppendState with every input ID in the view
+// replaced via beta (view.View.AppendRelabeled). It implements the
+// register-word half of the symmetry-reduction contract
+// (canon.Relabeler).
+func (c Cell) AppendRelabeled(dst []uint64, beta []view.ID) []uint64 {
+	dst = append(dst, machine.TagCell.Word(0), uint64(c.Level))
+	return c.View.AppendRelabeled(dst, beta)
 }
 
 // Viewer is implemented by machines that maintain a view; analyses (stable

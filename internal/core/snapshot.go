@@ -300,7 +300,7 @@ func (s *Snapshot) StateKey() string {
 // symmetry-reduction layer (canon.Symmetric): two snapshot machines with
 // equal class run the same algorithm and may be exchanged by a processor
 // permutation. The input is deliberately absent — the machine is
-// value-oblivious and supports relabeling instead (see RelabelStateKey).
+// value-oblivious and supports relabeling instead (see AppendRelabeled).
 func (s *Snapshot) SymmetryClass() string {
 	class := "sn:l" + strconv.Itoa(s.n) + ":m" + strconv.Itoa(s.m)
 	if s.nondet {
@@ -313,14 +313,40 @@ func (s *Snapshot) SymmetryClass() string {
 // symmetry layer's value relabeling (canon.Relabelable).
 func (s *Snapshot) InputID() view.ID { return s.input }
 
-// RelabelStateKey returns the StateKey the machine would have if every
-// input ID in its state were replaced via relabel. Figure 3 manipulates
-// views only through Equal/Union/level arithmetic, so relabeled states
-// step in lockstep with the originals (canon.Relabelable).
-func (s *Snapshot) RelabelStateKey(relabel func(view.ID) view.ID) string {
-	cp := *s
-	cp.v = s.v.Relabel(relabel)
-	cp.acc = s.acc.Relabel(relabel)
-	cp.out = s.out.Relabel(relabel)
-	return cp.StateKey()
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the phase and, mid-scan, the scan
+// index (at most m ≤ 64) and the all-equal flag; the unwritten mask; the
+// level; mid-scan the minimum level read; the view; then the scan
+// accumulator mid-scan, or the output once done.
+func (s *Snapshot) AppendState(dst []uint64) []uint64 { return s.AppendRelabeled(dst, nil) }
+
+// AppendRelabeled is AppendState with every input ID in the machine's
+// views replaced via beta. Figure 3 manipulates views only through
+// Equal/Union/level arithmetic, so relabeled states step in lockstep
+// with the originals (canon.Relabelable).
+func (s *Snapshot) AppendRelabeled(dst []uint64, beta []view.ID) []uint64 {
+	fields := uint64(s.phase)
+	if s.phase == snapScan {
+		fields |= uint64(s.scanIdx)<<8 | flag(s.eqAll)<<16
+	}
+	dst = append(dst, machine.TagSnapshot.Word(fields), s.unwritten, uint64(s.level))
+	if s.phase == snapScan {
+		dst = append(dst, uint64(s.minLevel))
+	}
+	dst = s.v.AppendRelabeled(dst, beta)
+	switch s.phase {
+	case snapScan:
+		dst = s.acc.AppendRelabeled(dst, beta)
+	case snapDone:
+		dst = s.out.AppendRelabeled(dst, beta)
+	}
+	return dst
+}
+
+// flag is a bool as an encoding bit.
+func flag(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -201,11 +201,23 @@ func (w *WriteScan) SymmetryClass() string {
 // InputID returns the machine's input (canon.Relabelable).
 func (w *WriteScan) InputID() view.ID { return w.input }
 
-// RelabelStateKey returns the StateKey the machine would have if every
-// input ID in its state were replaced via relabel (canon.Relabelable).
-func (w *WriteScan) RelabelStateKey(relabel func(view.ID) view.ID) string {
-	cp := *w
-	cp.v = w.v.Relabel(relabel)
-	cp.acc = w.acc.Relabel(relabel)
-	return cp.StateKey()
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the phase and, mid-scan, the scan
+// index (at most m ≤ 64); the unwritten mask; the view; then the scan
+// accumulator mid-scan.
+func (w *WriteScan) AppendState(dst []uint64) []uint64 { return w.AppendRelabeled(dst, nil) }
+
+// AppendRelabeled is AppendState with every input ID in the machine's
+// views replaced via beta (canon.Relabelable).
+func (w *WriteScan) AppendRelabeled(dst []uint64, beta []view.ID) []uint64 {
+	fields := uint64(w.phase)
+	if w.phase == phaseScan {
+		fields |= uint64(w.scanIdx) << 8
+	}
+	dst = append(dst, machine.TagWriteScan.Word(fields), w.unwritten)
+	dst = w.v.AppendRelabeled(dst, beta)
+	if w.phase == phaseScan {
+		dst = w.acc.AppendRelabeled(dst, beta)
+	}
+	return dst
 }

@@ -262,14 +262,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	res.Stats.Store = st.Snapshot()
 	res.Stats.StoreKind = st.Kind().String()
 	res.Stats.WallTime = time.Since(start)
-	res.CollisionOdds = collisionOdds(res.States, res.Stats.GroupSize)
+	s := float64(res.States)
+	res.CollisionOdds = s * s / 0x1p65
 	return res, err
-}
-
-// collisionOdds is Result.CollisionOdds for a run that stored states
-// states under a group of k admissible elements: about states²/2 pairs,
-// each equal with probability k²/(2k−1)·2⁻⁶⁴ as minima of k hashes.
-func collisionOdds(states, k int) float64 {
-	s, g := float64(states), float64(max(k, 1))
-	return s * s / 0x1p65 * g * g / (2*g - 1)
 }

@@ -11,8 +11,7 @@
 // machines expose it, every internal register-choice alternative),
 // deduplicating global states by 64-bit fingerprint exactly as TLC does
 // (the probability of a hash collision masking a state is about
-// states²/2⁶⁵ × k²/(2k−1) for a symmetry group of k admissible
-// elements, and is reported in Result.CollisionOdds). On top of the raw
+// states²/2⁶⁵, reported in Result.CollisionOdds). On top of the raw
 // search the package provides:
 //
 //   - invariant checking, optionally with counterexample traces (safety);
@@ -208,10 +207,10 @@ type Result struct {
 	Truncated bool
 	Pruned    int // states whose successors were cut by Options.Prune
 	// CollisionOdds estimates the probability that fingerprinting merged
-	// two distinct states: states²/2⁶⁵ × k²/(2k−1), where k is
-	// Stats.GroupSize. A canonical fingerprint is the minimum of up to k
-	// mirror hashes, so two orbits collide up to k²/(2k−1) times as often
-	// as two uniform hashes (1 without symmetry, 36/11 at k = 6).
+	// two distinct states: about states²/2 pairs, each equal with
+	// probability 2⁻⁶⁴, so states²/2⁶⁵. A fingerprint is one hash of a
+	// state's canonical form (canon), so the estimate is the same at
+	// every symmetry group size.
 	CollisionOdds float64
 	// Cycle reports that DFS found a back edge: an execution that
 	// revisits a global state — a wait-freedom violation for terminating

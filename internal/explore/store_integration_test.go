@@ -1,8 +1,12 @@
 package explore
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -406,6 +410,74 @@ func TestResumeMismatchRejected(t *testing.T) {
 			t.Errorf("mismatch on field %q, want initial-state fingerprint", me.Field)
 		}
 	})
+}
+
+// TestResumeOldFormatRejected: a checkpoint in an older format — here a
+// fresh one whose meta.json claims version 1, as the builds before word
+// fingerprints wrote — is refused with the format-version error, not
+// with a *CheckpointMismatchError on the root fingerprint, and not by
+// silently exploring the sweep's in-flight wiring again from its root.
+func TestResumeOldFormatRejected(t *testing.T) {
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("format version 1; this build reads version %d", store.MetaVersion)
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var me *CheckpointMismatchError
+		if err == nil || errors.As(err, &me) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want the format-version error saying %q", err, want)
+		}
+	}
+
+	t.Run("run", func(t *testing.T) {
+		dir := t.TempDir()
+		killed := Options{Engine: BFSEngine, Checkpoint: dir, CheckpointEvery: 10, ProgressEvery: 1}
+		killed.Cancel, killed.Progress = cancelAfter(30)
+		if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("killed run: err = %v, want ErrCanceled", err)
+		}
+		downgrade(t, dir)
+		_, err := Run(sys.Clone(), Options{Engine: BFSEngine, Resume: dir})
+		check(t, err)
+	})
+	t.Run("sweep", func(t *testing.T) {
+		ref, err := safetySweep(Options{Engine: BFSEngine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		killed := Options{Engine: BFSEngine, Checkpoint: dir, CheckpointEvery: 50, ProgressEvery: 1}
+		killed.Cancel, killed.Progress = cancelAfter(ref.TotalStates * 3 / 4)
+		if _, err := safetySweep(killed); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("killed sweep: err = %v, want ErrCanceled", err)
+		}
+		downgrade(t, sweepRunDir(dir))
+		_, err = safetySweep(Options{Engine: BFSEngine, Checkpoint: dir, Resume: dir})
+		check(t, err)
+	})
+}
+
+// downgrade rewrites the checkpoint in dir to claim format version 1.
+func downgrade(t *testing.T, dir string) {
+	t.Helper()
+	metaPath := filepath.Join(dir, "meta.json")
+	blob, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(blob, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["version"] = 1
+	if blob, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSweepResumeMismatchRejected: a sweep checkpoint pins every field

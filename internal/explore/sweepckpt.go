@@ -2,7 +2,9 @@ package explore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -160,9 +162,15 @@ func runSweep(id sweepCheckpoint, opts Options, wo WiringOptions, body func(perm
 		if resumeDir != "" && i == completed {
 			// Re-enter the wiring that was in flight when the sweep
 			// stopped, if its run checkpoint exists (the sweep may also
-			// have stopped exactly between wirings).
-			if _, err := store.LoadCheckpoint(sweepRunDir(resumeDir)); err == nil {
+			// have stopped exactly between wirings). A run checkpoint
+			// that exists but does not load, e.g. one in an older
+			// format, fails the resume instead of being redone.
+			_, err := store.LoadCheckpoint(sweepRunDir(resumeDir))
+			switch {
+			case err == nil:
 				run.Resume = sweepRunDir(resumeDir)
+			case !errors.Is(err, fs.ErrNotExist):
+				return fmt.Errorf("explore: resume: %w", err)
 			}
 		}
 		wsp := opts.Trace.StartArgs("wiring", fmt.Sprintf("wiring %d", i),

@@ -231,24 +231,43 @@ func TestWitnessSearchPinsIdentity(t *testing.T) {
 	}
 }
 
-// TestCollisionOddsFactor pins the symmetry correction of the collision
-// estimate: without symmetry (k = 1) it is the uniform-hash states²/2⁶⁵,
-// and the largest N=3 group (k = 6) multiplies that by 36/11.
+// uniformOdds is the collision estimate for states uniform 64-bit
+// hashes: about states²/2 pairs, each equal with probability 2⁻⁶⁴.
+func uniformOdds(states int) float64 {
+	s := float64(states)
+	return s * s / 0x1p65
+}
+
+// TestCollisionOddsFactor pins the collision estimate at both ends of
+// the N=3 group sizes: a fingerprint is one hash of the least mirror, so
+// no symmetry (k = 1) and the largest group (k = 6) both give the
+// uniform-hash states²/2⁶⁵, a factor of 1.
 func TestCollisionOddsFactor(t *testing.T) {
-	const states = 1 << 20
-	uniform := float64(states) * float64(states) / 0x1p65
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"g", "g", "g"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
+		can    canon.Canonicalizer
 		k      int
 		factor float64
-	}{{1, 1}, {6, 36.0 / 11}} {
-		if got := collisionOdds(states, c.k); math.Abs(got/uniform-c.factor) > 1e-12 {
+	}{{canon.Identity{}, 1, 1}, {canon.FullSymmetry{}, 6, 1}} {
+		res, err := Run(sys.Clone(), Options{Canonicalizer: c.can, MaxStates: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.GroupSize != c.k {
+			t.Fatalf("%v: group size %d, want %d", c.can, res.Stats.GroupSize, c.k)
+		}
+		uniform := uniformOdds(res.States)
+		if got := res.CollisionOdds; math.Abs(got/uniform-c.factor) > 1e-12 {
 			t.Errorf("k=%d: odds %g = %g × uniform, want × %g", c.k, got, got/uniform, c.factor)
 		}
 	}
 }
 
-// TestCollisionOddsUnderSymmetry: every engine reports the corrected
-// odds of a reduced run, not the uniform-hash estimate.
+// TestCollisionOddsUnderSymmetry: every engine reports the uniform-hash
+// odds of a reduced run.
 func TestCollisionOddsUnderSymmetry(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"g", "g"}, Nondet: true})
 	if err != nil {
@@ -259,14 +278,11 @@ func TestCollisionOddsUnderSymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}
-		k := float64(res.Stats.GroupSize)
-		if k < 2 {
-			t.Fatalf("%v: group size %v, want a nontrivial group", engine, k)
+		if res.Stats.GroupSize < 2 {
+			t.Fatalf("%v: group size %d, want a nontrivial group", engine, res.Stats.GroupSize)
 		}
-		s := float64(res.States)
-		want := s * s / 0x1p65 * k * k / (2*k - 1)
-		if math.Abs(res.CollisionOdds/want-1) > 1e-12 {
-			t.Errorf("%v: collision odds %g, want %g (states=%d, k=%v)", engine, res.CollisionOdds, want, res.States, k)
+		if want := uniformOdds(res.States); math.Abs(res.CollisionOdds/want-1) > 1e-12 {
+			t.Errorf("%v: collision odds %g, want %g (states=%d)", engine, res.CollisionOdds, want, res.States)
 		}
 	}
 }

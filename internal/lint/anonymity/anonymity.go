@@ -27,8 +27,8 @@
 //     symmetry-reduction layer is the quotient map over processor and
 //     register identity, the one non-analysis package allowed to inspect
 //     it, and algorithm code calling into it would observe its own orbit
-//     (machines may *implement* canon's Symmetric/Relabelable
-//     interfaces; they must never *call* the package).
+//     (machines may *implement* canon's Symmetric, Encoder and
+//     Relabelable interfaces; they must never *call* the package).
 //
 // Identity detection is name-based by design: an int parameter named p is
 // overwhelmingly a processor index in this codebase, and a false positive

@@ -8,8 +8,8 @@
 // with the local computation that follows it (PlusCal executes everything
 // between two labels atomically). A single Machine implementation is reused
 // by the deterministic simulator, the adversarial schedulers, the
-// exhaustive explorer (which needs Clone and StateKey) and the goroutine
-// runtime.
+// exhaustive explorer (which needs Clone and a word encoding, see Tag)
+// and the goroutine runtime.
 package machine
 
 import (
@@ -104,10 +104,47 @@ type Machine interface {
 	// Clone returns an independent deep copy.
 	Clone() Machine
 
-	// StateKey returns a canonical encoding of the machine's local state,
-	// used by the explorer to deduplicate global states.
+	// StateKey returns a canonical string rendering of the machine's
+	// local state, for traces and analyses. The explorer deduplicates
+	// states by the word encoding below, not by this string.
 	StateKey() string
 }
+
+// The exhaustive explorer needs more than Machine: its canonicalizer
+// (internal/canon) fingerprints a global state from a word encoding of
+// every machine and register word, so each type it explores also has
+//
+//	AppendState(dst []uint64) []uint64
+//
+// appending a self-delimiting encoding of exactly the fields its
+// StateKey (or Key) renders: two values encode equally iff they render
+// equally. The first word carries the type's Tag in its top byte, so
+// encodings of different types never coincide; small fields share that
+// word only where the type's constructor bounds their range.
+
+// Tag identifies the type of a word-encoded machine or register word.
+// The tags live here, in one list, so that no two types share one.
+type Tag uint8
+
+// The encoding tags of the repository's machines and register words.
+const (
+	TagCell Tag = iota + 1
+	TagName
+	TagDecision
+	TagMark
+	TagValue
+	TagSnapshot
+	TagWriteScan
+	TagRenaming
+	TagConsensus
+	TagBlocking
+	TagDoubleCollect
+	TagWeakCounter
+)
+
+// Word returns the first word of an encoding: t in the top byte, fields
+// (which must fit in the low 56 bits) below it.
+func (t Tag) Word(fields uint64) uint64 { return uint64(t)<<56 | fields }
 
 // StepInfo describes one executed step, for tracing and analyses.
 type StepInfo struct {

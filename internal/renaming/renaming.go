@@ -33,6 +33,12 @@ func (n Name) Key() string { return strconv.Itoa(int(n)) }
 
 var _ anonmem.Word = Name(0)
 
+// AppendState appends the name's word encoding: the tag, then the name
+// (canon.Encoder).
+func (n Name) AppendState(dst []uint64) []uint64 {
+	return append(dst, machine.TagName.Word(0), uint64(n))
+}
+
 // NameFor computes the Bar-Noy–Dolev name for a snapshot W and a group
 // that must be a member of W: z(z−1)/2 + rank.
 func NameFor(w view.View, group view.ID) (int, error) {
@@ -134,6 +140,21 @@ func (r *Renaming) StateKey() string {
 		return "rn:o:" + strconv.Itoa(r.name)
 	default:
 		return "rn:" + r.snap.StateKey()
+	}
+}
+
+// AppendState appends the word encoding of the fields StateKey renders
+// (canon.Encoder): the tag word with the stage (0 running, 1 output
+// pending, 2 done), then the name once it is computed, or the embedded
+// snapshot machine's encoding while it runs.
+func (r *Renaming) AppendState(dst []uint64) []uint64 {
+	switch {
+	case r.done:
+		return append(dst, machine.TagRenaming.Word(2), uint64(r.name))
+	case r.ready:
+		return append(dst, machine.TagRenaming.Word(1), uint64(r.name))
+	default:
+		return r.snap.AppendState(append(dst, machine.TagRenaming.Word(0)))
 	}
 }
 

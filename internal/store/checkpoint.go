@@ -23,8 +23,10 @@ import (
 // is rejected, not migrated.
 
 // MetaVersion is the checkpoint metadata version this build reads and
-// writes.
-const MetaVersion = 1
+// writes. Version 2 fingerprints states by one hash of their canonical
+// word encoding, so a version-1 visited set and root fingerprint name
+// other states.
+const MetaVersion = 2
 
 const (
 	metaName     = "meta.json"

@@ -4,8 +4,9 @@
 // A processor's "view" is the set of input values it has learned about by
 // reading registers. Input values are arbitrary strings interned to dense
 // integer IDs by an Interner, and a View is an immutable bitset over those
-// IDs. Immutability keeps the state machines trivially cloneable and makes
-// canonical state keys cheap, which the exhaustive explorer depends on.
+// IDs. Immutability keeps the state machines trivially cloneable, and the
+// bitset is the word encoding the exhaustive explorer canonicalizes
+// states with (AppendWords, AppendRelabeled).
 package view
 
 import (
@@ -190,15 +191,47 @@ func (v View) IDs() []ID {
 	return ids
 }
 
-// Relabel returns the image of v under f, which must be injective on the
-// members of v. The symmetry-reduction layer uses it to rewrite views
-// under a bijective renaming of input IDs.
-func (v View) Relabel(f func(ID) ID) View {
-	out := View{}
-	for _, id := range v.IDs() {
-		out = out.With(f(id))
+// AppendWords appends v's self-delimiting word encoding to dst: the
+// number of bit words, then the words, least significant first. Two
+// views are equal iff their encodings are equal. It does not allocate
+// when dst has room.
+func (v View) AppendWords(dst []uint64) []uint64 {
+	dst = append(dst, uint64(len(v.bits)))
+	return append(dst, v.bits...)
+}
+
+// AppendRelabeled appends the AppendWords encoding of v's image under
+// the relabeling beta, which maps ID i to beta[i] for i < len(beta) and
+// fixes every other ID; beta must be a bijection, and nil is the
+// identity. The symmetry-reduction layer uses it to encode views under a
+// renaming of input IDs without building the renamed view.
+func (v View) AppendRelabeled(dst []uint64, beta []ID) []uint64 {
+	if beta == nil {
+		return v.AppendWords(dst)
 	}
-	return out
+	// The image fits in as many words as v or beta's range, whichever
+	// is wider; trailing zero words are trimmed before the length lands.
+	n := max(len(v.bits), (len(beta)+wordBits-1)/wordBits)
+	lenAt := len(dst)
+	dst = append(dst, 0)
+	start := len(dst)
+	for range n {
+		dst = append(dst, 0)
+	}
+	for w, x := range v.bits {
+		for x != 0 {
+			b := bits.TrailingZeros64(x)
+			x &= x - 1
+			id := w*wordBits + b
+			if id < len(beta) {
+				id = int(beta[id])
+			}
+			dst[start+id/wordBits] |= 1 << (uint(id) % wordBits)
+		}
+	}
+	img := normalize(dst[start:])
+	dst[lenAt] = uint64(len(img))
+	return dst[:start+len(img)]
 }
 
 // Rank returns the 1-based position of id among the sorted members of v,

@@ -3,6 +3,7 @@ package view
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -314,6 +315,42 @@ func TestPropRankConsistent(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPropWordsEquality(t *testing.T) {
+	f := func(a, b View) bool {
+		return slices.Equal(a.AppendWords(nil), b.AppendWords(nil)) == a.Equal(b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropAppendRelabeled: the relabeled encoding is the encoding of the
+// relabeled view, for one-word and multi-word views and relabelings, and
+// appends after whatever dst holds.
+func TestPropAppendRelabeled(t *testing.T) {
+	f := func(a View, seed int64, n uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		var beta []ID
+		for _, i := range r.Perm(int(n)%140 + 1) {
+			beta = append(beta, ID(i))
+		}
+		img := Empty()
+		for _, id := range a.IDs() {
+			if int(id) < len(beta) {
+				id = beta[id]
+			}
+			img = img.With(id)
+		}
+		prefix := []uint64{7}
+		want := img.AppendWords(slices.Clone(prefix))
+		return slices.Equal(a.AppendRelabeled(prefix, beta), want) &&
+			slices.Equal(a.AppendRelabeled(nil, nil), a.AppendWords(nil))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
