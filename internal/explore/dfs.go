@@ -126,10 +126,12 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		res.Cycle = m.Cycle
 		// Rebuild the stack by replaying each frame's step on a clone of
 		// its parent's system; fingerprints are recomputed, cursors are
-		// restored verbatim.
+		// restored verbatim, and each frame keeps the step it replayed,
+		// which the next checkpoint writes again.
 		var prev *machine.System
 		for i, sf := range m.Stack {
 			var sys *machine.System
+			var how machine.StepInfo
 			if i == 0 {
 				sys = init.Clone()
 			} else {
@@ -137,9 +139,9 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 				st := store.Step(sf.Step)
 				var err error
 				if st.Crash() {
-					_, err = sys.Crash(st.Proc())
+					how, err = sys.Crash(st.Proc())
 				} else {
-					_, err = sys.Step(st.Proc(), st.Choice())
+					how, err = sys.Step(st.Proc(), st.Choice())
 				}
 				if err != nil {
 					return finish(), fmt.Errorf("explore: resume: replaying stack frame %d: %w", i, err)
@@ -153,7 +155,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			fp := opts.hasher.Fingerprint(sys, sf.Aux)
 			onStack[fp] = struct{}{}
 			stack = append(stack, frame{
-				sys: sys, fp: fp, aux: sf.Aux,
+				sys: sys, fp: fp, aux: sf.Aux, how: how,
 				p: sf.P, c: sf.C, n: sf.N, crashP: sf.CrashP, depth: sf.Depth,
 			})
 			prev = sys

@@ -32,11 +32,11 @@ const (
 	// the only engine that does.
 	DFSEngine
 	// ParallelEngine is the work-stealing breadth-first engine at
-	// Options.Workers goroutines: the frontier is sharded across the
-	// workers and the visited set is a sharded lock-free-read
-	// fingerprint table, so throughput scales with cores. Invariant
-	// violations cancel all workers and still carry a counterexample
-	// trace.
+	// Options.Workers goroutines: the workers expand one level at a
+	// time, the frontier is sharded across them and the visited set is
+	// a sharded lock-free-read fingerprint table, so throughput scales
+	// with cores. Invariant violations cancel all workers and still
+	// carry a (shortest) counterexample trace.
 	ParallelEngine
 )
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"anonshm/internal/canon"
@@ -60,7 +61,9 @@ func engineSystems(t *testing.T) map[string]engineCase {
 // TestParallelMatchesBFS is the engine-equivalence test: on every small
 // system, ParallelEngine at several workers must visit exactly the same
 // number of states, edges and terminals as BFSEngine — the same search
-// at one worker — and DFSEngine.
+// at one worker — and DFSEngine, and reach the same BFS MaxDepth as
+// BFSEngine, since level rounds discover every state at its minimum
+// depth.
 func TestParallelMatchesBFS(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		sys := c.sys
@@ -98,6 +101,9 @@ func TestParallelMatchesBFS(t *testing.T) {
 				}
 				if got.Pruned != ref.Pruned {
 					t.Errorf("workers=%d: pruned %d, want %d", workers, got.Pruned, ref.Pruned)
+				}
+				if got.MaxDepth != ref.MaxDepth {
+					t.Errorf("workers=%d: max depth %d, want %d", workers, got.MaxDepth, ref.MaxDepth)
 				}
 				if got.Truncated {
 					t.Errorf("workers=%d: unexpected truncation", workers)
@@ -657,7 +663,8 @@ func TestChecksRejectOwnedOptions(t *testing.T) {
 
 // TestFPTable exercises the parallel engine's visited set through the
 // store layer, including growth well past the initial capacity, the
-// zero-fingerprint substitution and depth min-merging.
+// zero-fingerprint substitution, depth min-merging and the depths'
+// round trip through the checkpoint fp file.
 func TestFPTable(t *testing.T) {
 	st, err := store.Open(store.Config{Kind: store.Mem, Workers: 4})
 	if err != nil {
@@ -701,7 +708,32 @@ func TestFPTable(t *testing.T) {
 	if got := tbl.Len(); got != int64(n+1) {
 		t.Fatalf("Len() = %d, want %d", got, n+1)
 	}
-	if got := tbl.MaxDepth(); got != 3 {
-		t.Fatalf("MaxDepth() = %d, want 3", got)
+	// The depths reach the checkpoint fp file: reloaded, every state
+	// sits at depth 3 (reinserting at 3 is no improvement, at 2 is) and
+	// the zero fingerprint at its improved depth 2.
+	path := filepath.Join(t.TempDir(), "visited.fp")
+	if err := tbl.WriteFPFile(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := st.NewVisited(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.LoadFPFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range fps {
+		if _, improved, _ := back.Insert(fp, 3); improved {
+			t.Fatalf("fingerprint %#x reloaded deeper than 3", fp)
+		}
+		if _, improved, _ := back.Insert(fp, 2); !improved {
+			t.Fatalf("fingerprint %#x reloaded shallower than 3", fp)
+		}
+	}
+	if _, improved, _ := back.Insert(0, 2); improved {
+		t.Error("zero fingerprint reloaded deeper than 2")
+	}
+	if _, improved, _ := back.Insert(0, 1); !improved {
+		t.Error("zero fingerprint reloaded shallower than 2")
 	}
 }

@@ -5,8 +5,9 @@
 //
 // Run is the single entry point: Options.Engine selects a serial
 // depth-first engine (DFSEngine) or a work-stealing breadth-first engine
-// that shards the frontier and the visited set across Options.Workers
-// goroutines (ParallelEngine); BFSEngine is that engine at one worker.
+// that expands one level at a time and shards the frontier and the
+// visited set across Options.Workers goroutines (ParallelEngine);
+// BFSEngine is that engine at one worker.
 // All engines search every interleaving of processor steps (and, when
 // machines expose it, every internal register-choice alternative),
 // deduplicating global states by 64-bit fingerprint exactly as TLC does
@@ -34,10 +35,10 @@
 //
 // Picking an engine:
 //
-//	engine          memory                      speed             cycles  traces
-//	DFSEngine       stack + fp set (least)      single-threaded   inline  yes
-//	BFSEngine       frontier + fp set           single-threaded   no      yes (shortest)
-//	ParallelEngine  sharded fp set + frontiers  scales w/Workers  no      yes
+//	engine          memory                       speed             cycles  traces
+//	DFSEngine       stack + fp set (least)       single-threaded   inline  yes
+//	BFSEngine       two levels + fp set          single-threaded   no      yes (shortest)
+//	ParallelEngine  sharded fp set + two levels  scales w/Workers  no      yes (shortest)
 //
 // AutoEngine (the zero value) resolves to DFSEngine, in Run and in the
 // sweep helpers alike. Option combinations an engine or storage tier
@@ -196,12 +197,11 @@ type Result struct {
 	Terminals int // states where every machine has terminated
 	// MaxDepth is the largest first-discovery depth. On the breadth-first
 	// engines (BFSEngine, ParallelEngine) it is the exact BFS
-	// eccentricity of the state graph: with several workers the engine
-	// min-merges the depths of racing discoveries in its visited set and
-	// propagates improvements with relax re-expansions, so the value is
-	// deterministic and independent of the worker count. DFSEngine
-	// reports its (deterministic) depth-first discovery depth, which is
-	// an upper bound. States, Edges and Terminals are exact and
+	// eccentricity of the state graph: the engine expands one level at a
+	// time, so every state is first discovered at its minimum depth, and
+	// the value is deterministic and equal at every worker count.
+	// DFSEngine reports its (deterministic) depth-first discovery depth,
+	// which is an upper bound. States, Edges and Terminals are exact and
 	// reproducible on every engine.
 	MaxDepth  int
 	Truncated bool

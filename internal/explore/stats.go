@@ -25,7 +25,8 @@ type Stats struct {
 	WallTime time.Duration
 	// FrontierPeak is the largest number of discovered-but-unexpanded
 	// states held at once (stack for DFS; for the breadth-first engines,
-	// the union of all worker deques plus the states being expanded).
+	// both levels' shards of every worker plus the states being
+	// expanded).
 	FrontierPeak int
 	// DedupLookups counts fingerprint-table probes (one per generated
 	// successor, plus one for the initial state).

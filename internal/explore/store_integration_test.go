@@ -126,8 +126,8 @@ func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 // points of the run — right after the root, and a quarter, half and
 // three quarters of the way — then resumes from the checkpoint and
 // demands the exact totals of an uninterrupted run. A periodic
-// checkpoint every 200 states (about 50 a run) keeps the checkpoint
-// barrier active around every cancel point, while 50 repetitions of
+// checkpoint every 200 states (about 50 a run) ends breadth-first
+// rounds mid-level around every cancel point, while 50 repetitions of
 // the whole test still fit go test's default 10-minute timeout.
 func TestKillAndResume(t *testing.T) {
 	for _, kind := range []store.Kind{store.Mem, store.Disk} {
@@ -185,6 +185,71 @@ func TestKillAndResume(t *testing.T) {
 					})
 				}
 			})
+		}
+	}
+}
+
+// TestKillResumeEveryK is the kill/resume property test. It cancels one
+// whole run after every k-th progress call (one call per discovered
+// state), resumes it from its checkpoint each time until it completes,
+// and demands the uninterrupted run's totals. A periodic checkpoint
+// every 7 states also ends breadth-first rounds mid-level between the
+// cancels. It covers every engine (the parallel one at 3 workers), both
+// tiers (disk under tinyMemLimit) and every symmetry level, on the
+// N=2 same-input snapshot system, whose 1,364 states (700 under either
+// reduction) lie in 23 levels. -short, which make race uses, cancels
+// at every 4k-th call only.
+func TestKillResumeEveryK(t *testing.T) {
+	k := 10
+	if testing.Short() {
+		k *= 4
+	}
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "a"}, Nondet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []store.Kind{store.Mem, store.Disk} {
+		for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
+			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
+				t.Run(fmt.Sprintf("%v/%v/%v", kind, sym, engine), func(t *testing.T) {
+					opts := Options{Engine: engine, Canonicalizer: sym.Canonicalizer()}
+					if engine == ParallelEngine {
+						opts.Workers = 3
+					}
+					if kind == store.Disk {
+						opts = diskOpts(t, opts)
+					}
+					ref, err := Run(sys.Clone(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dir := t.TempDir()
+					run := opts
+					run.Checkpoint, run.CheckpointEvery, run.ProgressEvery = dir, 7, 1
+					kills := 0
+					for {
+						run.Cancel, run.Progress = cancelAfter(k)
+						got, err := Run(sys.Clone(), run)
+						if errors.Is(err, ErrCanceled) {
+							kills++
+							run.Resume = dir
+							continue
+						}
+						if err != nil {
+							t.Fatalf("after %d kills: %v", kills, err)
+						}
+						if keyOf(got) != keyOf(ref) {
+							t.Errorf("after %d kills: %+v, uninterrupted %+v", kills, keyOf(got), keyOf(ref))
+						}
+						break
+					}
+					// A cancel lands after the expansion in flight, which
+					// may discover a few more states first.
+					if kills < ref.States/(2*k) {
+						t.Errorf("only %d kills over %d states at k=%d", kills, ref.States, k)
+					}
+				})
+			}
 		}
 	}
 }
@@ -413,16 +478,18 @@ func TestResumeMismatchRejected(t *testing.T) {
 }
 
 // TestResumeOldFormatRejected: a checkpoint in an older format — here a
-// fresh one whose meta.json claims version 1, as the builds before word
-// fingerprints wrote — is refused with the format-version error, not
-// with a *CheckpointMismatchError on the root fingerprint, and not by
-// silently exploring the sweep's in-flight wiring again from its root.
+// fresh one whose meta.json claims the previous version, whose
+// breadth-first checkpoints carry no MaxDepth and whose frontier
+// records carry a re-expansion flag — is refused with the
+// format-version error, not with a *CheckpointMismatchError on the root
+// fingerprint, and not by silently exploring the sweep's in-flight
+// wiring again from its root.
 func TestResumeOldFormatRejected(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("format version 1; this build reads version %d", store.MetaVersion)
+	want := fmt.Sprintf("format version %d; this build reads version %d", store.MetaVersion-1, store.MetaVersion)
 	check := func(t *testing.T, err error) {
 		t.Helper()
 		var me *CheckpointMismatchError
@@ -459,7 +526,8 @@ func TestResumeOldFormatRejected(t *testing.T) {
 	})
 }
 
-// downgrade rewrites the checkpoint in dir to claim format version 1.
+// downgrade rewrites the checkpoint in dir to claim the previous format
+// version.
 func downgrade(t *testing.T, dir string) {
 	t.Helper()
 	metaPath := filepath.Join(dir, "meta.json")
@@ -471,7 +539,7 @@ func downgrade(t *testing.T, dir string) {
 	if err := json.Unmarshal(blob, &meta); err != nil {
 		t.Fatal(err)
 	}
-	meta["version"] = 1
+	meta["version"] = store.MetaVersion - 1
 	if blob, err = json.Marshal(meta); err != nil {
 		t.Fatal(err)
 	}

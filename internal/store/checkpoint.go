@@ -25,8 +25,10 @@ import (
 // MetaVersion is the checkpoint metadata version this build reads and
 // writes. Version 2 fingerprints states by one hash of their canonical
 // word encoding, so a version-1 visited set and root fingerprint name
-// other states.
-const MetaVersion = 2
+// other states. Version 3 frontier records no longer carry a
+// re-expansion flag, and breadth-first checkpoints record MaxDepth,
+// which a version-2 one leaves at 0.
+const MetaVersion = 3
 
 const (
 	metaName     = "meta.json"

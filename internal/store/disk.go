@@ -93,34 +93,6 @@ func (v *diskVisited) Insert(fp uint64, depth int32) (fresh, improved bool, err 
 	return v.insertLocked(fp, depth)
 }
 
-func (v *diskVisited) Relax(fp uint64, depth int32) (improved, found bool, err error) {
-	if fp == 0 {
-		fp = zeroFPSubstitute
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for i := hotProbe(fp) & v.hotMask; ; i = (i + 1) & v.hotMask {
-		switch v.hotFP[i] {
-		case fp:
-			if depth < v.hotDepth[i] {
-				v.hotDepth[i] = depth
-				return true, true, nil
-			}
-			return false, true, nil
-		case 0:
-			f, rd, err := v.runLookup(fp)
-			if err != nil || !f {
-				return false, false, err
-			}
-			if depth < rd {
-				v.overrides[fp] = depth
-				return true, true, nil
-			}
-			return false, true, nil
-		}
-	}
-}
-
 // insertLocked probes hot then runs. I/O errors surface lazily through
 // v.err-style panics would be wrong here — they are returned and the
 // engines propagate them.
@@ -317,7 +289,7 @@ func (v *diskVisited) runIter(r *fpRun) (*mergeIter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, fileBufSize)
 	if _, err := readFileHeader(br, fpMagic); err != nil {
 		f.Close()
 		return nil, err
@@ -458,31 +430,6 @@ func (v *diskVisited) Len() int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.count
-}
-
-func (v *diskVisited) MaxDepth() int32 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var max int32
-	for i, fp := range v.hotFP {
-		if fp != 0 && v.hotDepth[i] > max {
-			max = v.hotDepth[i]
-		}
-	}
-	next, closeAll, err := v.mergeStream(false)
-	if err != nil {
-		return max
-	}
-	defer closeAll()
-	for {
-		r, ok, err := next()
-		if err != nil || !ok {
-			return max
-		}
-		if r.depth > max {
-			max = r.depth
-		}
-	}
 }
 
 // WriteFPFile streams the whole set — runs, overrides and hot table —

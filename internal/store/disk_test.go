@@ -75,16 +75,8 @@ func TestDiskVisitedAgainstReference(t *testing.T) {
 	if s.Compactions == 0 {
 		t.Fatal("no compactions after many spills")
 	}
-	var wantMax int32
-	for _, d := range ref {
-		if d > wantMax {
-			wantMax = d
-		}
-	}
-	if got := v.MaxDepth(); got != wantMax {
-		t.Fatalf("MaxDepth() = %d, want %d", got, wantMax)
-	}
-	// The checkpoint file must carry the exact same contents.
+	// The checkpoint file must carry the exact same contents, depths
+	// included.
 	path := filepath.Join(t.TempDir(), "visited.fp")
 	if err := v.WriteFPFile(path); err != nil {
 		t.Fatal(err)
@@ -220,8 +212,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := ck.LoadVisited(nv); err != nil {
 		t.Fatal(err)
 	}
-	if nv.Len() != 1000 || nv.MaxDepth() != 16 {
-		t.Fatalf("visited round trip: len=%d maxDepth=%d", nv.Len(), nv.MaxDepth())
+	if nv.Len() != 1000 {
+		t.Fatalf("visited round trip: len=%d", nv.Len())
+	}
+	depths := fpFileDepths(t, nv)
+	for i := uint64(1); i <= 1000; i++ {
+		if d := depths[i*2654435761]; d != int32(i%17) {
+			t.Fatalf("visited round trip: depth of fp %d is %d, want %d", i, d, i%17)
+		}
 	}
 	fes, err := ck.Frontier()
 	if err != nil {

@@ -29,6 +29,11 @@ const (
 	formatVersion = 1
 	fpHeaderSize  = 16
 	fpRecSize     = 12
+	// fileBufSize sizes the bufio buffer of every run, segment and
+	// merge stream. Each file gets a fresh, zeroed buffer, and a
+	// frontier segment often holds only a few KB, so a larger buffer
+	// costs more than the system calls it saves.
+	fileBufSize = 64 << 10
 )
 
 // fpRec is one visited record: a fingerprint and its minimum depth.
@@ -79,7 +84,7 @@ func writeFPRun(path string, recs []fpRec) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(f, fileBufSize)
 	if err := writeFileHeader(bw, fpMagic, uint64(len(recs))); err != nil {
 		f.Close()
 		return 0, err
@@ -109,7 +114,7 @@ func writeFPStream(path string, next func() (fpRec, bool, error)) (int64, int64,
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(f, fileBufSize)
 	// Header last would need a seek; reserve it now and patch the count.
 	if err := writeFileHeader(bw, fpMagic, 0); err != nil {
 		f.Close()
@@ -157,7 +162,7 @@ func readFPRun(path string, fn func(fpRec) error) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, fileBufSize)
 	count, err := readFileHeader(br, fpMagic)
 	if err != nil {
 		return err

@@ -17,7 +17,6 @@ import (
 type diskFrontier struct {
 	mu     sync.Mutex
 	st     *Store
-	order  Order
 	maxRAM int
 
 	head    []Entry
@@ -43,12 +42,12 @@ const diskEntryEstimate = 512
 // batches.
 const minFrontierRAM = 128
 
-func newDiskFrontier(s *Store, _ int, order Order, budget int64) *diskFrontier {
+func newDiskFrontier(s *Store, budget int64) *diskFrontier {
 	maxRAM := int(budget / diskEntryEstimate)
 	if maxRAM < minFrontierRAM {
 		maxRAM = minFrontierRAM
 	}
-	return &diskFrontier{st: s, order: order, maxRAM: maxRAM}
+	return &diskFrontier{st: s, maxRAM: maxRAM}
 }
 
 func (d *diskFrontier) NeedsPath() bool { return true }
@@ -97,19 +96,13 @@ func (d *diskFrontier) spillLocked() error {
 	return nil
 }
 
-// loadLocked reads one segment (oldest for FIFO, newest for LIFO) into
-// the head and deletes its file.
+// loadLocked reads the oldest segment into the head and deletes its
+// file.
 func (d *diskFrontier) loadLocked() error {
 	sp := d.st.cfg.Trace.Start("store.spill", "frontier load")
 	defer sp.End()
-	var ref segRef
-	if d.order == LIFO {
-		ref = d.segs[len(d.segs)-1]
-		d.segs = d.segs[:len(d.segs)-1]
-	} else {
-		ref = d.segs[0]
-		d.segs = d.segs[1:]
-	}
+	ref := d.segs[0]
+	d.segs = d.segs[1:]
 	entries, err := readSegFile(ref.path)
 	if err != nil {
 		return err
@@ -125,60 +118,28 @@ func (d *diskFrontier) loadLocked() error {
 func (d *diskFrontier) Pop() (Entry, bool, error) {
 	d.mu.Lock()
 	var e Entry
+	if d.headIdx >= len(d.head) && len(d.segs) > 0 {
+		if err := d.loadLocked(); err != nil {
+			d.mu.Unlock()
+			return Entry{}, false, err
+		}
+	}
 	switch {
-	case d.order == LIFO:
-		// Newest first: tail end, then the newest segment, then head.
-		if d.tailIdx < len(d.tail) {
-			e = d.tail[len(d.tail)-1]
-			d.tail[len(d.tail)-1] = Entry{}
-			d.tail = d.tail[:len(d.tail)-1]
-			break
-		}
-		if len(d.segs) > 0 {
-			if err := d.loadLocked(); err != nil {
-				d.mu.Unlock()
-				return Entry{}, false, err
-			}
-			d.tail, d.tailIdx = d.head, 0
+	case d.headIdx < len(d.head):
+		e = d.head[d.headIdx]
+		d.head[d.headIdx] = Entry{}
+		d.headIdx++
+		if d.headIdx >= len(d.head) {
 			d.head, d.headIdx = nil, 0
-			e = d.tail[len(d.tail)-1]
-			d.tail[len(d.tail)-1] = Entry{}
-			d.tail = d.tail[:len(d.tail)-1]
-			break
 		}
-		if d.headIdx < len(d.head) {
-			e = d.head[len(d.head)-1]
-			d.head[len(d.head)-1] = Entry{}
-			d.head = d.head[:len(d.head)-1]
-			break
+	case d.tailIdx < len(d.tail):
+		e = d.tail[d.tailIdx]
+		d.tail[d.tailIdx] = Entry{}
+		d.tailIdx++
+		if d.tailIdx >= len(d.tail) {
+			d.tail, d.tailIdx = d.tail[:0], 0
 		}
-		d.mu.Unlock()
-		return Entry{}, false, nil
-	default: // FIFO: head, then the oldest segment, then tail.
-		if d.headIdx >= len(d.head) && len(d.segs) > 0 {
-			if err := d.loadLocked(); err != nil {
-				d.mu.Unlock()
-				return Entry{}, false, err
-			}
-		}
-		if d.headIdx < len(d.head) {
-			e = d.head[d.headIdx]
-			d.head[d.headIdx] = Entry{}
-			d.headIdx++
-			if d.headIdx >= len(d.head) {
-				d.head, d.headIdx = nil, 0
-			}
-			break
-		}
-		if d.tailIdx < len(d.tail) {
-			e = d.tail[d.tailIdx]
-			d.tail[d.tailIdx] = Entry{}
-			d.tailIdx++
-			if d.tailIdx >= len(d.tail) {
-				d.tail, d.tailIdx = d.tail[:0], 0
-			}
-			break
-		}
+	default:
 		d.mu.Unlock()
 		return Entry{}, false, nil
 	}

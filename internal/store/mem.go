@@ -10,8 +10,8 @@ import (
 // extracted behind the VisitedSet/Frontier interfaces. memVisited is
 // the serial map (DFS, and the breadth-first engine at one worker);
 // memTable is the parallel engine's sharded open-addressing fingerprint
-// table; both record each fingerprint's minimum depth, so MaxDepth is
-// deterministic. memFrontier is the work deque.
+// table; both record each fingerprint's minimum depth for checkpoints.
+// memFrontier is the work deque.
 
 // memVisited is the serial map tier: fingerprint → minimum depth.
 type memVisited struct {
@@ -35,30 +35,7 @@ func (v *memVisited) Insert(fp uint64, depth int32) (fresh, improved bool, err e
 	return false, false, nil
 }
 
-func (v *memVisited) Relax(fp uint64, depth int32) (improved, found bool, err error) {
-	d, ok := v.m[fp]
-	if !ok {
-		return false, false, nil
-	}
-	if depth >= d {
-		return false, true, nil
-	}
-	v.m[fp] = depth
-	return true, true, nil
-}
-
 func (v *memVisited) Len() int64 { return int64(len(v.m)) }
-
-func (v *memVisited) MaxDepth() int32 {
-	var max int32
-	//lint:ignore anonlint/determinism max over map values is order-independent
-	for _, d := range v.m {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 func (v *memVisited) WriteFPFile(path string) error {
 	recs := make([]fpRec, 0, len(v.m))
@@ -205,29 +182,6 @@ func (sh *fpShard) improve(fp, h uint64, depth int32) bool {
 	}
 }
 
-func (t *memTable) Relax(fp uint64, depth int32) (improved, found bool, err error) {
-	if fp == 0 {
-		fp = zeroFPSubstitute
-	}
-	sh := &t.shards[fp&t.shardMask]
-	h := fp >> 7
-	s := sh.slots.Load()
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		v := s.arr[i].Load()
-		if v == fp {
-			if depth >= s.depth[i].Load() {
-				return false, true, nil
-			}
-			return sh.improve(fp, h, depth), true, nil
-		}
-		if v == 0 {
-			// A racing insert may land fp here later; callers treat a
-			// miss as retryable, so the lock-free read is sound.
-			return false, false, nil
-		}
-	}
-}
-
 // grow doubles the shard's slot array and publishes it. Called with mu
 // held; the old array stays valid for concurrent lock-free readers.
 func (sh *fpShard) grow(old *fpSlots) {
@@ -260,23 +214,8 @@ func (t *memTable) Len() int64 {
 	return n
 }
 
-func (t *memTable) MaxDepth() int32 {
-	var max int32
-	for i := range t.shards {
-		s := t.shards[i].slots.Load()
-		for j := range s.arr {
-			if s.arr[j].Load() != 0 {
-				if d := s.depth[j].Load(); d > max {
-					max = d
-				}
-			}
-		}
-	}
-	return max
-}
-
 // collect returns all records sorted by fingerprint. Quiescent callers
-// only (checkpoint pause, post-join).
+// only (the engine's checkpoints are written between rounds).
 func (t *memTable) collect() []fpRec {
 	recs := make([]fpRec, 0, t.Len())
 	for i := range t.shards {
@@ -305,15 +244,14 @@ func (t *memTable) LoadFPFile(path string) error {
 
 func (t *memTable) Close() error { return nil }
 
-// memFrontier is the in-RAM work deque. The owner pops per the order
-// (FIFO keeps expansion breadth-first); thieves take the newest half.
-// All operations take the mutex; the owner touches it far more often
-// than thieves, so the lock is almost always uncontended.
+// memFrontier is the in-RAM work deque. The owner pops oldest-first;
+// thieves take the newest half. All operations take the mutex; the owner
+// touches it far more often than thieves, so the lock is almost always
+// uncontended.
 type memFrontier struct {
-	mu    sync.Mutex
-	order Order
-	buf   []Entry
-	head  int
+	mu   sync.Mutex
+	buf  []Entry
+	head int
 }
 
 func (d *memFrontier) Push(e Entry) error {
@@ -323,12 +261,6 @@ func (d *memFrontier) Push(e Entry) error {
 	return nil
 }
 
-func (d *memFrontier) pushBatch(es []Entry) {
-	d.mu.Lock()
-	d.buf = append(d.buf, es...)
-	d.mu.Unlock()
-}
-
 func (d *memFrontier) Pop() (Entry, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -336,12 +268,6 @@ func (d *memFrontier) Pop() (Entry, bool, error) {
 		d.buf = d.buf[:0]
 		d.head = 0
 		return Entry{}, false, nil
-	}
-	if d.order == LIFO {
-		e := d.buf[len(d.buf)-1]
-		d.buf[len(d.buf)-1] = Entry{} // release for GC
-		d.buf = d.buf[:len(d.buf)-1]
-		return e, true, nil
 	}
 	e := d.buf[d.head]
 	d.buf[d.head] = Entry{} // release for GC

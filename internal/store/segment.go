@@ -18,7 +18,7 @@ import (
 //	header: magic "ANSF", version uint32 LE, entry count uint64 LE
 //	entry:  uvarint shared-prefix length
 //	        uvarint suffix length, then that many uvarint packed Steps
-//	        uvarint Aux, uvarint Depth<<1|Relax, zigzag-varint Tag
+//	        uvarint Aux, uvarint Depth, zigzag-varint Tag
 //
 // Decoding rebuilds the PathNode chains with the same structural
 // sharing the encoder exploited.
@@ -30,7 +30,7 @@ func writeSegFile(path string, entries []Entry) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	cw := &countingWriter{w: bufio.NewWriterSize(f, 1<<20)}
+	cw := &countingWriter{w: bufio.NewWriterSize(f, fileBufSize)}
 	if err := writeFileHeader(cw, segMagic, uint64(len(entries))); err != nil {
 		f.Close()
 		return 0, err
@@ -61,11 +61,7 @@ func writeSegFile(path string, entries []Entry) (int64, error) {
 			putUvarint(uint64(s))
 		}
 		putUvarint(e.Aux)
-		dr := uint64(uint32(e.Depth)) << 1
-		if e.Relax {
-			dr |= 1
-		}
-		putUvarint(dr)
+		putUvarint(uint64(uint32(e.Depth)))
 		putUvarint(zigzag(e.Tag))
 		if werr != nil {
 			f.Close()
@@ -91,7 +87,7 @@ func readSegFile(path string) ([]Entry, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	br := bufio.NewReaderSize(f, fileBufSize)
 	count, err := readFileHeader(br, segMagic)
 	if err != nil {
 		return nil, err
@@ -128,7 +124,7 @@ func readSegFile(path string) ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: segment entry %d: %w", i, err)
 		}
-		dr, err := binary.ReadUvarint(br)
+		depth, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("store: segment entry %d: %w", i, err)
 		}
@@ -142,8 +138,7 @@ func readSegFile(path string) ([]Entry, error) {
 		}
 		entries = append(entries, Entry{
 			Aux:   aux,
-			Depth: int32(uint32(dr >> 1)),
-			Relax: dr&1 == 1,
+			Depth: int32(uint32(depth)),
 			Tag:   unzigzag(tagz),
 			Path:  p,
 		})

@@ -139,15 +139,13 @@ func (b *Bytes) Set(s string) error {
 // DefaultMemLimit is the disk tier's RAM ceiling when none is given.
 const DefaultMemLimit = Bytes(256 << 20)
 
-// Order selects a frontier's service discipline.
+// Order selects a frontier's service discipline. FIFO is the only one:
+// the breadth-first engine is the only frontier user, and the
+// depth-first engine keeps its own stack.
 type Order uint8
 
-const (
-	// FIFO pops oldest-first (breadth-first engines).
-	FIFO Order = iota
-	// LIFO pops newest-first (depth-first exploration of a frontier).
-	LIFO
-)
+// FIFO pops oldest-first.
+const FIFO Order = 0
 
 // Config configures one Store.
 type Config struct {
@@ -164,8 +162,10 @@ type Config struct {
 	// Root is the initial system; the disk tier replays spilled frontier
 	// paths from it. Required for Disk and for checkpoint resume.
 	Root *machine.System
-	// Workers is the number of frontier shards that will be created (for
-	// splitting MemLimit); 0 means 1.
+	// Workers is the number of engine workers; 0 means 1. Each worker
+	// holds two frontier shards (the level it expands and the next), so
+	// the disk tier splits the frontier half of MemLimit into 2·Workers
+	// shares, and the mem tier sizes its concurrent visited table by it.
 	Workers int
 	// Trace, when non-nil, records the store's I/O phases as spans:
 	// visited spills and compactions, frontier segment spills/loads, and
@@ -181,8 +181,9 @@ type Entry struct {
 	Sys *machine.System
 	// Aux is the engine's 64-bit auxiliary state for this entry.
 	Aux uint64
-	// Depth is the entry's discovery depth (steps from the root along
-	// the discovering path).
+	// Depth is the entry's discovery depth: the steps from the root
+	// along the discovering path, which the breadth-first engine makes
+	// the state's minimum distance from the root.
 	Depth int32
 	// Tag is an engine-private value carried through spills (e.g. the
 	// trace node id). Engines that do not use it leave it 0.
@@ -192,30 +193,21 @@ type Entry struct {
 	// built by the engines) only when the frontier spills or checkpoints
 	// are enabled; nil otherwise.
 	Path *PathNode
-	// Relax marks a parallel-engine re-expansion entry (depth
-	// improvement propagation); segments and checkpoints keep it.
-	Relax bool
 }
 
 // VisitedSet is fingerprint membership with insert-if-absent and
-// min-depth merging. Implementations are safe for concurrent use only
-// when obtained with NewVisited(concurrent=true).
+// min-depth merging. The depths travel only into checkpoints (the fp
+// file); engines track their own deepest discovery. Implementations are
+// safe for concurrent use only when obtained with
+// NewVisited(concurrent=true).
 type VisitedSet interface {
 	// Insert records fp discovered at depth. fresh reports that fp was
 	// absent; when it was present, improved reports that depth was
 	// strictly smaller than the recorded minimum (which is updated).
 	// err is I/O failure in the disk tier (the mem tier never fails).
 	Insert(fp uint64, depth int32) (fresh, improved bool, err error)
-	// Relax min-merges depth for an fp without inserting: improved
-	// reports that depth was strictly smaller than the recorded minimum
-	// (which is updated), found that fp was present at all. An absent
-	// fingerprint is left absent and reports (false, false).
-	Relax(fp uint64, depth int32) (improved, found bool, err error)
 	// Len returns the number of distinct fingerprints inserted.
 	Len() int64
-	// MaxDepth returns the maximum over all fingerprints of the recorded
-	// minimum depth. It may cost a full scan; call it once, at the end.
-	MaxDepth() int32
 	// WriteFPFile writes the set as one sorted (fp, depth) run at path
 	// (the checkpoint format, loadable by LoadFPFile).
 	WriteFPFile(path string) error
@@ -231,9 +223,9 @@ type Frontier interface {
 	// Push appends e. The disk tier may spill a batch of entries to a
 	// segment file (dropping their Sys; Path must be set).
 	Push(e Entry) error
-	// Pop removes the next entry per the frontier's Order. Spilled
-	// entries are replayed from the root before being returned. ok is
-	// false when the frontier is empty.
+	// Pop removes the oldest entry. Spilled entries are replayed from
+	// the root before being returned. ok is false when the frontier is
+	// empty.
 	Pop() (e Entry, ok bool, err error)
 	// StealHalf removes and returns up to half of the frontier's in-RAM
 	// entries, newest first — the parallel engine's work stealing. It
@@ -372,15 +364,16 @@ func (s *Store) NewVisited(concurrent bool) (VisitedSet, error) {
 	}
 }
 
-// NewFrontier builds one frontier shard (worker w) with the given
-// service order.
+// NewFrontier builds one frontier shard of worker w. Every shard pops
+// in FIFO order, the only Order.
 func (s *Store) NewFrontier(w int, order Order) (Frontier, error) {
 	switch s.cfg.Kind {
 	case Mem:
-		return &memFrontier{order: order}, nil
+		return &memFrontier{}, nil
 	case Disk:
-		budget := int64(s.cfg.MemLimit) / 2 / int64(s.cfg.Workers)
-		return newDiskFrontier(s, w, order, budget), nil
+		// Half the budget feeds the frontier: two shards per worker.
+		budget := int64(s.cfg.MemLimit) / 2 / int64(2*s.cfg.Workers)
+		return newDiskFrontier(s, budget), nil
 	default:
 		return nil, fmt.Errorf("store: unknown kind %v", s.cfg.Kind)
 	}
