@@ -92,8 +92,8 @@ fuzz-smoke:
 bench-report:
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -report BENCH_dfs.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine bfs -report BENCH_bfs.json
-	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine parallel -report BENCH_parallel.json
-	$(GO) run ./cmd/anonexplore -check waitfree -inputs a,b -crashes 1 -engine parallel -report BENCH_crash_parallel.json
+	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine parallel -workers 2 -report BENCH_parallel.json
+	$(GO) run ./cmd/anonexplore -check waitfree -inputs a,b -crashes 1 -engine parallel -workers 2 -report BENCH_crash_parallel.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry none -report BENCH_sym_none_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry proc -report BENCH_sym_proc_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry full -report BENCH_sym_full_n2.json

@@ -195,8 +195,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("explore: %w", err)
 	}
 	defer st.Close()
-	// One worker keeps the serial map on the mem tier.
-	visited, err := st.NewVisited(nw > 1)
+	visited, err := st.NewVisited(true)
 	if err != nil {
 		return Result{}, fmt.Errorf("explore: %w", err)
 	}

@@ -46,14 +46,13 @@
 //
 // Storage tiers. Every engine's visited set and frontier come from the
 // internal/store layer: Options.Store selects the fully-in-RAM mem tier
-// (the default, bit-identical to the historical behaviour) or the
-// out-of-core disk tier, which bounds RAM by Options.MemLimit and spills
-// sorted fingerprint runs and delta-encoded frontier path segments to
-// Options.StoreDir. State counts, verdicts and counterexamples are
-// identical across tiers. Options.Checkpoint periodically snapshots a
-// run into a directory that a later Run can continue from with
-// Options.Resume; Options.Cancel aborts a run (writing a final
-// checkpoint) with ErrCanceled.
+// (the default) or the out-of-core disk tier, which bounds RAM by
+// Options.MemLimit and spills sorted fingerprint runs and delta-encoded
+// frontier path segments to Options.StoreDir. State counts, verdicts
+// and counterexamples are identical across tiers. Options.Checkpoint
+// periodically snapshots a run into a directory that a later Run can
+// continue from with Options.Resume; Options.Cancel aborts a run
+// (writing a final checkpoint) with ErrCanceled.
 package explore
 
 import (

@@ -83,7 +83,7 @@ func unpackID(id int64) (worker, idx int) {
 // touches the counters and log; the frontier shards have their own
 // locks.
 type parWorker struct {
-	cur, next store.Frontier
+	cur, next *store.Frontier
 	steps     int64 // states expanded
 	lookups   int64
 	hits      int64
@@ -125,7 +125,7 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 		visited: opts.visited,
 	}
 	for w := range p.workers {
-		for _, fr := range []*store.Frontier{&p.workers[w].cur, &p.workers[w].next} {
+		for _, fr := range []**store.Frontier{&p.workers[w].cur, &p.workers[w].next} {
 			f, err := opts.st.NewFrontier(w, store.FIFO)
 			if err != nil {
 				return Result{}, fmt.Errorf("explore: %w", err)
@@ -134,7 +134,8 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 			defer f.Close()
 		}
 	}
-	p.needPath = p.workers[0].cur.NeedsPath() || opts.ckpt != nil
+	// The disk tier spills entries by path, and checkpoints write paths.
+	p.needPath = opts.st.Kind() == store.Disk || opts.ckpt != nil
 	if opts.resume != nil {
 		if err := p.restore(); err != nil {
 			return p.result(), fmt.Errorf("explore: resume: %w", err)
@@ -293,8 +294,8 @@ func (p *parRun) work(w int) {
 			p.truncated.Store(true)
 			return
 		}
-		// Entries restored from a checkpoint into the mem tier carry only
-		// their path; the disk tier replays inside Pop.
+		// After a resume a thief can steal a restored entry that carries
+		// only its path; StealHalf does not replay, Pop replays the rest.
 		if e.Sys == nil {
 			if err := p.opts.st.Replay(&e); err != nil {
 				p.fail(fmt.Errorf("explore: %w", err))

@@ -478,9 +478,8 @@ func TestResumeMismatchRejected(t *testing.T) {
 }
 
 // TestResumeOldFormatRejected: a checkpoint in an older format — here a
-// fresh one whose meta.json claims the previous version, whose
-// breadth-first checkpoints carry no MaxDepth and whose frontier
-// records carry a re-expansion flag — is refused with the
+// fresh one whose meta.json claims the previous version, whose visited
+// set held 12-byte (fingerprint, depth) records — is refused with the
 // format-version error, not with a *CheckpointMismatchError on the root
 // fingerprint, and not by silently exploring the sweep's in-flight
 // wiring again from its root.

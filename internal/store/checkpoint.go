@@ -27,8 +27,10 @@ import (
 // word encoding, so a version-1 visited set and root fingerprint name
 // other states. Version 3 frontier records no longer carry a
 // re-expansion flag, and breadth-first checkpoints record MaxDepth,
-// which a version-2 one leaves at 0.
-const MetaVersion = 3
+// which a version-2 one leaves at 0. Version 4 visited sets hold bare
+// 8-byte fingerprints (run format version 2), where version 3 ones
+// held 12-byte (fingerprint, depth) records.
+const MetaVersion = 4
 
 const (
 	metaName     = "meta.json"

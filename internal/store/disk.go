@@ -2,9 +2,11 @@ package store
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -16,11 +18,7 @@ import (
 // accumulate they are k-way merged into one (compaction). Membership
 // probes check the hot table, then each run newest-first — a bloom
 // filter and a sparse block index per run keep a probe to at most one
-// 6KiB read per run, and at most maxRuns runs exist at a time.
-//
-// Depth improvements for run-resident fingerprints land in a small
-// overrides map (they cannot be updated in place in a sorted file) and
-// are folded into the records at the next compaction or checkpoint.
+// 4KiB read per run, and at most maxRuns runs exist at a time.
 //
 // A single mutex guards everything: the disk tier trades the mem
 // table's lock-free probes for bounded memory, which is the right trade
@@ -29,22 +27,20 @@ type diskVisited struct {
 	mu sync.Mutex
 	st *Store
 
-	hotFP    []uint64 // open addressing; 0 = empty (zeroFPSubstitute applied)
-	hotDepth []int32
-	hotMask  uint64
-	hotUsed  int
-	flushAt  int
+	hotFP   []uint64 // open addressing; 0 = empty (zeroFPSubstitute applied)
+	hotMask uint64
+	hotUsed int
+	flushAt int
 
-	runs      []*fpRun
-	overrides map[uint64]int32
-	count     int64
-	nextRun   int64
-	buf       []byte // block read buffer, one probe at a time under mu
+	runs    []*fpRun
+	count   int64
+	nextRun int64
+	buf     []byte // block read buffer, one probe at a time under mu
 }
 
 const (
 	// runBlockRecs is the sparse-index granularity: records per indexed
-	// block (512 records = 6KiB reads).
+	// block (512 records = 4KiB reads).
 	runBlockRecs = 512
 	// maxRuns triggers compaction: probes cost at most this many reads.
 	maxRuns = 8
@@ -66,66 +62,48 @@ type fpRun struct {
 }
 
 func newDiskVisited(s *Store, budget int64) (*diskVisited, error) {
-	// ~16 bytes per hot slot (fp + depth + padding), table kept at most
-	// half full.
+	// The table holds 8-byte fingerprints and flushes at half full. It
+	// is sized at 32 budget bytes per slot, so it uses a quarter to a
+	// half of its share: at explorebench's 1 MiB ceiling that keeps
+	// visited spills, and so the run path, in every round.
 	slots := int64(minHotSlots)
 	for slots*2*16 <= budget {
 		slots <<= 1
 	}
 	v := &diskVisited{
-		st:        s,
-		hotFP:     make([]uint64, slots),
-		hotDepth:  make([]int32, slots),
-		hotMask:   uint64(slots - 1),
-		flushAt:   int(slots / 2),
-		overrides: make(map[uint64]int32),
-		buf:       make([]byte, runBlockRecs*fpRecSize),
+		st:      s,
+		hotFP:   make([]uint64, slots),
+		hotMask: uint64(slots - 1),
+		flushAt: int(slots / 2),
+		buf:     make([]byte, runBlockRecs*fpRecSize),
 	}
 	return v, nil
 }
 
-func (v *diskVisited) Insert(fp uint64, depth int32) (fresh, improved bool, err error) {
+// Insert probes the hot table, then the runs; I/O errors are returned,
+// and the engines propagate them. It ignores depth and never reports
+// improved; see VisitedSet.
+func (v *diskVisited) Insert(fp uint64, _ int32) (fresh, improved bool, err error) {
 	if fp == 0 {
 		fp = zeroFPSubstitute
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.insertLocked(fp, depth)
-}
-
-// insertLocked probes hot then runs. I/O errors surface lazily through
-// v.err-style panics would be wrong here — they are returned and the
-// engines propagate them.
-func (v *diskVisited) insertLocked(fp uint64, depth int32) (fresh, improved bool, err error) {
 	for i := hotProbe(fp) & v.hotMask; ; i = (i + 1) & v.hotMask {
 		switch v.hotFP[i] {
 		case fp:
-			if depth < v.hotDepth[i] {
-				v.hotDepth[i] = depth
-				return false, true, nil
-			}
 			return false, false, nil
 		case 0:
 			// Absent from the hot table; fall through to the runs.
-			found, rd, err := v.runLookup(fp)
-			if err != nil {
+			found, err := v.runLookup(fp)
+			if err != nil || found {
 				return false, false, err
 			}
-			if found {
-				if depth < rd {
-					v.overrides[fp] = depth
-					return false, true, nil
-				}
-				return false, false, nil
-			}
 			v.hotFP[i] = fp
-			v.hotDepth[i] = depth
 			v.hotUsed++
 			v.count++
 			if v.hotUsed >= v.flushAt {
-				if err := v.flush(); err != nil {
-					return true, false, err
-				}
+				return true, false, v.flush()
 			}
 			return true, false, nil
 		}
@@ -136,21 +114,14 @@ func (v *diskVisited) insertLocked(fp uint64, depth int32) (fresh, improved bool
 // already uniform, but decorrelate from the run order just in case).
 func hotProbe(fp uint64) uint64 { return fp * 0x2545f4914f6cdd1d }
 
-// runLookup probes every run, newest first, and applies overrides.
-func (v *diskVisited) runLookup(fp uint64) (bool, int32, error) {
-	if d, ok := v.overrides[fp]; ok {
-		return true, d, nil
-	}
+// runLookup probes every run, newest first.
+func (v *diskVisited) runLookup(fp uint64) (bool, error) {
 	for i := len(v.runs) - 1; i >= 0; i-- {
-		found, d, err := v.runs[i].lookup(v.buf, fp)
-		if err != nil {
-			return false, 0, err
-		}
-		if found {
-			return true, d, nil
+		if found, err := v.runs[i].lookup(v.buf, fp); found || err != nil {
+			return found, err
 		}
 	}
-	return false, 0, nil
+	return false, nil
 }
 
 func (r *fpRun) bloomHas(fp uint64) bool {
@@ -170,14 +141,14 @@ func (r *fpRun) bloomAdd(fp uint64) {
 
 // lookup probes one run: bloom, sparse index, then a binary search
 // within one block read with ReadAt.
-func (r *fpRun) lookup(buf []byte, fp uint64) (bool, int32, error) {
+func (r *fpRun) lookup(buf []byte, fp uint64) (bool, error) {
 	if r.count == 0 || !r.bloomHas(fp) {
-		return false, 0, nil
+		return false, nil
 	}
 	// Last block whose first fingerprint is <= fp.
 	b := sort.Search(len(r.index), func(i int) bool { return r.index[i] > fp }) - 1
 	if b < 0 {
-		return false, 0, nil
+		return false, nil
 	}
 	first := int64(b) * runBlockRecs
 	n := r.count - first
@@ -186,42 +157,36 @@ func (r *fpRun) lookup(buf []byte, fp uint64) (bool, int32, error) {
 	}
 	block := buf[:n*fpRecSize]
 	if _, err := r.f.ReadAt(block, fpHeaderSize+first*fpRecSize); err != nil {
-		return false, 0, fmt.Errorf("store: probing run %s: %w", r.path, err)
+		return false, fmt.Errorf("store: probing run %s: %w", r.path, err)
 	}
-	lo := sort.Search(int(n), func(i int) bool {
-		return getFPRec(block[i*fpRecSize:]).fp >= fp
-	})
-	if int64(lo) < n {
-		if rec := getFPRec(block[lo*fpRecSize:]); rec.fp == fp {
-			return true, rec.depth, nil
-		}
-	}
-	return false, 0, nil
+	at := func(i int) uint64 { return binary.LittleEndian.Uint64(block[i*fpRecSize:]) }
+	lo := sort.Search(int(n), func(i int) bool { return at(i) >= fp })
+	return int64(lo) < n && at(lo) == fp, nil
 }
 
-// hotRecs returns the hot table's records sorted by fingerprint.
-func (v *diskVisited) hotRecs() []fpRec {
-	recs := make([]fpRec, 0, v.hotUsed)
-	for i, fp := range v.hotFP {
+// hotFPs returns the hot table's fingerprints, sorted.
+func (v *diskVisited) hotFPs() []uint64 {
+	fps := make([]uint64, 0, v.hotUsed)
+	for _, fp := range v.hotFP {
 		if fp != 0 {
-			recs = append(recs, fpRec{fp: fp, depth: v.hotDepth[i]})
+			fps = append(fps, fp)
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
-	return recs
+	slices.Sort(fps)
+	return fps
 }
 
 // flush spills the hot table as a new run and clears it, compacting
 // first if the run count is at its bound.
 func (v *diskVisited) flush() error {
-	recs := v.hotRecs()
-	if len(recs) == 0 {
+	fps := v.hotFPs()
+	if len(fps) == 0 {
 		return nil
 	}
 	sp := v.st.cfg.Trace.StartArgs("store.spill", "visited spill",
-		map[string]any{"records": len(recs)})
+		map[string]any{"records": len(fps)})
 	defer sp.End()
-	run, err := v.newRun(recs)
+	run, err := v.newRun(fps)
 	if err != nil {
 		return err
 	}
@@ -241,20 +206,20 @@ func (v *diskVisited) runPath() string {
 	return fmt.Sprintf("%s/run-%06d.fp", v.st.dir, v.nextRun)
 }
 
-// newRun writes recs as a run file and opens it for probing.
-func (v *diskVisited) newRun(recs []fpRec) (*fpRun, error) {
+// newRun writes fps as a run file and opens it for probing.
+func (v *diskVisited) newRun(fps []uint64) (*fpRun, error) {
 	path := v.runPath()
-	bytes, err := writeFPRun(path, recs)
+	bytes, err := writeFPRun(path, fps)
 	if err != nil {
 		return nil, err
 	}
-	r := &fpRun{path: path, count: int64(len(recs)), bytes: bytes}
-	for i := 0; i < len(recs); i += runBlockRecs {
-		r.index = append(r.index, recs[i].fp)
+	r := &fpRun{path: path, count: int64(len(fps)), bytes: bytes}
+	for i := 0; i < len(fps); i += runBlockRecs {
+		r.index = append(r.index, fps[i])
 	}
-	r.sizeBloom(int64(len(recs)))
-	for _, rec := range recs {
-		r.bloomAdd(rec.fp)
+	r.sizeBloom(int64(len(fps)))
+	for _, fp := range fps {
+		r.bloomAdd(fp)
 	}
 	if r.f, err = os.Open(path); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -275,12 +240,12 @@ func (r *fpRun) sizeBloom(count int64) {
 	r.bloomMask = bits - 1
 }
 
-// mergeIter streams one run's records with overrides applied.
+// mergeIter streams one run's fingerprints.
 type mergeIter struct {
 	br   *bufio.Reader
 	f    *os.File
 	left int64
-	cur  fpRec
+	cur  uint64
 	ok   bool
 }
 
@@ -295,14 +260,14 @@ func (v *diskVisited) runIter(r *fpRun) (*mergeIter, error) {
 		return nil, err
 	}
 	it := &mergeIter{br: br, f: f, left: r.count}
-	if err := it.advance(v.overrides); err != nil {
+	if err := it.advance(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return it, nil
 }
 
-func (it *mergeIter) advance(overrides map[uint64]int32) error {
+func (it *mergeIter) advance() error {
 	if it.left == 0 {
 		it.ok = false
 		return nil
@@ -312,19 +277,16 @@ func (it *mergeIter) advance(overrides map[uint64]int32) error {
 		return fmt.Errorf("store: merging run: %w", err)
 	}
 	it.left--
-	it.cur = getFPRec(buf[:])
-	if d, ok := overrides[it.cur.fp]; ok {
-		it.cur.depth = d
-	}
+	it.cur = binary.LittleEndian.Uint64(buf[:])
 	it.ok = true
 	return nil
 }
 
-// mergeStream produces the k-way merge of all runs (with overrides),
-// optionally interleaving the sorted hot records. Runs are disjoint
-// (a fingerprint is inserted exactly once), so no duplicate resolution
-// is needed.
-func (v *diskVisited) mergeStream(includeHot bool) (func() (fpRec, bool, error), func(), error) {
+// mergeStream produces the k-way merge of all runs, optionally
+// interleaving the sorted hot fingerprints. Runs are disjoint (a
+// fingerprint is inserted exactly once), so no duplicate resolution is
+// needed.
+func (v *diskVisited) mergeStream(includeHot bool) (func() (uint64, bool, error), func(), error) {
 	iters := make([]*mergeIter, 0, len(v.runs))
 	for _, r := range v.runs {
 		it, err := v.runIter(r)
@@ -336,31 +298,30 @@ func (v *diskVisited) mergeStream(includeHot bool) (func() (fpRec, bool, error),
 		}
 		iters = append(iters, it)
 	}
-	var hot []fpRec
+	var hot []uint64
 	if includeHot {
-		hot = v.hotRecs()
+		hot = v.hotFPs()
 	}
 	hi := 0
-	next := func() (fpRec, bool, error) {
+	next := func() (uint64, bool, error) {
 		best := -1
 		for i, it := range iters {
-			if it.ok && (best < 0 || it.cur.fp < iters[best].cur.fp) {
+			if it.ok && (best < 0 || it.cur < iters[best].cur) {
 				best = i
 			}
 		}
-		if hi < len(hot) && (best < 0 || hot[hi].fp < iters[best].cur.fp) {
-			r := hot[hi]
+		if hi < len(hot) && (best < 0 || hot[hi] < iters[best].cur) {
 			hi++
-			return r, true, nil
+			return hot[hi-1], true, nil
 		}
 		if best < 0 {
-			return fpRec{}, false, nil
+			return 0, false, nil
 		}
-		r := iters[best].cur
-		if err := iters[best].advance(v.overrides); err != nil {
-			return fpRec{}, false, err
+		fp := iters[best].cur
+		if err := iters[best].advance(); err != nil {
+			return 0, false, err
 		}
-		return r, true, nil
+		return fp, true, nil
 	}
 	closeAll := func() {
 		for _, it := range iters {
@@ -370,8 +331,7 @@ func (v *diskVisited) mergeStream(includeHot bool) (func() (fpRec, bool, error),
 	return next, closeAll, nil
 }
 
-// compact merges every run (overrides folded in) into one and deletes
-// the inputs.
+// compact merges every run into one and deletes the inputs.
 func (v *diskVisited) compact() error {
 	sp := v.st.cfg.Trace.StartArgs("store.compact", "k-way compaction",
 		map[string]any{"runs": len(v.runs)})
@@ -397,7 +357,6 @@ func (v *diskVisited) compact() error {
 		v.st.stats.diskBytes.Add(-r.bytes)
 	}
 	v.runs = []*fpRun{merged}
-	v.overrides = make(map[uint64]int32)
 	v.st.stats.compactions.Add(1)
 	v.st.stats.runs.Store(1)
 	v.st.stats.diskWritten.Add(bytes)
@@ -409,11 +368,11 @@ func (v *diskVisited) compact() error {
 // file, then opens it for probing. The bloom must already be sized.
 func (v *diskVisited) indexRun(r *fpRun) error {
 	i := int64(0)
-	err := readFPRun(r.path, func(rec fpRec) error {
+	err := readFPRun(r.path, func(fp uint64) error {
 		if i%runBlockRecs == 0 {
-			r.index = append(r.index, rec.fp)
+			r.index = append(r.index, fp)
 		}
-		r.bloomAdd(rec.fp)
+		r.bloomAdd(fp)
 		i++
 		return nil
 	})
@@ -432,8 +391,8 @@ func (v *diskVisited) Len() int64 {
 	return v.count
 }
 
-// WriteFPFile streams the whole set — runs, overrides and hot table —
-// as one sorted run (the checkpoint visited format), without mutating
+// WriteFPFile streams the whole set — runs and hot table — as one
+// sorted run (the checkpoint visited format), without mutating
 // the live structures.
 func (v *diskVisited) WriteFPFile(path string) error {
 	v.mu.Lock()
@@ -448,16 +407,10 @@ func (v *diskVisited) WriteFPFile(path string) error {
 }
 
 // LoadFPFile replaces the set with a checkpoint run by re-inserting its
-// records (they arrive sorted, so spill runs stay sorted chunks).
+// fingerprints (they arrive sorted, so spill runs stay sorted chunks).
 func (v *diskVisited) LoadFPFile(path string) error {
-	return readFPRun(path, func(r fpRec) error {
-		fp := r.fp
-		if fp == 0 {
-			fp = zeroFPSubstitute
-		}
-		v.mu.Lock()
-		_, _, err := v.insertLocked(fp, r.depth)
-		v.mu.Unlock()
+	return readFPRun(path, func(fp uint64) error {
+		_, _, err := v.Insert(fp, 0)
 		return err
 	})
 }

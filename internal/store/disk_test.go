@@ -1,8 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +35,7 @@ func newSmallDisk(t *testing.T) (*Store, *diskVisited) {
 func TestDiskVisitedAgainstReference(t *testing.T) {
 	st, v := newSmallDisk(t)
 	defer v.Close()
-	ref := map[uint64]int32{}
+	ref := map[uint64]bool{}
 	fp := uint64(0x1234567890abcdef)
 	ops := 200_000
 	if testing.Short() {
@@ -41,29 +44,20 @@ func TestDiskVisitedAgainstReference(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		fp = xorshift(fp)
 		// Re-insert every third fingerprint from earlier in the stream so
-		// hot-table, run and override paths all get exercised.
+		// the hot-table and run paths both get exercised.
 		probe := fp
-		depth := int32(i % 101)
 		if i%3 == 0 && i > 1000 {
 			probe = xorshift(uint64(i / 3))
 		}
-		wantDepth, present := ref[probe]
-		fresh, improved, err := v.Insert(probe, depth)
+		present := ref[probe]
+		fresh, improved, err := v.Insert(probe, int32(i%101))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fresh == present {
-			t.Fatalf("op %d: fp %#x fresh=%v but present=%v", i, probe, fresh, present)
+		if fresh == present || improved {
+			t.Fatalf("op %d: fp %#x fresh=%v improved=%v but present=%v", i, probe, fresh, improved, present)
 		}
-		if present {
-			if wantImproved := depth < wantDepth; improved != wantImproved {
-				t.Fatalf("op %d: fp %#x improved=%v, want %v (depth %d vs %d)",
-					i, probe, improved, wantImproved, depth, wantDepth)
-			}
-		}
-		if !present || depth < wantDepth {
-			ref[probe] = depth
-		}
+		ref[probe] = true
 	}
 	if got, want := v.Len(), int64(len(ref)); got != want {
 		t.Fatalf("Len() = %d, want %d", got, want)
@@ -75,20 +69,19 @@ func TestDiskVisitedAgainstReference(t *testing.T) {
 	if s.Compactions == 0 {
 		t.Fatal("no compactions after many spills")
 	}
-	// The checkpoint file must carry the exact same contents, depths
-	// included.
+	// The checkpoint file must carry the exact same contents.
 	path := filepath.Join(t.TempDir(), "visited.fp")
 	if err := v.WriteFPFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got := map[uint64]int32{}
+	got := map[uint64]bool{}
 	prev := uint64(0)
-	err := readFPRun(path, func(r fpRec) error {
-		if r.fp <= prev && prev != 0 {
-			t.Fatalf("run not strictly sorted: %#x after %#x", r.fp, prev)
+	err := readFPRun(path, func(fp uint64) error {
+		if fp <= prev && prev != 0 {
+			t.Fatalf("run not strictly sorted: %#x after %#x", fp, prev)
 		}
-		prev = r.fp
-		got[r.fp] = r.depth
+		prev = fp
+		got[fp] = true
 		return nil
 	})
 	if err != nil {
@@ -97,12 +90,12 @@ func TestDiskVisitedAgainstReference(t *testing.T) {
 	if len(got) != len(ref) {
 		t.Fatalf("checkpoint has %d records, want %d", len(got), len(ref))
 	}
-	for fp, d := range ref {
+	for fp := range ref {
 		if fp == 0 {
 			fp = zeroFPSubstitute
 		}
-		if got[fp] != d {
-			t.Fatalf("checkpoint depth for %#x = %d, want %d", fp, got[fp], d)
+		if !got[fp] {
+			t.Fatalf("checkpoint lacks %#x", fp)
 		}
 	}
 }
@@ -175,9 +168,56 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileFormatRefused: a file whose header carries another format
+// version or the other file kind's magic, or is cut short, is refused
+// with an error naming the version or the magic. A version-1 run held
+// 12-byte (fingerprint, depth) records, so reading one as 8-byte
+// fingerprints would load wrong states.
+func TestFileFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	run := filepath.Join(dir, "visited.fp")
+	if _, err := writeFPRun(run, []uint64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := slices.Clone(valid)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	seg := filepath.Join(dir, "frontier.seg")
+	if _, err := writeSegFile(seg, []Entry{{Aux: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	segBytes, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"version 1", v1, "ANVF format version 1"},
+		{"segment magic", segBytes, `bad magic "ANSF" (want "ANVF")`},
+		{"short header", valid[:10], "reading ANVF header"},
+	} {
+		path := filepath.Join(dir, "bad.fp")
+		if err := os.WriteFile(path, c.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := newMemTable(1).LoadFPFile(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadFPFile err = %v, want one saying %q", c.name, err, c.want)
+		}
+	}
+	if _, err := readSegFile(run); err == nil || !strings.Contains(err.Error(), `bad magic "ANVF" (want "ANSF")`) {
+		t.Errorf("readSegFile on a run file: err = %v, want the bad-magic error", err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	v := newMemVisited()
+	v := newMemTable(1)
 	for i := uint64(1); i <= 1000; i++ {
 		if _, _, err := v.Insert(i*2654435761, int32(i%17)); err != nil {
 			t.Fatal(err)
@@ -208,17 +248,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		ck.Meta.InitFP != "00ff" || !ck.Meta.HasFrontier || ck.Meta.Version != MetaVersion {
 		t.Fatalf("meta round trip: %+v", ck.Meta)
 	}
-	nv := newMemVisited()
+	nv := newMemTable(1)
 	if err := ck.LoadVisited(nv); err != nil {
 		t.Fatal(err)
 	}
 	if nv.Len() != 1000 {
 		t.Fatalf("visited round trip: len=%d", nv.Len())
 	}
-	depths := fpFileDepths(t, nv)
+	fps := fpFileSet(t, nv)
 	for i := uint64(1); i <= 1000; i++ {
-		if d := depths[i*2654435761]; d != int32(i%17) {
-			t.Fatalf("visited round trip: depth of fp %d is %d, want %d", i, d, i%17)
+		if !fps[i*2654435761] {
+			t.Fatalf("visited round trip lost fp %d", i)
 		}
 	}
 	fes, err := ck.Frontier()

@@ -10,37 +10,31 @@ import (
 
 // Fingerprint run files: the on-disk visited-set format, shared by the
 // disk tier's spill runs and by checkpoints. A run is a sorted sequence
-// of fixed-width (fingerprint, min-depth) records behind a small
-// header, so membership probes can binary-search a block and merges can
-// stream.
+// of fixed-width fingerprints behind a small header, so membership
+// probes can binary-search a block and merges can stream.
 //
 //	offset  size  field
 //	0       4     magic "ANVF"
-//	4       4     format version (little-endian uint32, currently 1)
+//	4       4     format version (little-endian uint32, currently 2)
 //	8       8     record count (little-endian uint64)
-//	16      12×n  records: fingerprint uint64 LE, depth uint32 LE
+//	16      8×n   records: fingerprint uint64 LE
 //
-// Records are strictly increasing by fingerprint; a fingerprint appears
-// in at most one run of a visited set.
+// Records are strictly increasing; a fingerprint appears in at most one
+// run of a visited set. Version 1 records also carried a 4-byte depth,
+// so a version-1 file is refused rather than misread.
 
 const (
 	fpMagic       = "ANVF"
 	segMagic      = "ANSF"
-	formatVersion = 1
+	formatVersion = 2
 	fpHeaderSize  = 16
-	fpRecSize     = 12
+	fpRecSize     = 8
 	// fileBufSize sizes the bufio buffer of every run, segment and
 	// merge stream. Each file gets a fresh, zeroed buffer, and a
 	// frontier segment often holds only a few KB, so a larger buffer
 	// costs more than the system calls it saves.
 	fileBufSize = 64 << 10
 )
-
-// fpRec is one visited record: a fingerprint and its minimum depth.
-type fpRec struct {
-	fp    uint64
-	depth int32
-}
 
 func writeFileHeader(w io.Writer, magic string, count uint64) error {
 	var hdr [fpHeaderSize]byte
@@ -65,51 +59,23 @@ func readFileHeader(r io.Reader, magic string) (count uint64, err error) {
 	return binary.LittleEndian.Uint64(hdr[8:16]), nil
 }
 
-func putFPRec(buf []byte, r fpRec) {
-	binary.LittleEndian.PutUint64(buf[0:8], r.fp)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(r.depth))
-}
-
-func getFPRec(buf []byte) fpRec {
-	return fpRec{
-		fp:    binary.LittleEndian.Uint64(buf[0:8]),
-		depth: int32(binary.LittleEndian.Uint32(buf[8:12])),
-	}
-}
-
-// writeFPRun writes recs (already sorted by fingerprint) as a run file,
-// returning the bytes written.
-func writeFPRun(path string, recs []fpRec) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, fileBufSize)
-	if err := writeFileHeader(bw, fpMagic, uint64(len(recs))); err != nil {
-		f.Close()
-		return 0, err
-	}
-	var buf [fpRecSize]byte
-	for _, r := range recs {
-		putFPRec(buf[:], r)
-		if _, err := bw.Write(buf[:]); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("store: %w", err)
+// writeFPRun writes fps (already sorted) as a run file, returning the
+// bytes written.
+func writeFPRun(path string, fps []uint64) (int64, error) {
+	i := 0
+	_, bytes, err := writeFPStream(path, func() (uint64, bool, error) {
+		if i == len(fps) {
+			return 0, false, nil
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	return fpHeaderSize + int64(len(recs))*fpRecSize, nil
+		i++
+		return fps[i-1], true, nil
+	})
+	return bytes, err
 }
 
-// writeFPStream writes records produced by next (sorted, io-style
-// iteration) as a run file, returning count and bytes written.
-func writeFPStream(path string, next func() (fpRec, bool, error)) (int64, int64, error) {
+// writeFPStream writes the fingerprints produced by next (sorted,
+// io-style iteration) as a run file, returning count and bytes written.
+func writeFPStream(path string, next func() (uint64, bool, error)) (int64, int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("store: %w", err)
@@ -123,7 +89,7 @@ func writeFPStream(path string, next func() (fpRec, bool, error)) (int64, int64,
 	var count int64
 	var buf [fpRecSize]byte
 	for {
-		r, ok, err := next()
+		fp, ok, err := next()
 		if err != nil {
 			f.Close()
 			return 0, 0, err
@@ -131,7 +97,7 @@ func writeFPStream(path string, next func() (fpRec, bool, error)) (int64, int64,
 		if !ok {
 			break
 		}
-		putFPRec(buf[:], r)
+		binary.LittleEndian.PutUint64(buf[:], fp)
 		if _, err := bw.Write(buf[:]); err != nil {
 			f.Close()
 			return 0, 0, fmt.Errorf("store: %w", err)
@@ -154,9 +120,8 @@ func writeFPStream(path string, next func() (fpRec, bool, error)) (int64, int64,
 	return count, fpHeaderSize + count*fpRecSize, nil
 }
 
-// readFPRun streams a run file's records through fn, in fingerprint
-// order.
-func readFPRun(path string, fn func(fpRec) error) error {
+// readFPRun streams a run file's fingerprints through fn, in order.
+func readFPRun(path string, fn func(fp uint64) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -172,7 +137,7 @@ func readFPRun(path string, fn func(fpRec) error) error {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return fmt.Errorf("store: reading run record %d/%d: %w", i, count, err)
 		}
-		if err := fn(getFPRec(buf[:])); err != nil {
+		if err := fn(binary.LittleEndian.Uint64(buf[:])); err != nil {
 			return err
 		}
 	}

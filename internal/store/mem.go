@@ -1,60 +1,15 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the Mem tier: the explorer's historical in-RAM storage,
-// extracted behind the VisitedSet/Frontier interfaces. memVisited is
-// the serial map (DFS, and the breadth-first engine at one worker);
-// memTable is the parallel engine's sharded open-addressing fingerprint
-// table; both record each fingerprint's minimum depth for checkpoints.
-// memFrontier is the work deque.
-
-// memVisited is the serial map tier: fingerprint → minimum depth.
-type memVisited struct {
-	m map[uint64]int32
-}
-
-func newMemVisited() *memVisited {
-	return &memVisited{m: make(map[uint64]int32)}
-}
-
-func (v *memVisited) Insert(fp uint64, depth int32) (fresh, improved bool, err error) {
-	d, ok := v.m[fp]
-	if !ok {
-		v.m[fp] = depth
-		return true, false, nil
-	}
-	if depth < d {
-		v.m[fp] = depth
-		return false, true, nil
-	}
-	return false, false, nil
-}
-
-func (v *memVisited) Len() int64 { return int64(len(v.m)) }
-
-func (v *memVisited) WriteFPFile(path string) error {
-	recs := make([]fpRec, 0, len(v.m))
-	for fp, d := range v.m {
-		recs = append(recs, fpRec{fp: fp, depth: d})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
-	_, err := writeFPRun(path, recs)
-	return err
-}
-
-func (v *memVisited) LoadFPFile(path string) error {
-	return readFPRun(path, func(r fpRec) error {
-		_, _, err := v.Insert(r.fp, r.depth)
-		return err
-	})
-}
-
-func (v *memVisited) Close() error { return nil }
+// This file is the Mem tier's visited set: memTable, a sharded
+// open-addressing fingerprint table, serves every engine at every
+// worker count. The Mem tier's frontier is the one Frontier type with
+// no RAM ceiling.
 
 // zeroFPSubstitute replaces a fingerprint of exactly 0 in the
 // open-addressing tables, where 0 marks an empty slot. Mapping 0 to a
@@ -62,24 +17,18 @@ func (v *memVisited) Close() error { return nil }
 // indistinguishable from an ordinary 2⁻⁶⁴ collision.
 const zeroFPSubstitute = 0x9e3779b97f4a7c15
 
-// fpSlots is one immutable-size open-addressing array of fingerprints
-// with a parallel minimum-depth array. Slots hold 0 (empty) or a
-// fingerprint; entries are never deleted. Writers store the depth
-// before publishing the fingerprint, so a reader that observes the
-// fingerprint also observes an initialized depth.
+// fpSlots is one immutable-size open-addressing array of fingerprints.
+// Slots hold 0 (empty) or a fingerprint; entries are never deleted.
 type fpSlots struct {
-	arr   []atomic.Uint64
-	depth []atomic.Int32
-	mask  uint64
+	arr  []atomic.Uint64
+	mask uint64
 }
 
 // fpShard is one lock shard of the fingerprint table. Readers load the
 // current slots atomically and probe lock-free; writers insert (and
 // grow) under the mutex and publish new arrays with an atomic pointer
 // store. A published array is at most half full, so lock-free probes
-// always find an empty slot or the fingerprint. Depth *improvements*
-// (rare) also take the mutex, so they cannot race with grow and lose
-// the update.
+// always find an empty slot or the fingerprint.
 type fpShard struct {
 	mu    sync.Mutex
 	slots atomic.Pointer[fpSlots]
@@ -87,9 +36,9 @@ type fpShard struct {
 	_     [40]byte // pad to a cache line to avoid false sharing between shards
 }
 
-// memTable is the sharded concurrent visited set (the parallel
-// engine's). The shard is chosen by the low fingerprint bits, the probe
-// position by higher bits, so the two are uncorrelated.
+// memTable is the sharded concurrent visited set. The shard is chosen
+// by the low fingerprint bits, the probe position by higher bits, so
+// the two are uncorrelated.
 type memTable struct {
 	shards    []fpShard
 	shardMask uint64
@@ -108,14 +57,11 @@ func newMemTable(workers int) *memTable {
 }
 
 func newFPSlots(n int) *fpSlots {
-	return &fpSlots{
-		arr:   make([]atomic.Uint64, n),
-		depth: make([]atomic.Int32, n),
-		mask:  uint64(n - 1),
-	}
+	return &fpSlots{arr: make([]atomic.Uint64, n), mask: uint64(n - 1)}
 }
 
-func (t *memTable) Insert(fp uint64, depth int32) (fresh, improved bool, err error) {
+// Insert ignores depth and never reports improved; see VisitedSet.
+func (t *memTable) Insert(fp uint64, _ int32) (fresh, improved bool, err error) {
 	if fp == 0 {
 		fp = zeroFPSubstitute
 	}
@@ -128,10 +74,7 @@ func (t *memTable) Insert(fp uint64, depth int32) (fresh, improved bool, err err
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
 		v := s.arr[i].Load()
 		if v == fp {
-			if depth >= s.depth[i].Load() {
-				return false, false, nil
-			}
-			return false, sh.improve(fp, h, depth), nil
+			return false, false, nil
 		}
 		if v == 0 {
 			break
@@ -143,41 +86,15 @@ func (t *memTable) Insert(fp uint64, depth int32) (fresh, improved bool, err err
 	for i := h & s.mask; ; i = (i + 1) & s.mask {
 		v := s.arr[i].Load()
 		if v == fp {
-			if depth < s.depth[i].Load() {
-				s.depth[i].Store(depth)
-				return false, true, nil
-			}
 			return false, false, nil
 		}
 		if v == 0 {
-			s.depth[i].Store(depth)
 			s.arr[i].Store(fp)
 			sh.used++
 			if uint64(sh.used)*2 >= uint64(len(s.arr)) {
 				sh.grow(s)
 			}
 			return true, false, nil
-		}
-	}
-}
-
-// improve min-merges depth for a present fingerprint under the shard
-// mutex (so it cannot race with grow republishing the arrays).
-func (sh *fpShard) improve(fp, h uint64, depth int32) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.slots.Load()
-	for i := h & s.mask; ; i = (i + 1) & s.mask {
-		v := s.arr[i].Load()
-		if v == fp {
-			if depth < s.depth[i].Load() {
-				s.depth[i].Store(depth)
-				return true
-			}
-			return false
-		}
-		if v == 0 {
-			return false
 		}
 	}
 }
@@ -191,10 +108,8 @@ func (sh *fpShard) grow(old *fpSlots) {
 		if v == 0 {
 			continue
 		}
-		d := old.depth[i].Load()
 		for j := (v >> 7) & ns.mask; ; j = (j + 1) & ns.mask {
 			if ns.arr[j].Load() == 0 {
-				ns.depth[j].Store(d)
 				ns.arr[j].Store(v)
 				break
 			}
@@ -214,110 +129,28 @@ func (t *memTable) Len() int64 {
 	return n
 }
 
-// collect returns all records sorted by fingerprint. Quiescent callers
-// only (the engine's checkpoints are written between rounds).
-func (t *memTable) collect() []fpRec {
-	recs := make([]fpRec, 0, t.Len())
+// WriteFPFile writes the table as one sorted run. Quiescent callers
+// only (the engines write checkpoints while no insert is in flight).
+func (t *memTable) WriteFPFile(path string) error {
+	fps := make([]uint64, 0, t.Len())
 	for i := range t.shards {
 		s := t.shards[i].slots.Load()
 		for j := range s.arr {
 			if fp := s.arr[j].Load(); fp != 0 {
-				recs = append(recs, fpRec{fp: fp, depth: s.depth[j].Load()})
+				fps = append(fps, fp)
 			}
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].fp < recs[j].fp })
-	return recs
-}
-
-func (t *memTable) WriteFPFile(path string) error {
-	_, err := writeFPRun(path, t.collect())
+	slices.Sort(fps)
+	_, err := writeFPRun(path, fps)
 	return err
 }
 
 func (t *memTable) LoadFPFile(path string) error {
-	return readFPRun(path, func(r fpRec) error {
-		_, _, err := t.Insert(r.fp, r.depth)
+	return readFPRun(path, func(fp uint64) error {
+		_, _, err := t.Insert(fp, 0)
 		return err
 	})
 }
 
 func (t *memTable) Close() error { return nil }
-
-// memFrontier is the in-RAM work deque. The owner pops oldest-first;
-// thieves take the newest half. All operations take the mutex; the owner
-// touches it far more often than thieves, so the lock is almost always
-// uncontended.
-type memFrontier struct {
-	mu   sync.Mutex
-	buf  []Entry
-	head int
-}
-
-func (d *memFrontier) Push(e Entry) error {
-	d.mu.Lock()
-	d.buf = append(d.buf, e)
-	d.mu.Unlock()
-	return nil
-}
-
-func (d *memFrontier) Pop() (Entry, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.buf) {
-		d.buf = d.buf[:0]
-		d.head = 0
-		return Entry{}, false, nil
-	}
-	e := d.buf[d.head]
-	d.buf[d.head] = Entry{} // release for GC
-	d.head++
-	if d.head >= 1024 && d.head*2 >= len(d.buf) {
-		n := copy(d.buf, d.buf[d.head:])
-		for i := n; i < len(d.buf); i++ {
-			d.buf[i] = Entry{}
-		}
-		d.buf = d.buf[:n]
-		d.head = 0
-	}
-	return e, true, nil
-}
-
-func (d *memFrontier) StealHalf() []Entry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	avail := len(d.buf) - d.head
-	if avail <= 0 {
-		return nil
-	}
-	take := (avail + 1) / 2
-	out := make([]Entry, take)
-	copy(out, d.buf[len(d.buf)-take:])
-	tail := len(d.buf) - take
-	for i := tail; i < len(d.buf); i++ {
-		d.buf[i] = Entry{}
-	}
-	d.buf = d.buf[:tail]
-	return out
-}
-
-func (d *memFrontier) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.buf) - d.head
-}
-
-func (d *memFrontier) NeedsPath() bool { return false }
-
-func (d *memFrontier) Snapshot(fn func(Entry) error) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := d.head; i < len(d.buf); i++ {
-		if err := fn(d.buf[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *memFrontier) Close() error { return nil }

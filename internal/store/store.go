@@ -1,10 +1,13 @@
-// Package store is the pluggable state-storage layer behind the
-// explorer engines: the visited set (fingerprint membership with
+// Package store is the state-storage layer behind the explorer
+// engines: the visited set (fingerprint membership with
 // insert-if-absent) and the frontier (the discovered-but-unexpanded
-// work queue) live behind interfaces, so every engine runs either
-// fully in RAM (Mem, the historical behaviour, bit-compatible
-// fingerprints and counts) or out-of-core (Disk) when the state space
-// exceeds memory.
+// work queue of the breadth-first engine). Every engine runs either
+// fully in RAM (Mem) or out-of-core (Disk) when the state space exceeds
+// memory; both tiers give the same counts. The visited set holds
+// fingerprints only, in one table per tier: a sharded open-addressing
+// table on the mem tier, the hot table and sorted runs below on the
+// disk tier. The frontier is one type on both tiers; only the disk tier
+// gives it a RAM ceiling.
 //
 // The disk tier follows the Mace/DiVinE school of external-memory model
 // checking, adapted to states that cannot be serialized (machines are
@@ -13,33 +16,33 @@
 //   - The visited set keeps a bounded in-RAM hot table of recently
 //     inserted fingerprints; when it fills, the fingerprints are sorted
 //     and flushed as a compact append-only run file. Each run carries a
-//     small in-RAM sparse index (one fingerprint per 4KiB block) and a
-//     bloom filter, so membership probes cost at most one block read per
-//     run, and runs are k-way merged into one when their number grows
-//     (compaction).
-//   - The frontier spills by *path*, not by state: every entry carries
-//     the step sequence that produced it from the initial state (a
-//     shared-structure linked list, so sibling entries share their
-//     ancestor prefix), and spilled segments store those paths
-//     delta-encoded against the previous entry. Popping a spilled entry
-//     replays its path from the root — O(depth) steps, the price of not
-//     holding the state in RAM.
+//     small in-RAM sparse index (one fingerprint per 4KiB block of 512
+//     fingerprints) and a bloom filter, so membership probes cost at
+//     most one block read per run, and runs are k-way merged into one
+//     when their number grows (compaction).
+//   - The frontier spills, on this tier only, by *path*, not by state:
+//     every entry carries the step sequence that produced it from the
+//     initial state (a shared-structure linked list, so sibling entries
+//     share their ancestor prefix), and spilled segments store those
+//     paths delta-encoded against the previous entry. Popping a spilled
+//     entry replays its path from the root — O(depth) steps, the price
+//     of not holding the state in RAM.
 //   - Checkpoints snapshot the visited set (one sorted fingerprint run),
 //     the frontier (one path segment) and the engine counters into a
 //     directory that a later run can resume from.
 //
 // Everything in this package is deterministic: no wall-clock reads, no
-// global randomness, and map iteration always goes through a
-// collect-and-sort step, so identical runs produce identical spill
-// files and checkpoint bytes. The package never inspects machine or
-// register *contents* beyond the opaque fingerprints and replayed step
-// indices the explorer hands it — it is storage for the observer side
-// of the model, inside the determinism lint scope and outside the
-// regaccess allowlist.
+// global randomness, and every table is sorted before it is written, so
+// identical runs produce identical spill files and checkpoint bytes.
+// The package never inspects machine or register *contents* beyond the
+// opaque fingerprints and replayed step indices the explorer hands it —
+// it is storage for the observer side of the model, inside the
+// determinism lint scope and outside the regaccess allowlist.
 package store
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -52,8 +55,8 @@ import (
 type Kind uint8
 
 const (
-	// Mem keeps the visited set and frontier fully in RAM: the
-	// historical engine behaviour, fastest, bounded by memory.
+	// Mem keeps the visited set and frontier fully in RAM, bounded only
+	// by memory.
 	Mem Kind = iota
 	// Disk bounds RAM use by Config.MemLimit and spills the visited set
 	// (sorted fingerprint runs) and frontier (delta-encoded path
@@ -165,7 +168,7 @@ type Config struct {
 	// Workers is the number of engine workers; 0 means 1. Each worker
 	// holds two frontier shards (the level it expands and the next), so
 	// the disk tier splits the frontier half of MemLimit into 2·Workers
-	// shares, and the mem tier sizes its concurrent visited table by it.
+	// shares, and the mem tier sizes its visited table's shards by it.
 	Workers int
 	// Trace, when non-nil, records the store's I/O phases as spans:
 	// visited spills and compactions, frontier segment spills/loads, and
@@ -176,8 +179,9 @@ type Config struct {
 // Entry is one frontier element: a discovered, unexpanded state.
 type Entry struct {
 	// Sys is the live state. Nil for entries decoded from a spilled
-	// segment or checkpoint; Pop replays Path from the root to rebuild
-	// it before returning the entry.
+	// segment or checkpoint, on either tier; Frontier.Pop replays Path
+	// from the root to rebuild it before returning the entry, but
+	// StealHalf hands such an entry over as it is.
 	Sys *machine.System
 	// Aux is the engine's 64-bit auxiliary state for this entry.
 	Aux uint64
@@ -190,58 +194,29 @@ type Entry struct {
 	Tag int64
 	// Path is the reversed step list that produced this state from the
 	// root, shared structurally with sibling entries. Required (and
-	// built by the engines) only when the frontier spills or checkpoints
-	// are enabled; nil otherwise.
+	// built by the engines) only on the disk tier, whose frontier
+	// spills, or when checkpoints are enabled; nil otherwise.
 	Path *PathNode
 }
 
-// VisitedSet is fingerprint membership with insert-if-absent and
-// min-depth merging. The depths travel only into checkpoints (the fp
-// file); engines track their own deepest discovery. Implementations are
-// safe for concurrent use only when obtained with
-// NewVisited(concurrent=true).
+// VisitedSet is fingerprint membership with insert-if-absent. It holds
+// fingerprints only: engines track their own depths. Both tiers' sets
+// are safe for concurrent use.
 type VisitedSet interface {
-	// Insert records fp discovered at depth. fresh reports that fp was
-	// absent; when it was present, improved reports that depth was
-	// strictly smaller than the recorded minimum (which is updated).
-	// err is I/O failure in the disk tier (the mem tier never fails).
+	// Insert records fp; fresh reports that it was absent. err is I/O
+	// failure in the disk tier (the mem tier never fails). depth is
+	// ignored and improved is always false: both remain only because
+	// the explorebench module calls Insert with this signature.
 	Insert(fp uint64, depth int32) (fresh, improved bool, err error)
 	// Len returns the number of distinct fingerprints inserted.
 	Len() int64
-	// WriteFPFile writes the set as one sorted (fp, depth) run at path
+	// WriteFPFile writes the set as one sorted fingerprint run at path
 	// (the checkpoint format, loadable by LoadFPFile).
 	WriteFPFile(path string) error
 	// LoadFPFile replaces the set's contents with a run previously
 	// written by WriteFPFile.
 	LoadFPFile(path string) error
 	// Close releases any resources (disk runs).
-	Close() error
-}
-
-// Frontier is a work queue of discovered-but-unexpanded states.
-type Frontier interface {
-	// Push appends e. The disk tier may spill a batch of entries to a
-	// segment file (dropping their Sys; Path must be set).
-	Push(e Entry) error
-	// Pop removes the oldest entry. Spilled entries are replayed from
-	// the root before being returned. ok is false when the frontier is
-	// empty.
-	Pop() (e Entry, ok bool, err error)
-	// StealHalf removes and returns up to half of the frontier's in-RAM
-	// entries, newest first — the parallel engine's work stealing. It
-	// never touches spilled segments and returns nil when nothing is
-	// stealable in RAM.
-	StealHalf() []Entry
-	// Len returns the number of queued entries, spilled included.
-	Len() int
-	// NeedsPath reports whether pushed entries must carry Path (the
-	// disk tier spills by path).
-	NeedsPath() bool
-	// Snapshot calls fn for every queued entry, oldest first, without
-	// consuming them; spilled entries are passed with Sys nil. Used by
-	// checkpointing.
-	Snapshot(fn func(Entry) error) error
-	// Close releases segment files.
 	Close() error
 }
 
@@ -345,16 +320,14 @@ func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
 // AddCheckpoint counts one written checkpoint.
 func (s *Store) AddCheckpoint() { s.stats.checkpoints.Add(1) }
 
-// NewVisited builds the visited set. concurrent selects the sharded
-// lock-free-read mem table (for more than one worker) over the serial
-// map; the disk tier is internally locked and serves both.
-func (s *Store) NewVisited(concurrent bool) (VisitedSet, error) {
+// NewVisited builds the visited set: the sharded open-addressing table
+// on the mem tier, the hot table and runs on the disk tier. Both serve
+// any number of workers, so the argument is ignored; it remains only
+// because the explorebench module calls NewVisited with it.
+func (s *Store) NewVisited(bool) (VisitedSet, error) {
 	switch s.cfg.Kind {
 	case Mem:
-		if concurrent {
-			return newMemTable(s.cfg.Workers), nil
-		}
-		return newMemVisited(), nil
+		return newMemTable(s.cfg.Workers), nil
 	case Disk:
 		// Half the budget feeds the visited hot table; the frontier
 		// shards split the rest.
@@ -364,16 +337,18 @@ func (s *Store) NewVisited(concurrent bool) (VisitedSet, error) {
 	}
 }
 
-// NewFrontier builds one frontier shard of worker w. Every shard pops
-// in FIFO order, the only Order.
-func (s *Store) NewFrontier(w int, order Order) (Frontier, error) {
+// NewFrontier builds one frontier shard. A mem-tier shard has no RAM
+// ceiling and never spills. w and order are ignored: every shard pops
+// in FIFO order, the only Order, and both parameters remain only
+// because the explorebench module calls NewFrontier with them.
+func (s *Store) NewFrontier(w int, order Order) (*Frontier, error) {
 	switch s.cfg.Kind {
 	case Mem:
-		return &memFrontier{}, nil
+		return &Frontier{st: s, maxRAM: math.MaxInt}, nil
 	case Disk:
 		// Half the budget feeds the frontier: two shards per worker.
 		budget := int64(s.cfg.MemLimit) / 2 / int64(2*s.cfg.Workers)
-		return newDiskFrontier(s, budget), nil
+		return &Frontier{st: s, maxRAM: max(int(budget/diskEntryEstimate), minFrontierRAM)}, nil
 	default:
 		return nil, fmt.Errorf("store: unknown kind %v", s.cfg.Kind)
 	}

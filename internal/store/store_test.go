@@ -3,6 +3,9 @@ package store
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anonshm/internal/core"
@@ -119,9 +122,8 @@ func visitedImpls(t *testing.T) map[string]VisitedSet {
 		t.Fatal(err)
 	}
 	return map[string]VisitedSet{
-		"memVisited": newMemVisited(),
-		"memTable":   newMemTable(4),
-		"disk":       dv,
+		"memTable": newMemTable(4),
+		"disk":     dv,
 	}
 }
 
@@ -137,17 +139,17 @@ func testRoot(t *testing.T) *machine.System {
 	return sys
 }
 
-// fpFileDepths writes v as a checkpoint fp file and reads it back as a
-// fingerprint → depth map.
-func fpFileDepths(t *testing.T, v VisitedSet) map[uint64]int32 {
+// fpFileSet writes v as a checkpoint fp file and reads it back as a
+// fingerprint set.
+func fpFileSet(t *testing.T, v VisitedSet) map[uint64]bool {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "visited.fp")
 	if err := v.WriteFPFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got := map[uint64]int32{}
-	if err := readFPRun(path, func(r fpRec) error {
-		got[r.fp] = r.depth
+	got := map[uint64]bool{}
+	if err := readFPRun(path, func(fp uint64) error {
+		got[fp] = true
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -162,11 +164,11 @@ func TestVisitedConformance(t *testing.T) {
 			const n = 50_000
 			fp := uint64(0xdecafbad)
 			fps := make([]uint64, 0, n)
-			want := map[uint64]int32{0: 3}
+			want := map[uint64]bool{0: true}
 			for i := 0; i < n; i++ {
 				fp = xorshift(fp)
 				fps = append(fps, fp)
-				want[fp] = int32(i % 97)
+				want[fp] = true
 				fresh, improved, err := v.Insert(fp, int32(i%97))
 				if err != nil {
 					t.Fatal(err)
@@ -185,29 +187,25 @@ func TestVisitedConformance(t *testing.T) {
 			if got := v.Len(); got != n+1 {
 				t.Fatalf("Len() = %d, want %d", got, n+1)
 			}
-			// Duplicates: same depth is no-op, smaller depth improves.
+			// Duplicates are no-ops, whatever their depth.
 			for i, fp := range fps[:1000] {
-				if fresh, improved, err := v.Insert(fp, int32(i%97)); err != nil || fresh || improved {
+				if fresh, improved, err := v.Insert(fp, int32(i%97)-1); err != nil || fresh || improved {
 					t.Fatalf("dup insert %#x: fresh=%v improved=%v err=%v", fp, fresh, improved, err)
 				}
-				if fresh, improved, err := v.Insert(fp, int32(i%97)-1); err != nil || fresh || !improved {
-					t.Fatalf("improving insert %#x: fresh=%v improved=%v err=%v", fp, fresh, improved, err)
-				}
-				want[fp] = int32(i%97) - 1
 			}
-			// Every fingerprint reaches the fp file at its minimum depth
-			// (the open-addressing tables write fp 0 substituted).
-			got := fpFileDepths(t, v)
-			if d, ok := got[zeroFPSubstitute]; ok {
-				got[0] = d
+			// Every fingerprint reaches the fp file (the tables write
+			// fp 0 substituted).
+			got := fpFileSet(t, v)
+			if got[zeroFPSubstitute] {
+				got[0] = true
 				delete(got, zeroFPSubstitute)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("fp file has %d records, want %d", len(got), len(want))
 			}
-			for fp, d := range want {
-				if g, ok := got[fp]; !ok || g != d {
-					t.Fatalf("fp file depth of %#x = %d (present %v), want %d", fp, g, ok, d)
+			for fp := range want {
+				if !got[fp] {
+					t.Fatalf("fp file lacks %#x", fp)
 				}
 			}
 		})
@@ -229,27 +227,97 @@ func TestVisitedFPFileRoundTrip(t *testing.T) {
 			if err := v.WriteFPFile(path); err != nil {
 				t.Fatal(err)
 			}
-			// Reload into a fresh serial set and compare membership.
-			nv := newMemVisited()
+			// Reload into a fresh table and compare membership.
+			nv := newMemTable(1)
 			if err := nv.LoadFPFile(path); err != nil {
 				t.Fatal(err)
 			}
 			if nv.Len() != v.Len() {
 				t.Fatalf("reloaded Len() = %d, want %d", nv.Len(), v.Len())
 			}
-			// Each depth survives the round trip: reinserting at the
-			// written depth is no improvement, one less is.
 			fp = uint64(0xfeedface)
 			for i := 0; i < 10_000; i++ {
 				fp = xorshift(fp)
-				if fresh, improved, _ := nv.Insert(fp, int32(i%31)); fresh || improved {
-					t.Fatalf("fp %#x at depth %d: fresh=%v improved=%v after the round trip", fp, i%31, fresh, improved)
-				}
-				if _, improved, _ := nv.Insert(fp, int32(i%31)-1); !improved {
-					t.Fatalf("fp %#x reloaded deeper than its depth %d", fp, i%31)
+				if fresh, _, _ := nv.Insert(fp, 0); fresh {
+					t.Fatalf("fp %#x missing after the round trip", fp)
 				}
 			}
 		})
+	}
+}
+
+// TestMemTableConcurrentInserts drives the mem-tier table from 8
+// goroutines whose fingerprint streams overlap (each fingerprint goes
+// to 4 of them, in different orders), enough that every shard grows
+// several times while the others insert. Exactly one insert per
+// fingerprint may report fresh, and the table must count and write each
+// fingerprint once: an insert lost or doubled across a grow fails here.
+func TestMemTableConcurrentInserts(t *testing.T) {
+	const (
+		goroutines = 8
+		distinct   = 1 << 17 // ~2k per shard: 4 grows from 256 slots
+	)
+	fps := make([]uint64, distinct)
+	fp := uint64(0x0ddba11)
+	for i := range fps {
+		fp = xorshift(fp)
+		fps[i] = fp
+	}
+	tbl := newMemTable(goroutines)
+	fresh := make([]atomic.Int32, distinct)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Goroutine g covers half the fingerprints, from its own
+			// offset, forwards or backwards.
+			for k := 0; k < distinct/2; k++ {
+				j := k
+				if g%2 == 1 {
+					j = distinct/2 - 1 - k
+				}
+				i := (g*distinct/goroutines + j) % distinct
+				ok, _, err := tbl.Insert(fps[i], 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok {
+					fresh[i].Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := range fresh {
+		if n := fresh[i].Load(); n != 1 {
+			t.Fatalf("fingerprint %#x reported fresh %d times, want 1", fps[i], n)
+		}
+	}
+	for i := range tbl.shards {
+		if n := len(tbl.shards[i].slots.Load().arr); n < 256<<3 {
+			t.Fatalf("shard %d has %d slots: it grew fewer than 3 times", i, n)
+		}
+	}
+	if got := tbl.Len(); got != distinct {
+		t.Fatalf("Len() = %d, want %d", got, distinct)
+	}
+	path := filepath.Join(t.TempDir(), "visited.fp")
+	if err := tbl.WriteFPFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var written []uint64
+	if err := readFPRun(path, func(fp uint64) error {
+		written = append(written, fp)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(fps)
+	slices.Sort(want)
+	if !slices.Equal(written, want) {
+		t.Fatalf("fp file holds %d fingerprints, not each of the %d once", len(written), distinct)
 	}
 }
 
