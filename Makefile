@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif lint-fix race verify bench bench-check bench-report fuzz-smoke
+.PHONY: build fmt test vet lint lint-sarif lint-fix race verify bench bench-check bench-report fuzz-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every tracked .go file outside vendor/
+# (the explorebench/ module included) that gofmt would rewrite.
+fmt:
+	@files=$$(git ls-files '*.go' | grep -v '^vendor/' | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # Model-invariant static analysis: the anonlint suite (internal/lint)
 # encodes the semantic invariants plain go vet cannot see — anonymity of
@@ -54,7 +60,7 @@ race:
 	$(GO) test -race -short ./internal/explore/ ./internal/canon/ ./internal/sched/ ./internal/runtime/ ./internal/store/ ./internal/obs/ ./internal/obs/span/ ./cmd/anonsim/
 
 # Extended tier-1 gate: what CI (and ROADMAP.md) require before merge.
-verify: build vet lint test race bench-check
+verify: fmt build vet lint test race bench-check
 
 # The explorer benchmark is its own module (explorebench/), which the
 # root ./... patterns do not reach: vet and test it here, offline and

@@ -64,14 +64,17 @@
 // under a configurable ceiling (Options.MemLimit; -store disk -mem
 // 64MiB) by spilling fingerprints to sorted append-only runs merged
 // k-way on disk and spilling frontier states as delta-encoded paths
-// regenerated by deterministic replay. The disk tier supports periodic
+// regenerated by deterministic replay. Every engine supports periodic
 // checkpoints (Options.Checkpoint / -checkpoint dir) from which a killed
 // run resumes (Options.Resume / -resume dir) to the identical state
-// count; checkpoints are versioned and record engine, symmetry, the root
-// state and crash budget (a wiring sweep's also the check, inputs,
-// wiring filter, level and bounds), and resuming under different
-// settings fails with a CheckpointMismatchError rather than silently
-// mixing state spaces.
+// count. Both engines checkpoint their pending work as one path segment
+// of store entries (the breadth-first frontier, or the DFS stack one
+// frame per entry with its successor cursor), since both expand a
+// state by the same packed steps. Checkpoints are versioned and record
+// engine, symmetry, the root state and crash budget (a wiring sweep's
+// also the check, inputs, wiring filter, level and bounds), and
+// resuming under different settings fails with a
+// CheckpointMismatchError rather than silently mixing state spaces.
 //
 // Every execution layer also implements crash-stop faults: a crashed
 // processor takes no further steps and produces no output, but its last

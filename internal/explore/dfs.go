@@ -18,32 +18,47 @@ import (
 // The visited set comes from the store layer (fingerprint membership;
 // the disk tier bounds its RAM use); stack membership — the grey states
 // of the classic coloring — stays engine-private, since only the O(depth)
-// states on the current path can be grey. Checkpoints persist the visited
-// set plus the stack itself (packed steps and expansion cursors); a
-// resume replays the stack's steps from the root to rebuild the live
-// systems.
+// states on the current path can be grey. A frame expands its state by
+// the successors steps, which it lists once into one step arena shared
+// by the whole stack, and walks them with a cursor; a pop truncates the
+// arena back to the frame's start, so the search allocates nothing per
+// state beyond the successor systems. Checkpoints persist the visited
+// set plus the stack as frontier entries, one per frame: its path, aux,
+// depth and cursor (in Entry.Tag, -1 before expansion). A resume
+// replays each frame's step on its parent's system and lists the
+// successor steps of every expanded frame again.
 //
 // Cycle detection is built in and sets Result.Cycle; Options.Traces is
 // free — counterexample traces come straight off the DFS stack.
 func runDFS(init *machine.System, opts Options) (Result, error) {
-	maxStates := opts.MaxStates
 	visited := opts.visited
 	onStack := make(map[uint64]struct{}) // grey: fingerprints on the current stack
 	var res Result
-
-	type frame struct {
-		sys    *machine.System
-		fp     uint64
-		aux    uint64
-		how    machine.StepInfo // step that produced this state
-		p      int              // next processor to try
-		c      int              // next choice of processor p
-		n      int              // len(Pending) of processor p, -1 = unknown
-		crashP int              // next processor to try crashing (MaxCrashes only)
-		depth  int
+	expanded := int64(0)
+	finish := func() Result {
+		res.Stats.WorkerSteps = []int64{expanded}
+		return res
 	}
 
-	stackTrace := func(stack []frame) []machine.StepInfo {
+	// A frame is one state on the current path. Its successor steps are
+	// arena[lo:] while it is the top frame; next is the cursor into them,
+	// -1 until the frame is expanded.
+	type frame struct {
+		sys   *machine.System
+		fp    uint64
+		aux   uint64
+		step  store.Step       // step that produced this state (root: unused)
+		how   machine.StepInfo // what that step did, for traces
+		depth int
+		lo    int
+		next  int
+	}
+	// Both grow by doubling; starting them at a typical stack's size
+	// spares the run its first few reallocations.
+	stack := make([]frame, 0, 64)
+	arena := make([]store.Step, 0, 256)
+
+	stackTrace := func() []machine.StepInfo {
 		if !opts.Traces {
 			return nil
 		}
@@ -54,96 +69,64 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		return out
 	}
 
-	states := int64(0)
-	expanded := int64(0)
-	finish := func() Result {
-		res.States = int(states)
-		res.Stats.WorkerSteps = []int64{expanded}
-		return res
-	}
-
-	writeCkpt := func(stack []frame) error {
-		frames := make([]store.StackFrame, len(stack))
+	writeCkpt := func() error {
+		pending := make([]store.Entry, len(stack))
+		var path *store.PathNode
 		for i, f := range stack {
-			frames[i] = store.StackFrame{
-				Step: uint32(packStepInfo(f.how)), Aux: f.aux,
-				Depth: f.depth, P: f.p, C: f.c, N: f.n, CrashP: f.crashP,
+			if i > 0 {
+				path = path.Extend(f.step)
 			}
+			pending[i] = store.Entry{Aux: f.aux, Depth: int32(f.depth), Tag: int64(f.next), Path: path}
 		}
-		meta := store.Meta{
-			States: states, Edges: int64(res.Edges),
-			Terminals: int64(res.Terminals), Pruned: int64(res.Pruned),
-			MaxDepth:     int32(res.MaxDepth),
-			DedupLookups: res.Stats.DedupLookups, DedupHits: res.Stats.DedupHits,
-			FrontierPeak: res.Stats.FrontierPeak,
-			WorkerSteps:  []int64{expanded},
-			Cycle:        res.Cycle,
-			Stack:        frames,
-		}
-		if err := opts.ckpt.write(meta, visited, nil, states); err != nil {
-			return fmt.Errorf("explore: checkpoint: %w", err)
-		}
-		return nil
+		return opts.ckpt.write(finish(), visited, pending)
 	}
 
-	push := func(stack []frame, sys *machine.System, fp, aux uint64, how machine.StepInfo, depth int) ([]frame, error) {
+	push := func(sys *machine.System, fp, aux uint64, step store.Step, how machine.StepInfo, depth int) error {
 		onStack[fp] = struct{}{}
-		stack = append(stack, frame{sys: sys, fp: fp, aux: aux, how: how, n: -1, depth: depth})
-		if len(stack) > res.Stats.FrontierPeak {
-			res.Stats.FrontierPeak = len(stack)
-		}
-		if depth > res.MaxDepth {
-			res.MaxDepth = depth
-		}
+		stack = append(stack, frame{sys: sys, fp: fp, aux: aux, step: step, how: how, depth: depth, lo: len(arena), next: -1})
+		res.Stats.FrontierPeak = max(res.Stats.FrontierPeak, len(stack))
+		res.MaxDepth = max(res.MaxDepth, depth)
 		if sys.Quiescent() {
 			res.Terminals++
 		}
 		if opts.Invariant != nil {
 			if err := opts.Invariant(Node{Sys: sys, Aux: aux, Depth: depth}); err != nil {
-				return stack, &InvariantError{Err: err, Trace: stackTrace(stack)}
+				return &InvariantError{Err: err, Trace: stackTrace()}
 			}
 		}
-		if opts.Progress != nil && opts.ProgressEvery > 0 && states%int64(opts.ProgressEvery) == 0 {
-			opts.Progress(int(states), res.Edges)
+		if opts.Progress != nil && opts.ProgressEvery > 0 && res.States%opts.ProgressEvery == 0 {
+			opts.Progress(res.States, res.Edges)
 		}
-		return stack, nil
+		return nil
 	}
 
-	var stack []frame
+	pop := func() {
+		f := &stack[len(stack)-1]
+		delete(onStack, f.fp)
+		arena = arena[:f.lo]
+		stack = stack[:len(stack)-1]
+	}
+
 	if opts.resume != nil {
-		m := opts.resume.Meta
-		states = m.States
-		if len(m.WorkerSteps) > 0 {
-			expanded = m.WorkerSteps[0]
+		res = resumedResult(opts.resume.Meta)
+		for _, n := range res.Stats.WorkerSteps {
+			expanded += n
 		}
-		res.Edges = int(m.Edges)
-		res.Terminals = int(m.Terminals)
-		res.Pruned = int(m.Pruned)
-		res.MaxDepth = int(m.MaxDepth)
-		res.Stats.DedupLookups = m.DedupLookups
-		res.Stats.DedupHits = m.DedupHits
-		res.Stats.FrontierPeak = m.FrontierPeak
-		res.Cycle = m.Cycle
+		pending, err := opts.resume.Frontier()
+		if err != nil {
+			return finish(), fmt.Errorf("explore: resume: %w", err)
+		}
 		// Rebuild the stack by replaying each frame's step on a clone of
-		// its parent's system; fingerprints are recomputed, cursors are
-		// restored verbatim, and each frame keeps the step it replayed,
-		// which the next checkpoint writes again.
-		var prev *machine.System
-		for i, sf := range m.Stack {
-			var sys *machine.System
+		// its parent's system; fingerprints and the successor steps of
+		// expanded frames are recomputed, cursors are restored verbatim.
+		sys := init
+		for i, e := range pending {
+			sys = sys.Clone()
+			var step store.Step
 			var how machine.StepInfo
-			if i == 0 {
-				sys = init.Clone()
-			} else {
-				sys = prev.Clone()
-				st := store.Step(sf.Step)
-				var err error
-				if st.Crash() {
-					how, err = sys.Crash(st.Proc())
-				} else {
-					how, err = sys.Step(st.Proc(), st.Choice())
-				}
-				if err != nil {
+			if i > 0 {
+				step = e.Path.Step
+				if how, err = step.Apply(sys); err != nil {
 					return finish(), fmt.Errorf("explore: resume: replaying stack frame %d: %w", i, err)
 				}
 			}
@@ -152,13 +135,13 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			// permutation π, so the fingerprint stays orbit-invariant.
 			// Observer-side state, not machine state.
 			//lint:ignore anonlint/taint aux fold is canonicalized jointly with π (canon.Key); observer-side, orbit-invariant by construction
-			fp := opts.hasher.Fingerprint(sys, sf.Aux)
+			fp := opts.hasher.Fingerprint(sys, e.Aux)
 			onStack[fp] = struct{}{}
-			stack = append(stack, frame{
-				sys: sys, fp: fp, aux: sf.Aux, how: how,
-				p: sf.P, c: sf.C, n: sf.N, crashP: sf.CrashP, depth: sf.Depth,
-			})
-			prev = sys
+			stack = append(stack, frame{sys: sys, fp: fp, aux: e.Aux, step: step, how: how,
+				depth: int(e.Depth), lo: len(arena), next: int(e.Tag)})
+			if e.Tag >= 0 {
+				arena = successors(arena, sys, opts.MaxCrashes)
+			}
 		}
 	} else {
 		initSys := init.Clone()
@@ -167,89 +150,51 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		if _, _, err := visited.Insert(rootFP, 0); err != nil {
 			return finish(), fmt.Errorf("explore: %w", err)
 		}
-		states++
-		var err error
-		stack, err = push(nil, initSys, rootFP, opts.InitAux, machine.StepInfo{}, 0)
-		if err != nil {
+		res.States++
+		if err := push(initSys, rootFP, opts.InitAux, 0, machine.StepInfo{}, 0); err != nil {
 			return finish(), err
 		}
 	}
 
 	for len(stack) > 0 {
-		if opts.ckpt.due(states) {
-			if err := writeCkpt(stack); err != nil {
+		if opts.ckpt.due(int64(res.States)) {
+			if err := writeCkpt(); err != nil {
 				return finish(), err
 			}
 		}
 		if canceled(&opts) {
 			if opts.ckpt != nil {
-				if err := writeCkpt(stack); err != nil {
+				if err := writeCkpt(); err != nil {
 					return finish(), err
 				}
 			}
 			return finish(), ErrCanceled
 		}
-		f := &stack[len(stack)-1]
-		if states > int64(maxStates) {
+		if res.States > opts.MaxStates {
 			res.Truncated = true
 			break
 		}
-		if opts.Prune != nil && f.n == -1 && f.p == 0 && f.c == 0 &&
-			opts.Prune(Node{Sys: f.sys, Aux: f.aux, Depth: f.depth}) {
-			res.Pruned++
-			delete(onStack, f.fp)
-			stack = stack[:len(stack)-1]
+		f := &stack[len(stack)-1]
+		if f.next < 0 {
+			if opts.Prune != nil && opts.Prune(Node{Sys: f.sys, Aux: f.aux, Depth: f.depth}) {
+				res.Pruned++
+				pop()
+				continue
+			}
+			arena = successors(arena, f.sys, opts.MaxCrashes)
+			f.next = 0
+		}
+		if f.lo+f.next == len(arena) {
+			expanded++
+			pop()
 			continue
 		}
-		// Find the next (p, c) successor.
-		for f.p < f.sys.N() {
-			if f.n == -1 {
-				if !f.sys.Enabled(f.p) {
-					f.p++
-					continue
-				}
-				f.n = len(f.sys.Procs[f.p].Pending())
-				f.c = 0
-			}
-			if f.c >= f.n {
-				f.p++
-				f.n = -1
-				continue
-			}
-			break
-		}
-		var succ *machine.System
-		var info machine.StepInfo
-		if f.p < f.sys.N() {
-			succ = f.sys.Clone()
-			var err error
-			info, err = succ.Step(f.p, f.c)
-			if err != nil {
-				return finish(), fmt.Errorf("explore: %w", err)
-			}
-			f.c++
-		} else {
-			// Op successors exhausted: emit the crash successors, then pop.
-			if opts.MaxCrashes > 0 && f.sys.CrashCount() < opts.MaxCrashes {
-				for f.crashP < f.sys.N() && !f.sys.Enabled(f.crashP) {
-					f.crashP++
-				}
-			} else {
-				f.crashP = f.sys.N()
-			}
-			if f.crashP >= f.sys.N() {
-				delete(onStack, f.fp)
-				expanded++
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			succ = f.sys.Clone()
-			var err error
-			info, err = succ.Crash(f.crashP)
-			if err != nil {
-				return finish(), fmt.Errorf("explore: %w", err)
-			}
-			f.crashP++
+		step := arena[f.lo+f.next]
+		f.next++
+		succ := f.sys.Clone()
+		info, err := step.Apply(succ)
+		if err != nil {
+			return finish(), fmt.Errorf("explore: %w", err)
 		}
 		res.Edges++
 		aux := f.aux
@@ -267,7 +212,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			res.Stats.DedupHits++
 			res.Cycle = true
 			if res.CycleTrace == nil && opts.Traces {
-				res.CycleTrace = append(stackTrace(stack), info)
+				res.CycleTrace = append(stackTrace(), info)
 			}
 			continue
 		}
@@ -281,9 +226,8 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			res.Stats.DedupHits++
 			continue
 		}
-		states++
-		stack, err = push(stack, succ, fp, aux, info, depth)
-		if err != nil {
+		res.States++
+		if err := push(succ, fp, aux, step, info, depth); err != nil {
 			return finish(), err
 		}
 	}

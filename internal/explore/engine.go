@@ -130,6 +130,29 @@ func (o *Options) canonicalizer() canon.Canonicalizer {
 	return o.Canonicalizer
 }
 
+// successors appends to dst the steps that expand sys, in the one order
+// both engines take them: each enabled processor's pending choices,
+// processor by processor, then, while the crash count is below
+// maxCrashes, one crash per enabled processor.
+func successors(dst []store.Step, sys *machine.System, maxCrashes int) []store.Step {
+	for p := range sys.N() {
+		if !sys.Enabled(p) {
+			continue
+		}
+		for c := range len(sys.Procs[p].Pending()) {
+			dst = append(dst, store.PackStep(p, c))
+		}
+	}
+	if maxCrashes > 0 && sys.CrashCount() < maxCrashes {
+		for p := range sys.N() {
+			if sys.Enabled(p) {
+				dst = append(dst, store.PackCrash(p))
+			}
+		}
+	}
+	return dst
+}
+
 // Run is the single entry point for exhaustive exploration: it validates
 // opts against the storage tier, binds the store (visited set, frontier
 // factory, checkpoint trigger), dispatches, and fills Result.Stats.
@@ -166,9 +189,9 @@ func Run(init *machine.System, opts Options) (Result, error) {
 
 	// The checkpoint identity: which run a checkpoint belongs to. The
 	// root fingerprint pins the system and its canonicalization.
-	var initFP string
+	id := store.Meta{Engine: engine.String(), Symmetry: canonicalizer.String(), MaxCrashes: opts.MaxCrashes}
 	if opts.Checkpoint != "" || opts.Resume != "" {
-		initFP = fmt.Sprintf("%016x", hasher.Fingerprint(init.Clone(), opts.InitAux))
+		id.InitFP = fmt.Sprintf("%016x", hasher.Fingerprint(init.Clone(), opts.InitAux))
 	}
 	if opts.Resume != "" {
 		sp := opts.Trace.Start("checkpoint.resume", "load checkpoint")
@@ -177,7 +200,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("explore: %w", err)
 		}
-		if err := validateResume(ck, engine, canonicalizer.String(), initFP, opts.MaxCrashes); err != nil {
+		if err := validateResume(ck.Meta, id); err != nil {
 			return Result{}, err
 		}
 		opts.resume = ck
@@ -215,23 +238,10 @@ func Run(init *machine.System, opts Options) (Result, error) {
 		if every <= 0 {
 			every = DefaultCheckpointEvery
 		}
-		opts.ckpt = &ckptState{
-			dir:   opts.Checkpoint,
-			every: int64(every),
-			st:    st,
-			meta: store.Meta{
-				Engine:     engine.String(),
-				Symmetry:   canonicalizer.String(),
-				InitFP:     initFP,
-				MaxCrashes: opts.MaxCrashes,
-			},
-		}
+		opts.ckpt = &ckptState{dir: opts.Checkpoint, every: int64(every), id: id, st: st, tr: opts.Trace}
 		if opts.resume != nil {
 			opts.ckpt.last = opts.resume.Meta.States
 		}
-	}
-	if opts.ckpt != nil {
-		opts.ckpt.tr = opts.Trace
 	}
 
 	wd := startWatchdog(&opts)

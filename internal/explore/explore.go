@@ -44,6 +44,11 @@
 // sweep helpers alike. Option combinations an engine or storage tier
 // cannot honor return an *UnsupportedOptionError.
 //
+// Both engines expand a state by the same successor steps, in the same
+// order (successors), and take every step as a packed store.Step
+// (Step.Apply): the breadth-first engine logs those steps for traces,
+// and both checkpoint them in paths.
+//
 // Storage tiers. Every engine's visited set and frontier come from the
 // internal/store layer: Options.Store selects the fully-in-RAM mem tier
 // (the default) or the out-of-core disk tier, which bounds RAM by
@@ -51,8 +56,11 @@
 // frontier path segments to Options.StoreDir. State counts, verdicts
 // and counterexamples are identical across tiers. Options.Checkpoint
 // periodically snapshots a run into a directory that a later Run can
-// continue from with Options.Resume; Options.Cancel aborts a run
-// (writing a final checkpoint) with ErrCanceled.
+// continue from with Options.Resume: the visited set, the counters,
+// and the engine's pending work as one path segment of store entries
+// (the breadth-first frontier, or the DFS stack one frame per entry).
+// Options.Cancel aborts a run (writing a final checkpoint) with
+// ErrCanceled.
 package explore
 
 import (
@@ -121,8 +129,11 @@ type Options struct {
 	// memory ever held exactly view X"). The initial aux value is InitAux.
 	Aux     func(aux uint64, info machine.StepInfo, sys *machine.System) uint64
 	InitAux uint64
-	// Traces keeps parent pointers so invariant violations carry a full
-	// counterexample trace. Costs memory on large runs.
+	// Traces makes invariant violations (and DFS cycles) carry a full
+	// counterexample trace. DFS reads it off its stack at no cost. The
+	// breadth-first engines keep a parent log of packed steps, 16 bytes
+	// per discovered state for the whole run, and replay the trace from
+	// the root; the log lives outside MemLimit's ceiling.
 	Traces bool
 	// Prune, when set and returning true for a state, keeps the state but
 	// does not expand its successors. Used to bound inherently infinite
@@ -158,8 +169,10 @@ type Options struct {
 	// StoreDir is the disk tier's scratch directory ("" = a fresh temp
 	// directory, removed when the run ends). Mem rejects it.
 	StoreDir string
-	// MemLimit is the disk tier's RAM ceiling (0 = store.DefaultMemLimit).
-	// Mem rejects it: the in-RAM store has no spill ceiling.
+	// MemLimit is the disk tier's RAM ceiling (0 = store.DefaultMemLimit)
+	// for the visited set and the frontier. The breadth-first engines'
+	// Traces log (16 bytes per state) is not counted against it. Mem
+	// rejects it: the in-RAM store has no spill ceiling.
 	MemLimit store.Bytes
 	// Checkpoint, when non-empty, names a directory the engine
 	// atomically re-snapshots every CheckpointEvery discovered states

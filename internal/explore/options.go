@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"anonshm/internal/machine"
 	"anonshm/internal/obs/span"
 	"anonshm/internal/store"
 )
@@ -60,33 +59,39 @@ func validateOptions(engine Engine, opts *Options) error {
 	return nil
 }
 
-// validateResume matches a loaded checkpoint against the run's identity
-// (engine, symmetry, root fingerprint, crash budget).
-func validateResume(ck *store.Checkpoint, engine Engine, symmetry, initFP string, maxCrashes int) error {
-	m := ck.Meta
-	if m.Engine != engine.String() {
-		return &CheckpointMismatchError{Field: "engine", Checkpoint: m.Engine, Requested: engine.String()}
-	}
-	if m.Symmetry != symmetry {
-		return &CheckpointMismatchError{Field: "symmetry", Checkpoint: m.Symmetry, Requested: symmetry}
-	}
-	if m.InitFP != initFP {
-		return &CheckpointMismatchError{Field: "initial-state fingerprint", Checkpoint: m.InitFP, Requested: initFP}
-	}
-	if m.MaxCrashes != maxCrashes {
-		return &CheckpointMismatchError{Field: "maxCrashes",
-			Checkpoint: fmt.Sprint(m.MaxCrashes), Requested: fmt.Sprint(maxCrashes)}
+// validateResume matches a loaded checkpoint's metadata against the
+// run's identity id (engine, symmetry, root fingerprint, crash budget).
+func validateResume(m, id store.Meta) error {
+	return firstMismatch([]identityField{
+		{"engine", m.Engine, id.Engine},
+		{"symmetry", m.Symmetry, id.Symmetry},
+		{"initial-state fingerprint", m.InitFP, id.InitFP},
+		{"maxCrashes", fmt.Sprint(m.MaxCrashes), fmt.Sprint(id.MaxCrashes)},
+	})
+}
+
+// identityField is one field of a run or sweep checkpoint identity: the
+// value the checkpoint records and the value the run requests.
+type identityField struct{ name, checkpoint, requested string }
+
+// firstMismatch reports the first field whose two values differ as a
+// *CheckpointMismatchError, or nil when all agree.
+func firstMismatch(fields []identityField) error {
+	for _, f := range fields {
+		if f.checkpoint != f.requested {
+			return &CheckpointMismatchError{Field: f.name, Checkpoint: f.checkpoint, Requested: f.requested}
+		}
 	}
 	return nil
 }
 
-// ckptState is the engines' shared periodic-checkpoint trigger. The
-// identity half of meta is prefilled by Run; engines fill the counters
-// at each write.
+// ckptState is the engines' shared periodic-checkpoint trigger and
+// writer. Run fills the run identity id; the engines hand their
+// counters over as a Result at each write.
 type ckptState struct {
 	dir   string
 	every int64
-	meta  store.Meta // identity fields only
+	id    store.Meta // identity fields only
 	last  int64      // states at the previous checkpoint
 	st    *store.Store
 	tr    *span.Tracer
@@ -98,24 +103,43 @@ func (c *ckptState) due(states int64) bool {
 	return c != nil && states-c.last >= c.every
 }
 
-// write checkpoints the visited set plus either a frontier snapshot or
-// a DFS stack (in meta.Stack), with meta's counter fields already
-// filled by the engine.
-func (c *ckptState) write(meta store.Meta, v store.VisitedSet, frontier []store.Entry, states int64) error {
-	meta.Engine = c.meta.Engine
-	meta.Symmetry = c.meta.Symmetry
-	meta.InitFP = c.meta.InitFP
-	meta.MaxCrashes = c.meta.MaxCrashes
+// write checkpoints the visited set, the engine's pending entries (the
+// breadth-first frontier or the depth-first stack) and res's counters,
+// which resumedResult reads back.
+func (c *ckptState) write(res Result, v store.VisitedSet, pending []store.Entry) error {
+	meta := c.id
+	meta.States = int64(res.States)
+	meta.Edges = int64(res.Edges)
+	meta.Terminals = int64(res.Terminals)
+	meta.Pruned = int64(res.Pruned)
+	meta.MaxDepth = int32(res.MaxDepth)
+	meta.DedupLookups = res.Stats.DedupLookups
+	meta.DedupHits = res.Stats.DedupHits
+	meta.FrontierPeak = res.Stats.FrontierPeak
+	meta.WorkerSteps = res.Stats.WorkerSteps
+	meta.Cycle = res.Cycle
 	sp := c.tr.StartArgs("checkpoint.write", "write checkpoint",
-		map[string]any{"states": states, "frontier": len(frontier)})
-	err := store.WriteCheckpoint(c.dir, meta, v, frontier)
+		map[string]any{"states": meta.States, "frontier": len(pending)})
+	err := store.WriteCheckpoint(c.dir, meta, v, pending)
 	sp.End()
 	if err != nil {
-		return err
+		return fmt.Errorf("explore: checkpoint: %w", err)
 	}
-	c.last = states
+	c.last = meta.States
 	c.st.AddCheckpoint()
 	return nil
+}
+
+// resumedResult reads back the counters ckptState.write recorded in m.
+func resumedResult(m store.Meta) Result {
+	return Result{
+		States: int(m.States), Edges: int(m.Edges), Terminals: int(m.Terminals),
+		Pruned: int(m.Pruned), MaxDepth: int(m.MaxDepth), Cycle: m.Cycle,
+		Stats: Stats{
+			DedupLookups: m.DedupLookups, DedupHits: m.DedupHits,
+			FrontierPeak: m.FrontierPeak, WorkerSteps: m.WorkerSteps,
+		},
+	}
 }
 
 // canceled reports whether opts.Cancel has fired. Nil-safe, never
@@ -130,13 +154,4 @@ func canceled(opts *Options) bool {
 	default:
 		return false
 	}
-}
-
-// packStepInfo converts an executed step to the store's packed path
-// representation.
-func packStepInfo(info machine.StepInfo) store.Step {
-	if info.Op.Kind == machine.OpCrash {
-		return store.PackCrash(info.Proc)
-	}
-	return store.PackStep(info.Proc, info.Choice)
 }

@@ -45,12 +45,16 @@ import (
 // back into the level being expanded (its shallowest entries) and the
 // next.
 //
+// Expansion. A worker expands a state by the successors steps, listed
+// into a per-worker buffer, and applies each to a clone of the state.
+//
 // Stopping. Invariant violations and step errors set a stop flag that
 // every worker checks between successor generations, so all workers quit
 // promptly. The first invariant violation wins; its counterexample trace
 // is rebuilt after the workers have joined, from per-worker append-only
-// parent logs (node ids pack worker and log index into an int64, so the
-// logs need no cross-worker synchronization). The state bound,
+// parent logs of packed steps (node ids pack worker and log index into
+// an int64, so the logs need no cross-worker synchronization), by
+// replaying the steps from the root. The state bound,
 // Options.Cancel and a due periodic checkpoint act only between
 // expansions: a worker checks them at its loop top (cancel and the
 // checkpoint) or right after a pop (the bound, which then leaves the
@@ -66,10 +70,11 @@ import (
 // worker index into the top 16 bits of an int64.
 const maxParallelWorkers = 1 << 15
 
-// parNode is one entry of a worker's parent log (Traces only).
+// parNode is one entry of a worker's parent log (Traces only): 16 bytes
+// per discovered state.
 type parNode struct {
 	parent int64
-	how    machine.StepInfo
+	step   store.Step
 }
 
 // packID builds a node id from a worker index and that worker's log index.
@@ -87,13 +92,15 @@ type parWorker struct {
 	steps     int64 // states expanded
 	lookups   int64
 	hits      int64
-	maxDepth  int32     // deepest state this worker discovered
-	log       []parNode // parent pointers (Traces only)
+	maxDepth  int32        // deepest state this worker discovered
+	log       []parNode    // parent pointers (Traces only)
+	succ      []store.Step // the successor steps of the state in expansion
 }
 
 // parRun is the shared state of one breadth-first exploration.
 type parRun struct {
 	opts     Options
+	root     *machine.System // traces replay from it
 	workers  []parWorker
 	visited  store.VisitedSet
 	needPath bool
@@ -121,6 +128,7 @@ type parRun struct {
 func runParallel(init *machine.System, opts Options) (Result, error) {
 	p := &parRun{
 		opts:    opts,
+		root:    init,
 		workers: make([]parWorker, opts.Workers),
 		visited: opts.visited,
 	}
@@ -158,7 +166,11 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 		res := p.result()
 		switch {
 		case p.invErr != nil:
-			return res, &InvariantError{Err: p.invErr, Trace: p.traceTo(p.invNode)}
+			trace, err := p.traceTo(p.invNode)
+			if err != nil {
+				return res, err
+			}
+			return res, &InvariantError{Err: p.invErr, Trace: trace}
 		case p.stepErr != nil:
 			return res, p.stepErr
 		case p.truncated.Load():
@@ -168,13 +180,13 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 		case p.canceled.Load():
 			if opts.ckpt != nil {
 				if err := p.writeCheckpoint(); err != nil {
-					return res, fmt.Errorf("explore: checkpoint: %w", err)
+					return res, err
 				}
 			}
 			return res, ErrCanceled
 		case p.pause.Load():
 			if err := p.writeCheckpoint(); err != nil {
-				return res, fmt.Errorf("explore: checkpoint: %w", err)
+				return res, err
 			}
 			p.pause.Store(false)
 			continue // the same level, where it stopped
@@ -213,7 +225,8 @@ func (p *parRun) seed(init *machine.System) error {
 		if err := opts.Invariant(Node{Sys: rootSys, Aux: opts.InitAux, Depth: 0}); err != nil {
 			// The one-node trace: zero steps, but non-nil when Traces is
 			// set, matching DFS's root-violation behaviour.
-			return &InvariantError{Err: err, Trace: p.traceTo(rootID)}
+			trace, _ := p.traceTo(rootID) // no step to replay, so no error
+			return &InvariantError{Err: err, Trace: trace}
 		}
 	}
 	p.pending.Store(1)
@@ -233,18 +246,18 @@ func (p *parRun) seed(init *machine.System) error {
 // level being expanded and go back into the cur shards, the others into
 // the next shards, dealt round-robin over the workers.
 func (p *parRun) restore() error {
-	m := p.opts.resume.Meta
+	res := resumedResult(p.opts.resume.Meta)
 	nw := len(p.workers)
-	p.states.Store(m.States)
-	p.edges.Store(m.Edges)
-	p.terminals.Store(m.Terminals)
-	p.pruned.Store(m.Pruned)
-	for i, s := range m.WorkerSteps {
+	p.states.Store(int64(res.States))
+	p.edges.Store(int64(res.Edges))
+	p.terminals.Store(int64(res.Terminals))
+	p.pruned.Store(int64(res.Pruned))
+	for i, s := range res.Stats.WorkerSteps {
 		p.workers[i%nw].steps += s
 	}
-	p.workers[0].lookups = m.DedupLookups
-	p.workers[0].hits = m.DedupHits
-	p.workers[0].maxDepth = m.MaxDepth
+	p.workers[0].lookups = res.Stats.DedupLookups
+	p.workers[0].hits = res.Stats.DedupHits
+	p.workers[0].maxDepth = int32(res.MaxDepth)
 	entries, err := p.opts.resume.Frontier()
 	if err != nil {
 		return err
@@ -264,7 +277,7 @@ func (p *parRun) restore() error {
 		}
 	}
 	p.pending.Store(int64(len(entries)))
-	p.peak.Store(max(int64(m.FrontierPeak), int64(len(entries))))
+	p.peak.Store(max(int64(res.Stats.FrontierPeak), int64(len(entries))))
 	return nil
 }
 
@@ -327,16 +340,7 @@ func (p *parRun) writeCheckpoint() error {
 			return err
 		}
 	}
-	res := p.result()
-	meta := store.Meta{
-		States: int64(res.States), Edges: int64(res.Edges),
-		Terminals: int64(res.Terminals), Pruned: int64(res.Pruned),
-		MaxDepth:     int32(res.MaxDepth),
-		DedupLookups: res.Stats.DedupLookups, DedupHits: res.Stats.DedupHits,
-		FrontierPeak: res.Stats.FrontierPeak,
-		WorkerSteps:  res.Stats.WorkerSteps,
-	}
-	return p.opts.ckpt.write(meta, p.visited, snap, meta.States)
+	return p.opts.ckpt.write(p.result(), p.visited, snap)
 }
 
 // steal scans the other workers round-robin and takes the newest half of
@@ -362,56 +366,32 @@ func (p *parRun) steal(w int) (store.Entry, bool) {
 // expand generates every successor of e, deduplicates, and queues the new
 // states on the worker's next shard.
 func (p *parRun) expand(w int, e store.Entry) {
-	p.workers[w].steps++
+	self := &p.workers[w]
+	self.steps++
 	if p.opts.Prune != nil && p.opts.Prune(Node{Sys: e.Sys, Aux: e.Aux, Depth: int(e.Depth)}) {
 		p.pruned.Add(1)
 		return
 	}
-	sys := e.Sys
-	for proc := 0; proc < sys.N(); proc++ {
-		if !sys.Enabled(proc) {
-			continue
+	self.succ = successors(self.succ[:0], e.Sys, p.opts.MaxCrashes)
+	for _, step := range self.succ {
+		if p.stop.Load() {
+			return
 		}
-		nChoices := len(sys.Procs[proc].Pending())
-		for c := 0; c < nChoices; c++ {
-			if p.stop.Load() {
-				return
-			}
-			succ := sys.Clone()
-			info, err := succ.Step(proc, c)
-			if err != nil {
-				p.fail(fmt.Errorf("explore: %w", err))
-				return
-			}
-			if !p.successor(w, e, succ, info) {
-				return
-			}
+		succ := e.Sys.Clone()
+		info, err := step.Apply(succ)
+		if err != nil {
+			p.fail(fmt.Errorf("explore: %w", err))
+			return
 		}
-	}
-	if p.opts.MaxCrashes > 0 && sys.CrashCount() < p.opts.MaxCrashes {
-		for proc := 0; proc < sys.N(); proc++ {
-			if !sys.Enabled(proc) {
-				continue
-			}
-			if p.stop.Load() {
-				return
-			}
-			succ := sys.Clone()
-			info, err := succ.Crash(proc)
-			if err != nil {
-				p.fail(fmt.Errorf("explore: %w", err))
-				return
-			}
-			if !p.successor(w, e, succ, info) {
-				return
-			}
+		if !p.successor(w, e, succ, step, info) {
+			return
 		}
 	}
 }
 
 // successor runs one generated successor through aux folding, dedup and
 // discovery; false means the worker should stop expanding.
-func (p *parRun) successor(w int, e store.Entry, succ *machine.System, info machine.StepInfo) bool {
+func (p *parRun) successor(w int, e store.Entry, succ *machine.System, step store.Step, info machine.StepInfo) bool {
 	self := &p.workers[w]
 	aux := e.Aux
 	if p.opts.Aux != nil {
@@ -431,9 +411,9 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, info mach
 	}
 	var path *store.PathNode
 	if p.needPath {
-		path = e.Path.Extend(packStepInfo(info))
+		path = e.Path.Extend(step)
 	}
-	if !p.discovered(w, succ, aux, e.Tag, info, e.Depth+1, path) {
+	if !p.discovered(w, succ, aux, e.Tag, step, e.Depth+1, path) {
 		return false
 	}
 	// Counted after discovery, so the Progress call inside it and an
@@ -445,13 +425,13 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, info mach
 // discovered registers a newly-inserted state: counters, parent log,
 // invariant and the push onto the worker's next shard. false means the
 // search is stopping (the reason is recorded in p).
-func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int64, info machine.StepInfo, depth int32, path *store.PathNode) bool {
+func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int64, step store.Step, depth int32, path *store.PathNode) bool {
 	self := &p.workers[w]
 	cnt := p.states.Add(1)
 	self.maxDepth = max(self.maxDepth, depth)
 	id := int64(-1)
 	if p.opts.Traces {
-		self.log = append(self.log, parNode{parent: parent, how: info})
+		self.log = append(self.log, parNode{parent: parent, step: step})
 		id = packID(w, len(self.log)-1)
 	}
 	if succ.Quiescent() {
@@ -507,25 +487,30 @@ func (p *parRun) failInvariant(err error, node int64) {
 	p.stop.Store(true)
 }
 
-// traceTo rebuilds the step sequence from the root to the given node by
-// walking the per-worker parent logs. Called only after the workers have
-// joined.
-func (p *parRun) traceTo(id int64) []machine.StepInfo {
+// traceTo rebuilds the trace from the root to the given node: it walks
+// the per-worker parent logs back to the root and replays their steps
+// forward from it. Called only after the workers have joined.
+func (p *parRun) traceTo(id int64) ([]machine.StepInfo, error) {
 	if !p.opts.Traces || id < 0 {
-		return nil
+		return nil, nil
 	}
-	var rev []machine.StepInfo
+	var rev []store.Step
 	for id != packID(0, 0) {
 		w, i := unpackID(id)
 		n := p.workers[w].log[i]
-		rev = append(rev, n.how)
+		rev = append(rev, n.step)
 		id = n.parent
 	}
 	out := make([]machine.StepInfo, len(rev))
+	sys := p.root.Clone()
 	for j := range rev {
-		out[j] = rev[len(rev)-1-j]
+		info, err := rev[len(rev)-1-j].Apply(sys)
+		if err != nil {
+			return nil, fmt.Errorf("explore: replaying the counterexample trace: %w", err)
+		}
+		out[j] = info
 	}
-	return out
+	return out, nil
 }
 
 // result assembles the Result from the run's counters. Called only

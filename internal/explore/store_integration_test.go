@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anonshm/internal/canon"
 	"anonshm/internal/core"
+	"anonshm/internal/machine"
 	"anonshm/internal/store"
 )
 
@@ -189,16 +191,44 @@ func TestKillAndResume(t *testing.T) {
 	}
 }
 
+// cancelEverySucc is cancelAfter's mid-expansion twin: an identity
+// Options.Aux that closes the returned cancel channel at the n-th
+// successor it is called on, so the cancel lands while a state is being
+// expanded. Safe under the parallel engine's concurrent workers.
+func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *machine.System) uint64) {
+	ch := make(chan struct{})
+	var once sync.Once
+	var calls atomic.Int64
+	return ch, func(aux uint64, _ machine.StepInfo, _ *machine.System) uint64 {
+		if calls.Add(1) >= int64(n) {
+			once.Do(func() { close(ch) })
+		}
+		return aux
+	}
+}
+
 // TestKillResumeEveryK is the kill/resume property test. It cancels one
-// whole run after every k-th progress call (one call per discovered
-// state), resumes it from its checkpoint each time until it completes,
-// and demands the uninterrupted run's totals. A periodic checkpoint
-// every 7 states also ends breadth-first rounds mid-level between the
-// cancels. It covers every engine (the parallel one at 3 workers), both
-// tiers (disk under tinyMemLimit) and every symmetry level, on the
-// N=2 same-input snapshot system, whose 1,364 states (700 under either
-// reduction) lie in 23 levels. -short, which make race uses, cancels
-// at every 4k-th call only.
+// whole run again and again, resumes it from its checkpoint each time
+// until it completes, and demands the uninterrupted run's totals and
+// dedup counters. Periodic checkpoints also end breadth-first rounds
+// mid-level between the cancels. It covers every engine (the parallel
+// one at 3 workers), both tiers (disk under tinyMemLimit) and every
+// symmetry level, on the N=2 same-input snapshot system, whose 1,364
+// states (700 under either reduction) lie in 23 levels, with two
+// cancel sources:
+//
+//   - states: after every k-th discovered state (a Progress call), with
+//     a checkpoint every 7 states, so a DFS checkpoint's top frame is
+//     always unexpanded;
+//   - successors: after every 4k-th generated successor (an identity
+//     Aux), with a crash budget of 1 and a checkpoint every 4k·7/10
+//     states, so a DFS checkpoint's top frame is often partly expanded
+//     and its cursor may point at a crash step. The budget triples the
+//     states and edges, so the sparser cadences keep this source's
+//     kills and checkpoints near the first one's.
+//
+// k is 10. -short, which make race and CI's repeated step use, sets it
+// to 40.
 func TestKillResumeEveryK(t *testing.T) {
 	k := 10
 	if testing.Short() {
@@ -219,39 +249,88 @@ func TestKillResumeEveryK(t *testing.T) {
 					if kind == store.Disk {
 						opts = diskOpts(t, opts)
 					}
-					ref, err := Run(sys.Clone(), opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dir := t.TempDir()
-					run := opts
-					run.Checkpoint, run.CheckpointEvery, run.ProgressEvery = dir, 7, 1
-					kills := 0
-					for {
-						run.Cancel, run.Progress = cancelAfter(k)
-						got, err := Run(sys.Clone(), run)
-						if errors.Is(err, ErrCanceled) {
-							kills++
-							run.Resume = dir
-							continue
-						}
-						if err != nil {
-							t.Fatalf("after %d kills: %v", kills, err)
-						}
-						if keyOf(got) != keyOf(ref) {
-							t.Errorf("after %d kills: %+v, uninterrupted %+v", kills, keyOf(got), keyOf(ref))
-						}
-						break
-					}
-					// A cancel lands after the expansion in flight, which
-					// may discover a few more states first.
-					if kills < ref.States/(2*k) {
-						t.Errorf("only %d kills over %d states at k=%d", kills, ref.States, k)
-					}
+					t.Run("states", func(t *testing.T) {
+						killResumeEveryK(t, sys, opts, k, 7, false)
+					})
+					t.Run("successors", func(t *testing.T) {
+						opts := opts
+						opts.MaxCrashes = 1
+						_, opts.Aux = cancelEverySucc(1) // the identity Aux on the reference run too
+						killResumeEveryK(t, sys, opts, 4*k, 4*k*7/10, true)
+					})
 				})
 			}
 		}
 	}
+}
+
+// killResumeEveryK runs opts uninterrupted, then again with a
+// checkpoint every `every` states and a cancel after every k-th
+// discovered state, or with bySucc after every k-th generated
+// successor, resuming after every cancel, and compares the two. It
+// demands at least one cancel per 2k events; on DFS, the successor
+// cancels must also leave at least one checkpoint whose top frame is
+// partly expanded.
+func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every int, bySucc bool) {
+	t.Helper()
+	ref, err := Run(sys.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := opts
+	run.Checkpoint, run.CheckpointEvery, run.ProgressEvery = dir, every, 1
+	kills, midExpansion := 0, 0
+	for {
+		if bySucc {
+			run.Cancel, run.Aux = cancelEverySucc(k)
+		} else {
+			run.Cancel, run.Progress = cancelAfter(k)
+		}
+		got, err := Run(sys.Clone(), run)
+		if errors.Is(err, ErrCanceled) {
+			kills++
+			if opts.Engine == DFSEngine {
+				ck, err := store.LoadCheckpoint(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stack, err := ck.Frontier()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stack[len(stack)-1].Tag > 0 {
+					midExpansion++
+				}
+			}
+			run.Resume = dir
+			continue
+		}
+		if err != nil {
+			t.Fatalf("after %d kills: %v", kills, err)
+		}
+		if keyOf(got) != keyOf(ref) {
+			t.Errorf("after %d kills: %+v, uninterrupted %+v", kills, keyOf(got), keyOf(ref))
+		}
+		if got.Stats.DedupLookups != ref.Stats.DedupLookups || got.Stats.DedupHits != ref.Stats.DedupHits {
+			t.Errorf("after %d kills: %d dedup lookups and %d hits, uninterrupted %d and %d", kills,
+				got.Stats.DedupLookups, got.Stats.DedupHits, ref.Stats.DedupLookups, ref.Stats.DedupHits)
+		}
+		break
+	}
+	// A cancel lands after the expansion in flight (DFS: the successor
+	// in flight), which may discover a few more states first.
+	events := ref.States
+	if bySucc {
+		events = ref.Edges // one generated successor per edge
+	}
+	if kills < events/(2*k) {
+		t.Errorf("only %d kills over %d events at k=%d", kills, events, k)
+	}
+	if bySucc && opts.Engine == DFSEngine && midExpansion == 0 {
+		t.Errorf("none of %d kills left a partly expanded top frame", kills)
+	}
+	t.Logf("%d kills, %d with a partly expanded top frame", kills, midExpansion)
 }
 
 // TestResumeReproducesViolation: a run canceled before it reaches an

@@ -74,7 +74,7 @@ func loadSweepCheckpoint(dir string, id sweepCheckpoint) (*sweepCheckpoint, erro
 	if sc.Version != sweepMetaVersion {
 		return nil, fmt.Errorf("explore: resume: sweep checkpoint has version %d; this build reads version %d", sc.Version, sweepMetaVersion)
 	}
-	for _, f := range []struct{ name, checkpoint, requested string }{
+	if err := firstMismatch([]identityField{
 		{"check", sc.Check, id.Check},
 		{"engine", sc.Engine, id.Engine},
 		{"symmetry", sc.Symmetry, id.Symmetry},
@@ -85,10 +85,8 @@ func loadSweepCheckpoint(dir string, id sweepCheckpoint) (*sweepCheckpoint, erro
 		{"soloBound", fmt.Sprint(sc.SoloBound), fmt.Sprint(id.SoloBound)},
 		{"maxTimestamp", fmt.Sprint(sc.MaxTimestamp), fmt.Sprint(id.MaxTimestamp)},
 		{"maxCrashes", fmt.Sprint(sc.MaxCrashes), fmt.Sprint(id.MaxCrashes)},
-	} {
-		if f.checkpoint != f.requested {
-			return nil, &CheckpointMismatchError{Field: f.name, Checkpoint: f.checkpoint, Requested: f.requested}
-		}
+	}); err != nil {
+		return nil, err
 	}
 	return &sc, nil
 }

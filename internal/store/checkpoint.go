@@ -10,11 +10,12 @@ import (
 // Checkpoints. A checkpoint is a directory:
 //
 //	meta.json    — Meta: format version, run identity (engine, symmetry,
-//	               root fingerprint, crash budget), cumulative counters,
-//	               and the DFS stack when the engine is depth-first
+//	               root fingerprint, crash budget) and cumulative counters
 //	visited.fp   — the visited set as one sorted fingerprint run ("ANVF")
-//	frontier.seg — the frontier as one path segment ("ANSF"; absent for
-//	               DFS, whose pending work is the stack)
+//	frontier.seg — the pending work as one path segment ("ANSF"): the
+//	               breadth-first frontier, or the depth-first stack, one
+//	               entry per frame from the root up, each frame's
+//	               successor cursor in Entry.Tag
 //
 // Writes are atomic: everything lands in <dir>.tmp, which is renamed
 // over <dir> last, so a checkpoint directory is always complete. The
@@ -29,8 +30,10 @@ import (
 // re-expansion flag, and breadth-first checkpoints record MaxDepth,
 // which a version-2 one leaves at 0. Version 4 visited sets hold bare
 // 8-byte fingerprints (run format version 2), where version 3 ones
-// held 12-byte (fingerprint, depth) records.
-const MetaVersion = 4
+// held 12-byte (fingerprint, depth) records. Version 5 writes the
+// depth-first stack into frontier.seg, one entry per frame, where
+// version 4 wrote it into meta.json with four cursors per frame.
+const MetaVersion = 5
 
 const (
 	metaName     = "meta.json"
@@ -61,23 +64,6 @@ type Meta struct {
 	// Cycle preserves a DFS back-edge verdict found before the
 	// checkpoint, so a resumed run cannot lose it.
 	Cycle bool `json:"cycle,omitempty"`
-
-	// HasFrontier reports a frontier.seg file; DFS checkpoints carry
-	// their pending work in Stack instead.
-	HasFrontier bool         `json:"hasFrontier"`
-	Stack       []StackFrame `json:"stack,omitempty"`
-}
-
-// StackFrame is one suspended DFS frame: the packed step that produced
-// it (ignored on the root frame) and the expansion cursors.
-type StackFrame struct {
-	Step   uint32 `json:"step"`
-	Aux    uint64 `json:"aux,string"`
-	Depth  int    `json:"depth"`
-	P      int    `json:"p"`
-	C      int    `json:"c"`
-	N      int    `json:"n"`
-	CrashP int    `json:"crashP"`
 }
 
 // Checkpoint is a loaded checkpoint directory.
@@ -87,11 +73,10 @@ type Checkpoint struct {
 }
 
 // WriteCheckpoint atomically replaces dir with a checkpoint of v and
-// the given frontier entries (nil for DFS; meta.HasFrontier is set
-// accordingly). The caller fills every other Meta field.
-func WriteCheckpoint(dir string, meta Meta, v VisitedSet, frontier []Entry) error {
+// the engine's pending entries (each carrying its Path). The caller
+// fills every Meta field but the version.
+func WriteCheckpoint(dir string, meta Meta, v VisitedSet, pending []Entry) error {
 	meta.Version = MetaVersion
-	meta.HasFrontier = frontier != nil
 	tmp := dir + ".tmp"
 	if err := os.RemoveAll(tmp); err != nil {
 		return fmt.Errorf("store: checkpoint: %w", err)
@@ -102,10 +87,8 @@ func WriteCheckpoint(dir string, meta Meta, v VisitedSet, frontier []Entry) erro
 	if err := v.WriteFPFile(filepath.Join(tmp, visitedName)); err != nil {
 		return err
 	}
-	if frontier != nil {
-		if _, err := writeSegFile(filepath.Join(tmp, frontierName), frontier); err != nil {
-			return err
-		}
+	if _, err := writeSegFile(filepath.Join(tmp, frontierName), pending); err != nil {
+		return err
 	}
 	blob, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
@@ -145,11 +128,8 @@ func (c *Checkpoint) LoadVisited(v VisitedSet) error {
 	return v.LoadFPFile(filepath.Join(c.Dir, visitedName))
 }
 
-// Frontier decodes the checkpoint's frontier entries (Sys nil, paths
-// set — they replay on Pop). Nil for DFS checkpoints.
+// Frontier decodes the checkpoint's pending entries in the order they
+// were written, with Sys nil and Path set.
 func (c *Checkpoint) Frontier() ([]Entry, error) {
-	if !c.Meta.HasFrontier {
-		return nil, nil
-	}
 	return readSegFile(filepath.Join(c.Dir, frontierName))
 }

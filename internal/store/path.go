@@ -1,9 +1,14 @@
 package store
 
+import "anonshm/internal/machine"
+
 // Step is one packed exploration step: which processor moved, which
 // pending-op choice it took (or that it crashed). 32 bits suffice:
 // machine.NewSystem caps systems at 64 processors, and nondeterministic
-// choice fans out over a machine's pending ops, far below 2^24.
+// choice fans out over a machine's pending ops, far below 2^24. It is
+// the one step record of the explorer: both engines expand a state by
+// applying its successor steps and checkpoint them in paths, and the
+// breadth-first engine logs them for traces.
 type Step uint32
 
 const (
@@ -29,6 +34,14 @@ func (s Step) Proc() int { return int(s>>1) & (1<<stepProcBits - 1) }
 
 // Choice returns the pending-op choice index (0 for crashes).
 func (s Step) Choice() int { return int(s >> (1 + stepProcBits)) }
+
+// Apply takes the step on sys and reports what it did.
+func (s Step) Apply(sys *machine.System) (machine.StepInfo, error) {
+	if s.Crash() {
+		return sys.Crash(s.Proc())
+	}
+	return sys.Step(s.Proc(), s.Choice())
+}
 
 // PathNode is one link of a state's discovery path, shared structurally
 // between sibling frontier entries: a child's node points at its

@@ -8,7 +8,8 @@ import (
 	"os"
 )
 
-// Frontier segment files: spilled work-queue batches. States cannot be
+// Frontier segment files: spilled work-queue batches, and a
+// checkpoint's pending work (frontier.seg). States cannot be
 // serialized (machines are live objects behind interfaces), so a
 // segment stores each entry's discovery *path* — the step sequence from
 // the initial state — delta-encoded against the previous entry's path:

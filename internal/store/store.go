@@ -28,8 +28,10 @@
 //     entry replays its path from the root — O(depth) steps, the price
 //     of not holding the state in RAM.
 //   - Checkpoints snapshot the visited set (one sorted fingerprint run),
-//     the frontier (one path segment) and the engine counters into a
-//     directory that a later run can resume from.
+//     the engine's pending work as one path segment (the breadth-first
+//     frontier, or the depth-first stack with one entry per frame) and
+//     the engine counters into a directory that a later run can resume
+//     from.
 //
 // Everything in this package is deterministic: no wall-clock reads, no
 // global randomness, and every table is sorted before it is written, so
@@ -176,7 +178,9 @@ type Config struct {
 	Trace *span.Tracer
 }
 
-// Entry is one frontier element: a discovered, unexpanded state.
+// Entry is one element of an engine's pending work: a discovered state
+// the breadth-first frontier has yet to expand, or, in a checkpoint,
+// one frame of the depth-first stack.
 type Entry struct {
 	// Sys is the live state. Nil for entries decoded from a spilled
 	// segment or checkpoint, on either tier; Frontier.Pop replays Path
@@ -189,8 +193,11 @@ type Entry struct {
 	// along the discovering path, which the breadth-first engine makes
 	// the state's minimum distance from the root.
 	Depth int32
-	// Tag is an engine-private value carried through spills (e.g. the
-	// trace node id). Engines that do not use it leave it 0.
+	// Tag is an engine-private value carried through spills and
+	// checkpoints. The breadth-first engine keeps the entry's trace log
+	// id in it (-1 without Options.Traces) and writes 0 into its
+	// checkpoints; the depth-first engine checkpoints each stack frame's
+	// successor cursor in it (-1 before the frame is expanded).
 	Tag int64
 	// Path is the reversed step list that produced this state from the
 	// root, shared structurally with sibling entries. Required (and
@@ -374,13 +381,7 @@ func (s *Store) Replay(e *Entry) error {
 	steps := e.Path.Steps()
 	sys := s.cfg.Root.Clone()
 	for _, st := range steps {
-		var err error
-		if st.Crash() {
-			_, err = sys.Crash(st.Proc())
-		} else {
-			_, err = sys.Step(st.Proc(), st.Choice())
-		}
-		if err != nil {
+		if _, err := st.Apply(sys); err != nil {
 			return fmt.Errorf("store: replaying spilled path: %w", err)
 		}
 	}
