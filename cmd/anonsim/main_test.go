@@ -28,8 +28,12 @@ func (f *fakeMachine) Pending() []machine.Op {
 func (f *fakeMachine) Advance(choice int, read anonmem.Word) {}
 func (f *fakeMachine) Done() bool                            { return f.out != nil }
 func (f *fakeMachine) Output() anonmem.Word                  { return f.out }
-func (f *fakeMachine) Clone() machine.Machine                { c := *f; return &c }
-func (f *fakeMachine) StateKey() string                      { return fmt.Sprintf("fake:%v", f.out) }
+func (f *fakeMachine) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[fakeMachine](dst)
+	*d = *f
+	return d
+}
+func (f *fakeMachine) StateKey() string { return fmt.Sprintf("fake:%v", f.out) }
 
 func fakeSystem(t *testing.T, outs []anonmem.Word) *machine.System {
 	t.Helper()

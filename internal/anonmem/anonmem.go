@@ -202,16 +202,20 @@ func (mem *Memory) LastWrittenBy(pred func(writer int) bool) []int {
 	return out
 }
 
-// Clone returns an independent copy. The wiring permutations are shared:
-// they are fixed at initialization and never mutated (New copies its
-// input, and no method writes to perms), so sharing is safe and keeps
-// cloning cheap for the exhaustive explorer.
-func (mem *Memory) Clone() *Memory {
-	return &Memory{
-		cells:      append([]Word(nil), mem.cells...),
-		perms:      mem.perms,
-		lastWriter: append([]int(nil), mem.lastWriter...),
+// CloneInto returns an independent copy of the memory, written over dst
+// when dst is non-nil (reusing its register and ghost slices). The
+// wiring permutations are shared: they are fixed at initialization and
+// never mutated (New copies its input, and no method writes to perms),
+// so sharing is safe and keeps copying cheap for the exhaustive
+// explorer.
+func (mem *Memory) CloneInto(dst *Memory) *Memory {
+	if dst == nil {
+		dst = new(Memory)
 	}
+	dst.cells = append(dst.cells[:0], mem.cells...)
+	dst.perms = mem.perms
+	dst.lastWriter = append(dst.lastWriter[:0], mem.lastWriter...)
+	return dst
 }
 
 // Key returns a canonical encoding of the register contents (global order).

@@ -146,7 +146,7 @@ func TestLastWrittenBy(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	mem, _ := New(2, word("i"), IdentityWirings(1, 2))
 	mem.Write(0, 0, word("x"))
-	cp := mem.Clone()
+	cp := mem.CloneInto(nil)
 	cp.Write(0, 1, word("y"))
 	if mem.CellAt(1).Key() != "i" {
 		t.Error("clone write leaked into original")

@@ -180,7 +180,7 @@ func TestWeakCounterExhaustion(t *testing.T) {
 
 func TestWeakCounterCloneAndStateKey(t *testing.T) {
 	w := NewWeakCounter(2)
-	cp := w.Clone().(*WeakCounter)
+	cp := w.CloneInto(nil).(*WeakCounter)
 	cp.Advance(0, Mark(true))
 	if w.StateKey() == cp.StateKey() {
 		t.Error("clone advance affected original")

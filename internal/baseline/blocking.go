@@ -107,10 +107,12 @@ func (b *Blocking) Output() anonmem.Word {
 	return core.Cell{View: b.out}
 }
 
-// Clone implements machine.Machine.
-func (b *Blocking) Clone() machine.Machine {
-	cp := *b
-	return &cp
+// CloneInto implements machine.Machine. Views are immutable, so copying
+// the fields is a deep copy.
+func (b *Blocking) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[Blocking](dst)
+	*d = *b
+	return d
 }
 
 // StateKey implements machine.Machine.

@@ -115,7 +115,7 @@ func (d *DoubleCollect) Advance(_ int, read anonmem.Word) {
 		}
 		d.phase = dcScan
 		d.scanIdx = 0
-		d.cur = make([]view.View, 0, d.m)
+		d.cur = d.cur[:0]
 		d.acc = view.Empty()
 	case dcScan:
 		cell, ok := read.(core.Cell)
@@ -127,8 +127,10 @@ func (d *DoubleCollect) Advance(_ int, read anonmem.Word) {
 		d.scanIdx++
 		if d.scanIdx == d.m {
 			d.collects++
-			same := d.prev != nil && equalViews(d.prev, d.cur)
-			d.prev = d.cur
+			// prev and cur keep separate storage, which each copy owns
+			// (CloneInto), so the next collect can reuse cur's.
+			same := len(d.prev) > 0 && equalViews(d.prev, d.cur)
+			d.prev = append(d.prev[:0], d.cur...)
 			d.v = d.v.Union(d.acc)
 			if same {
 				d.out = d.v
@@ -168,12 +170,16 @@ func (d *DoubleCollect) Output() anonmem.Word {
 	return core.Cell{View: d.out}
 }
 
-// Clone implements machine.Machine.
-func (d *DoubleCollect) Clone() machine.Machine {
-	cp := *d
-	cp.prev = append([]view.View(nil), d.prev...)
-	cp.cur = append([]view.View(nil), d.cur...)
-	return &cp
+// CloneInto implements machine.Machine. The two collects are the only
+// state Advance mutates in place, so they are copied into dst's own
+// slices; views are immutable.
+func (d *DoubleCollect) CloneInto(dst machine.Machine) machine.Machine {
+	cp := machine.Reuse[DoubleCollect](dst)
+	prev, cur := cp.prev, cp.cur
+	*cp = *d
+	cp.prev = append(prev[:0], d.prev...)
+	cp.cur = append(cur[:0], d.cur...)
+	return cp
 }
 
 // StateKey implements machine.Machine.

@@ -150,10 +150,11 @@ func (w *WeakCounter) Output() anonmem.Word {
 	return Value(w.out)
 }
 
-// Clone implements machine.Machine.
-func (w *WeakCounter) Clone() machine.Machine {
-	cp := *w
-	return &cp
+// CloneInto implements machine.Machine.
+func (w *WeakCounter) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[WeakCounter](dst)
+	*d = *w
+	return d
 }
 
 // StateKey implements machine.Machine.

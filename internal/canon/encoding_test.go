@@ -162,14 +162,17 @@ func baselineSystem(t *testing.T, initial anonmem.Word, machines ...machine.Mach
 	return sys
 }
 
-// TestEncodingInjectiveN2 covers every reachable state of an N=2 system
-// of each machine type, under every wiring with processor 0 pinned.
-func TestEncodingInjectiveN2(t *testing.T) {
-	systems := []struct {
-		name  string
-		build func(perms [][]int) *machine.System
-		opts  explore.Options
-	}{
+// n2System is an N=2 system of one machine type, built per wiring, and
+// the options its reachable states are explored under.
+type n2System struct {
+	name  string
+	build func(perms [][]int) *machine.System
+	opts  explore.Options
+}
+
+// n2Systems lists one N=2 system of each machine type.
+func n2Systems(t *testing.T) []n2System {
+	return []n2System{
 		{"snapshot", func(perms [][]int) *machine.System {
 			sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true, Wirings: perms})
 			if err != nil {
@@ -216,7 +219,12 @@ func TestEncodingInjectiveN2(t *testing.T) {
 			return baselineSystem(t, baseline.UnsetMark, baseline.NewWeakCounter(2), baseline.NewWeakCounter(2))
 		}, explore.Options{}},
 	}
-	for _, s := range systems {
+}
+
+// TestEncodingInjectiveN2 covers every reachable state of an N=2 system
+// of each machine type, under every wiring with processor 0 pinned.
+func TestEncodingInjectiveN2(t *testing.T) {
+	for _, s := range n2Systems(t) {
 		t.Run(s.name, func(t *testing.T) {
 			for perms := range explore.Wirings(2, 2, explore.WiringOptions{Filter: explore.FilterProc0}) {
 				opts := s.opts
@@ -225,6 +233,78 @@ func TestEncodingInjectiveN2(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCloneIntoN2 copies every reachable N=2 state of each machine type
+// with System.CloneInto (and so every machine's CloneInto) into one
+// system, which the previous copies left in another state: crashed
+// where the source is not, and the reverse, on the systems explored
+// with crashes. The copy must encode and render as the source, and
+// running each enabled processor of a fresh copy solo must leave the
+// source's encoding unchanged, so no copy shares state a step mutates.
+func TestCloneIntoN2(t *testing.T) {
+	for _, s := range n2Systems(t) {
+		t.Run(s.name, func(t *testing.T) {
+			var dst *machine.System
+			var intoCrashed, fromCrashed int
+			check := func(src *machine.System) error {
+				if dst != nil && src.CrashCount() != dst.CrashCount() {
+					if src.CrashCount() == 0 {
+						intoCrashed++
+					} else {
+						fromCrashed++
+					}
+				}
+				want, key := systemWords(src), src.Key()
+				dst = src.CloneInto(dst)
+				if got := systemWords(dst); !slices.Equal(got, want) || dst.Key() != key {
+					return fmt.Errorf("copy of %q encodes as %v, renders %q; source %v", key, got, dst.Key(), want)
+				}
+				for p := range src.N() {
+					if !src.Enabled(p) {
+						continue
+					}
+					dst = src.CloneInto(dst)
+					for range 4 * (src.Mem.M() + 1) {
+						if !dst.Enabled(p) {
+							break
+						}
+						if _, err := dst.Step(p, 0); err != nil {
+							return err
+						}
+					}
+					if got := systemWords(src); !slices.Equal(got, want) || src.Key() != key {
+						return fmt.Errorf("running p%d solo on a copy of %q changed the source to %q", p, key, src.Key())
+					}
+				}
+				return nil
+			}
+			for perms := range explore.Wirings(2, 2, explore.WiringOptions{Filter: explore.FilterProc0}) {
+				opts := s.opts
+				opts.MaxStates = 1 << 20
+				opts.Invariant = func(n explore.Node) error { return check(n.Sys) }
+				if _, err := explore.Run(s.build(perms), opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.opts.MaxCrashes > 0 && (intoCrashed == 0 || fromCrashed == 0) {
+				t.Errorf("crash-free source into crashed copy %d times, crashed source into crash-free copy %d times; want both", intoCrashed, fromCrashed)
+			}
+		})
+	}
+}
+
+// systemWords is the word encoding of every machine and register of sys
+// (canon.Encoder), then its crash mask.
+func systemWords(sys *machine.System) []uint64 {
+	var ws []uint64
+	for _, m := range sys.Procs {
+		ws = m.(canon.Encoder).AppendState(ws)
+	}
+	for g := range sys.Mem.M() {
+		ws = sys.Mem.CellAt(g).(canon.Encoder).AppendState(ws)
+	}
+	return append(ws, sys.CrashMask())
 }
 
 // TestEncodingInjectiveN3Sample checks a 10⁶-state depth-first sample

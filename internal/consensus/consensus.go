@@ -204,12 +204,15 @@ func (c *Consensus) Output() anonmem.Word {
 	return Decision(c.decision)
 }
 
-// Clone implements machine.Machine. The interner is shared, matching how
-// systems are built (it only grows, and labels are immutable).
-func (c *Consensus) Clone() machine.Machine {
-	cp := *c
-	cp.snap = c.snap.CloneSnapshot()
-	return &cp
+// CloneInto implements machine.Machine: the embedded snapshot machine is
+// copied into dst's own. The interner is shared, matching how systems
+// are built (it only grows, and labels are immutable).
+func (c *Consensus) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[Consensus](dst)
+	snap := d.snap
+	*d = *c
+	d.snap = c.snap.CloneInto(snap).(*core.Snapshot)
+	return d
 }
 
 // StateKey implements machine.Machine.

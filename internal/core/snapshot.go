@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -49,6 +50,10 @@ type Snapshot struct {
 	out       view.View
 	scans     int
 	invokes   int
+	// ops is Pending in the write and output phases, built when the
+	// machine enters the phase and shared read-only by its copies; once
+	// done, ops[0].Word is the output.
+	ops []machine.Op
 }
 
 type snapPhase uint8
@@ -78,16 +83,17 @@ func NewSnapshotAtLevel(level, m int, input view.ID, nondet bool) *Snapshot {
 	if level <= 0 {
 		panic(fmt.Sprintf("core: termination level %d out of range", level))
 	}
-	return &Snapshot{
+	s := &Snapshot{
 		n:         level,
 		m:         m,
 		input:     input,
 		nondet:    nondet,
-		phase:     snapWrite,
 		v:         view.Of(input),
 		unwritten: allRegs(m),
 		invokes:   1,
 	}
+	s.enterWrite()
+	return s
 }
 
 var _ machine.Machine = (*Snapshot)(nil)
@@ -123,25 +129,15 @@ func (s *Snapshot) Invocations() int { return s.invokes }
 // SnapshotView returns the output view; it is only meaningful once Done.
 func (s *Snapshot) SnapshotView() view.View { return s.out }
 
-// Pending implements machine.Machine.
+// Pending implements machine.Machine. It allocates nothing: the write
+// and output ops were built on entering the phase, the read ops come
+// from a shared table.
 func (s *Snapshot) Pending() []machine.Op {
 	switch s.phase {
-	case snapWrite:
-		word := Cell{View: s.v, Level: s.level}
-		if !s.nondet {
-			return []machine.Op{{Kind: machine.OpWrite, Reg: lowestBit(s.unwritten), Word: word}}
-		}
-		ops := make([]machine.Op, 0, s.m)
-		for r := 0; r < s.m; r++ {
-			if s.unwritten&(1<<uint(r)) != 0 {
-				ops = append(ops, machine.Op{Kind: machine.OpWrite, Reg: r, Word: word})
-			}
-		}
-		return ops
+	case snapWrite, snapOutput:
+		return s.ops
 	case snapScan:
-		return []machine.Op{{Kind: machine.OpRead, Reg: s.scanIdx}}
-	case snapOutput:
-		return []machine.Op{{Kind: machine.OpOutput, Word: Cell{View: s.v, Level: s.level}}}
+		return readOps[s.scanIdx][:]
 	case snapDone:
 		return nil
 	default:
@@ -199,10 +195,42 @@ func (s *Snapshot) endScan() {
 	s.v = s.v.Union(s.acc)
 	if s.level >= s.n {
 		s.phase = snapOutput
+		s.ops = []machine.Op{{Kind: machine.OpOutput, Word: Cell{View: s.v, Level: s.level}}}
 	} else {
-		s.phase = snapWrite
+		s.enterWrite()
 	}
 }
+
+// enterWrite starts a write phase: Pending offers every fair register
+// choice, each writing the current (view, level).
+func (s *Snapshot) enterWrite() {
+	s.phase = snapWrite
+	s.ops = writeOps(Cell{View: s.v, Level: s.level}, s.unwritten, s.m, s.nondet)
+}
+
+// writeOps lists a write phase's ops: one per register in unwritten
+// (only the lowest without nondet), each writing word.
+func writeOps(word anonmem.Word, unwritten uint64, m int, nondet bool) []machine.Op {
+	if !nondet {
+		return []machine.Op{{Kind: machine.OpWrite, Reg: lowestBit(unwritten), Word: word}}
+	}
+	ops := make([]machine.Op, 0, bits.OnesCount64(unwritten))
+	for r := 0; r < m; r++ {
+		if unwritten&(1<<uint(r)) != 0 {
+			ops = append(ops, machine.Op{Kind: machine.OpWrite, Reg: r, Word: word})
+		}
+	}
+	return ops
+}
+
+// readOps[r] is Pending while a scan is about to read local register r
+// (m ≤ 64 bounds r).
+var readOps = func() (ops [64][1]machine.Op) {
+	for r := range ops {
+		ops[r][0] = machine.Op{Kind: machine.OpRead, Reg: r}
+	}
+	return ops
+}()
 
 func (s *Snapshot) writtenReg(choice int) int {
 	if !s.nondet {
@@ -224,12 +252,12 @@ func (s *Snapshot) writtenReg(choice int) int {
 func (s *Snapshot) Done() bool { return s.phase == snapDone }
 
 // Output implements machine.Machine. The output word is a Cell whose View
-// is the snapshot.
+// is the snapshot: the one the output step emitted.
 func (s *Snapshot) Output() anonmem.Word {
 	if s.phase != snapDone {
 		return nil
 	}
-	return Cell{View: s.out, Level: s.level}
+	return s.ops[0].Word
 }
 
 // Invoke re-opens a terminated machine as the long-lived snapshot of
@@ -240,25 +268,20 @@ func (s *Snapshot) Invoke(input view.ID) {
 	if s.phase != snapDone {
 		panic("core: Invoke on a snapshot machine that has not terminated")
 	}
-	s.phase = snapWrite
 	s.level = 0
 	s.input = input
 	s.v = s.v.With(input)
 	s.out = view.View{}
 	s.invokes++
+	s.enterWrite()
 }
 
-// Clone implements machine.Machine.
-func (s *Snapshot) Clone() machine.Machine {
-	cp := *s
-	return &cp
-}
-
-// CloneSnapshot returns a concrete-typed deep copy (for composing machines
-// that embed a Snapshot).
-func (s *Snapshot) CloneSnapshot() *Snapshot {
-	cp := *s
-	return &cp
+// CloneInto implements machine.Machine. Views are immutable and ops
+// read-only, so copying the fields is a deep copy.
+func (s *Snapshot) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[Snapshot](dst)
+	*d = *s
+	return d
 }
 
 // StateKey implements machine.Machine.

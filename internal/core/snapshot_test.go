@@ -280,7 +280,7 @@ func TestSnapshotAtLevelOneIsFastButWeak(t *testing.T) {
 
 func TestSnapshotCloneIndependent(t *testing.T) {
 	s := NewSnapshot(3, 3, 1, true)
-	cp := s.Clone().(*Snapshot)
+	cp := s.CloneInto(nil).(*Snapshot)
 	cp.Advance(0, nil) // take the write step on the clone
 	if s.StateKey() == cp.StateKey() {
 		t.Error("advancing clone changed original (or key insensitive)")

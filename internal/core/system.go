@@ -114,15 +114,17 @@ func SnapshotOutputs(sys *machine.System) ([]view.View, []bool) {
 	outs := make([]view.View, sys.N())
 	ok := make([]bool, sys.N())
 	for i, m := range sys.Procs {
-		if !m.Done() {
-			continue
-		}
-		cell, isCell := m.Output().(Cell)
-		if !isCell {
-			continue
-		}
-		outs[i] = cell.View
-		ok[i] = true
+		outs[i], ok[i] = SnapshotOutput(m)
 	}
 	return outs, ok
+}
+
+// SnapshotOutput is SnapshotOutputs for one machine, without allocating:
+// its output view once it has terminated with a Cell, else ok is false.
+func SnapshotOutput(m machine.Machine) (view.View, bool) {
+	if !m.Done() {
+		return view.View{}, false
+	}
+	cell, ok := m.Output().(Cell)
+	return cell.View, ok
 }

@@ -83,20 +83,9 @@ func (w *WriteScan) ScanProgress() (scanning bool, readLocals int) {
 func (w *WriteScan) Pending() []machine.Op {
 	switch w.phase {
 	case phaseWrite:
-		word := Cell{View: w.v}
-		if !w.nondet {
-			r := lowestBit(w.unwritten)
-			return []machine.Op{{Kind: machine.OpWrite, Reg: r, Word: word}}
-		}
-		ops := make([]machine.Op, 0, w.m)
-		for r := 0; r < w.m; r++ {
-			if w.unwritten&(1<<uint(r)) != 0 {
-				ops = append(ops, machine.Op{Kind: machine.OpWrite, Reg: r, Word: word})
-			}
-		}
-		return ops
+		return writeOps(Cell{View: w.v}, w.unwritten, w.m, w.nondet)
 	case phaseScan:
-		return []machine.Op{{Kind: machine.OpRead, Reg: w.scanIdx}}
+		return readOps[w.scanIdx][:]
 	default:
 		panic(fmt.Sprintf("core: write-scan in invalid phase %d", w.phase))
 	}
@@ -161,10 +150,12 @@ func (w *WriteScan) Done() bool { return false }
 // Output implements machine.Machine.
 func (w *WriteScan) Output() anonmem.Word { return nil }
 
-// Clone implements machine.Machine.
-func (w *WriteScan) Clone() machine.Machine {
-	cp := *w
-	return &cp
+// CloneInto implements machine.Machine. Views are immutable, so copying
+// the fields is a deep copy.
+func (w *WriteScan) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[WriteScan](dst)
+	*d = *w
+	return d
 }
 
 // StateKey implements machine.Machine.

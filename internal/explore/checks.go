@@ -34,20 +34,21 @@ func SnapshotInvariant(inputs []view.ID) func(Node) error {
 		all = all.With(id)
 	}
 	return func(n Node) error {
-		outs, ok := core.SnapshotOutputs(n.Sys)
-		for p := range outs {
-			if !ok[p] {
+		procs := n.Sys.Procs
+		for p, m := range procs {
+			out, ok := core.SnapshotOutput(m)
+			if !ok {
 				continue
 			}
-			if !outs[p].Contains(inputs[p]) {
-				return fmt.Errorf("output of p%d misses own input: %v", p, outs[p])
+			if !out.Contains(inputs[p]) {
+				return fmt.Errorf("output of p%d misses own input: %v", p, out)
 			}
-			if !outs[p].SubsetOf(all) {
-				return fmt.Errorf("output of p%d exceeds participating inputs: %v", p, outs[p])
+			if !out.SubsetOf(all) {
+				return fmt.Errorf("output of p%d exceeds participating inputs: %v", p, out)
 			}
 			for q := 0; q < p; q++ {
-				if ok[q] && !outs[p].ComparableWith(outs[q]) {
-					return fmt.Errorf("outputs of p%d (%v) and p%d (%v) incomparable", p, outs[p], q, outs[q])
+				if prev, ok := core.SnapshotOutput(procs[q]); ok && !out.ComparableWith(prev) {
+					return fmt.Errorf("outputs of p%d (%v) and p%d (%v) incomparable", p, out, q, prev)
 				}
 			}
 		}

@@ -21,8 +21,12 @@ import (
 // states on the current path can be grey. A frame expands its state by
 // the successors steps, which it lists once into one step arena shared
 // by the whole stack, and walks them with a cursor; a pop truncates the
-// arena back to the frame's start, so the search allocates nothing per
-// state beyond the successor systems. Checkpoints persist the visited
+// arena back to the frame's start. Successors are copied
+// (System.CloneInto) into systems from a free list, which popped frames
+// and successors already visited or on the stack feed, so it never holds
+// more systems than the deepest stack had frames, and the search
+// allocates no system once the stack has reached its depth; the caller's
+// init is copied, never recycled. Checkpoints persist the visited
 // set plus the stack as frontier entries, one per frame: its path, aux,
 // depth and cursor (in Entry.Tag, -1 before expansion). A resume
 // replays each frame's step on its parent's system and lists the
@@ -57,6 +61,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 	// spares the run its first few reallocations.
 	stack := make([]frame, 0, 64)
 	arena := make([]store.Step, 0, 256)
+	var free freeList
 
 	stackTrace := func() []machine.StepInfo {
 		if !opts.Traces {
@@ -103,6 +108,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 	pop := func() {
 		f := &stack[len(stack)-1]
 		delete(onStack, f.fp)
+		free = append(free, f.sys)
 		arena = arena[:f.lo]
 		stack = stack[:len(stack)-1]
 	}
@@ -191,7 +197,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		}
 		step := arena[f.lo+f.next]
 		f.next++
-		succ := f.sys.Clone()
+		succ := f.sys.CloneInto(free.take())
 		info, err := step.Apply(succ)
 		if err != nil {
 			return finish(), fmt.Errorf("explore: %w", err)
@@ -214,6 +220,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			if res.CycleTrace == nil && opts.Traces {
 				res.CycleTrace = append(stackTrace(), info)
 			}
+			free = append(free, succ)
 			continue
 		}
 		depth := f.depth + 1
@@ -224,6 +231,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		if !fresh {
 			// Already fully explored (black).
 			res.Stats.DedupHits++
+			free = append(free, succ)
 			continue
 		}
 		res.States++

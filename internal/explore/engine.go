@@ -153,6 +153,23 @@ func successors(dst []store.Step, sys *machine.System, maxCrashes int) []store.S
 	return dst
 }
 
+// freeList holds systems whose states an engine no longer needs: a
+// successor is copied into one of them (System.CloneInto) instead of
+// into a new allocation.
+type freeList []*machine.System
+
+// take removes and returns a system, or nil, which makes CloneInto
+// allocate, when the list is empty.
+func (l *freeList) take() *machine.System {
+	n := len(*l)
+	if n == 0 {
+		return nil
+	}
+	sys := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return sys
+}
+
 // Run is the single entry point for exhaustive exploration: it validates
 // opts against the storage tier, binds the store (visited set, frontier
 // factory, checkpoint trigger), dispatches, and fills Result.Stats.

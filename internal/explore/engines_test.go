@@ -5,12 +5,15 @@ import (
 	"flag"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
+	"anonshm/internal/anonmem"
 	"anonshm/internal/canon"
 	"anonshm/internal/core"
 	"anonshm/internal/machine"
 	"anonshm/internal/store"
+	"anonshm/internal/view"
 )
 
 // engineCase is one system the engine-equivalence tests run on, with the
@@ -430,6 +433,47 @@ func minViolationDepth(t *testing.T, init *machine.System, inv func(Node) error,
 
 // TestParallelTruncation: the state bound stops the parallel engine and
 // is reported.
+// TestExpansionAllocs bounds what the engines allocate per stored state
+// on the benchmark's N=3 same-input snapshot system (orbit wiring 0,
+// full symmetry, the snapshot invariant, 15,000 states): successors are
+// copied into recycled systems, and Pending, Output and the invariant
+// allocate nothing, so what remains is the machines' own steps and, on
+// the breadth-first engine, the systems its frontier keeps. It counts
+// mallocs over a second run of each engine, after a first has warmed
+// the canonicalizer's scratch pool.
+func TestExpansionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	sys, in, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"g", "g", "g"}, Wirings: anonmem.IdentityWirings(3, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := in.Lookup("g")
+	for _, c := range []struct {
+		engine Engine
+		bound  float64
+	}{{DFSEngine, 3}, {BFSEngine, 8}} {
+		opts := Options{Engine: c.engine, Canonicalizer: canon.FullSymmetry{}, MaxStates: 15_000,
+			Invariant: SnapshotInvariant([]view.ID{g, g, g})}
+		if _, err := Run(sys, opts); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(sys, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perState := float64(after.Mallocs-before.Mallocs) / float64(res.States)
+		t.Logf("%v: %.2f allocations per state over %d states", c.engine, perState, res.States)
+		if perState >= c.bound {
+			t.Errorf("%v: %.2f allocations per stored state, want fewer than %v", c.engine, perState, c.bound)
+		}
+	}
+}
+
 func TestParallelTruncation(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b", "c"}})
 	if err != nil {

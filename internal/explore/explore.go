@@ -74,7 +74,10 @@ import (
 	"anonshm/internal/store"
 )
 
-// Node is a discovered state plus its auxiliary value.
+// Node is a discovered state plus its auxiliary value, as Invariant and
+// Prune see it. Sys is valid only during the call: the engines copy
+// later successors into it once its state is done with, so a callback
+// that keeps a system must keep a Clone.
 type Node struct {
 	Sys   *machine.System
 	Aux   uint64
@@ -127,6 +130,8 @@ type Options struct {
 	// Aux, when set, folds step information into a 64-bit auxiliary state
 	// distinguishing otherwise-identical system states (e.g. "has the
 	// memory ever held exactly view X"). The initial aux value is InitAux.
+	// sys is the successor the step produced, valid only during the call
+	// (as Node.Sys is).
 	Aux     func(aux uint64, info machine.StepInfo, sys *machine.System) uint64
 	InitAux uint64
 	// Traces makes invariant violations (and DFS cycles) carry a full

@@ -46,7 +46,13 @@ import (
 // next.
 //
 // Expansion. A worker expands a state by the successors steps, listed
-// into a per-worker buffer, and applies each to a clone of the state.
+// into a per-worker buffer, and applies each to a copy of the state
+// (System.CloneInto) made into a system from the worker's free list when
+// it has one. Duplicate successors feed the list, and so does the
+// expanded state once every successor has been generated; the list is
+// capped at maxFreeSystems, so a frontier that shrinks from its peak
+// does not leave its systems parked there until the run ends. Fresh
+// successors go to the frontier, which owns them until they are popped.
 //
 // Stopping. Invariant violations and step errors set a stop flag that
 // every worker checks between successor generations, so all workers quit
@@ -69,6 +75,11 @@ import (
 // maxParallelWorkers bounds Options.Workers so node ids can pack the
 // worker index into the top 16 bits of an int64.
 const maxParallelWorkers = 1 << 15
+
+// maxFreeSystems caps a worker's free list. An expansion takes one
+// system per successor and returns the duplicates and then the expanded
+// state, so a handful covers the steady state.
+const maxFreeSystems = 8
 
 // parNode is one entry of a worker's parent log (Traces only): 16 bytes
 // per discovered state.
@@ -95,6 +106,14 @@ type parWorker struct {
 	maxDepth  int32        // deepest state this worker discovered
 	log       []parNode    // parent pointers (Traces only)
 	succ      []store.Step // the successor steps of the state in expansion
+	free      freeList     // systems to copy successors into
+}
+
+// recycle parks sys on the worker's free list, unless the list is full.
+func (wk *parWorker) recycle(sys *machine.System) {
+	if len(wk.free) < maxFreeSystems {
+		wk.free = append(wk.free, sys)
+	}
 }
 
 // parRun is the shared state of one breadth-first exploration.
@@ -364,12 +383,13 @@ func (p *parRun) steal(w int) (store.Entry, bool) {
 }
 
 // expand generates every successor of e, deduplicates, and queues the new
-// states on the worker's next shard.
+// states on the worker's next shard; then e.Sys goes to the free list.
 func (p *parRun) expand(w int, e store.Entry) {
 	self := &p.workers[w]
 	self.steps++
 	if p.opts.Prune != nil && p.opts.Prune(Node{Sys: e.Sys, Aux: e.Aux, Depth: int(e.Depth)}) {
 		p.pruned.Add(1)
+		self.recycle(e.Sys)
 		return
 	}
 	self.succ = successors(self.succ[:0], e.Sys, p.opts.MaxCrashes)
@@ -377,7 +397,7 @@ func (p *parRun) expand(w int, e store.Entry) {
 		if p.stop.Load() {
 			return
 		}
-		succ := e.Sys.Clone()
+		succ := e.Sys.CloneInto(self.free.take())
 		info, err := step.Apply(succ)
 		if err != nil {
 			p.fail(fmt.Errorf("explore: %w", err))
@@ -387,6 +407,7 @@ func (p *parRun) expand(w int, e store.Entry) {
 			return
 		}
 	}
+	self.recycle(e.Sys)
 }
 
 // successor runs one generated successor through aux folding, dedup and
@@ -407,6 +428,7 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, step stor
 	if !fresh {
 		p.edges.Add(1)
 		self.hits++
+		self.recycle(succ)
 		return true
 	}
 	var path *store.PathNode

@@ -1,6 +1,10 @@
 package explore
 
-import "fmt"
+import (
+	"fmt"
+
+	"anonshm/internal/machine"
+)
 
 // This file provides the invariant form of the wait-freedom check: bounded
 // solo termination at every reachable state. It complements the cycle
@@ -32,11 +36,15 @@ func WaitFree(bound int) func(Node) error {
 	}
 	return func(n Node) error {
 		sys := n.Sys
+		// One solo system per call, recopied for each processor: the
+		// closure is shared by the parallel engine's workers, so it
+		// cannot own one.
+		var solo *machine.System
 		for p := 0; p < sys.N(); p++ {
 			if !sys.Enabled(p) {
 				continue
 			}
-			solo := sys.Clone()
+			solo = sys.CloneInto(solo)
 			for steps := 0; !solo.Procs[p].Done(); steps++ {
 				if steps >= bound {
 					return fmt.Errorf("processor %d not done after %d solo steps: wait-freedom violated", p, bound)

@@ -84,17 +84,16 @@ type WiringOptions struct {
 func Wirings(n, m int, o WiringOptions) iter.Seq[[][]int] {
 	return func(yield func([][]int) bool) {
 		perms := Permutations(m)
-		idx := make(map[string]int, len(perms))
+		var compose, pis [][]int
 		if o.Filter == FilterOrbits {
-			for i, p := range perms {
-				idx[permKey(p)] = i
-			}
+			compose = composeTable(perms)
+			pis = groupPerms(n, o.Groups)
 		}
 		choice := make([]int, n)
 		var rec func(p int) bool
 		rec = func(p int) bool {
 			if p == n {
-				if o.Filter == FilterOrbits && !orbitRepresentative(choice, perms, idx, o.Groups) {
+				if o.Filter == FilterOrbits && !orbitRepresentative(choice, compose, pis) {
 					return true
 				}
 				cp := make([][]int, n)
@@ -103,8 +102,11 @@ func Wirings(n, m int, o WiringOptions) iter.Seq[[][]int] {
 				}
 				return yield(cp)
 			}
-			if p == 0 && o.Filter == FilterProc0 {
-				choice[0] = 0 // identity is first
+			// An orbit's representative starts with the identity too: ρ =
+			// σ_0⁻¹ maps any member to one whose first wiring is the
+			// identity, perms[0].
+			if p == 0 && o.Filter != FilterAll {
+				choice[0] = 0
 				return rec(1)
 			}
 			for i := range perms {
@@ -119,57 +121,73 @@ func Wirings(n, m int, o WiringOptions) iter.Seq[[][]int] {
 	}
 }
 
-// permKey encodes a permutation for the index lookup.
-func permKey(p []int) string {
-	b := make([]byte, len(p))
-	for i, v := range p {
-		b[i] = byte(v)
+// composeTable returns the composition table of perms: t[r][s] is the
+// index in perms of perms[r]∘perms[s], the permutation i ↦
+// perms[r][perms[s][i]].
+func composeTable(perms [][]int) [][]int {
+	code := func(p []int) int {
+		c := 0
+		for _, v := range p {
+			c = c*len(p) + v
+		}
+		return c
 	}
-	return string(b)
+	index := make(map[int]int, len(perms))
+	for i, p := range perms {
+		index[code(p)] = i
+	}
+	composed := make([]int, len(perms[0]))
+	t := make([][]int, len(perms))
+	for r, rho := range perms {
+		t[r] = make([]int, len(perms))
+		for s, sigma := range perms {
+			for i, v := range sigma {
+				composed[i] = rho[v]
+			}
+			t[r][s] = index[code(composed)]
+		}
+	}
+	return t
+}
+
+// groupPerms returns the processor permutations π, identity first, that
+// keep every processor within its group: groups[π(p)] = groups[p] for
+// every p. Nil groups admit every permutation.
+func groupPerms(n int, groups []string) [][]int {
+	var out [][]int
+	for _, pi := range Permutations(n) {
+		ok := true
+		for p, q := range pi {
+			ok = ok && (groups == nil || groups[q] == groups[p])
+		}
+		if ok {
+			out = append(out, pi)
+		}
+	}
+	return out
 }
 
 // orbitRepresentative reports whether the assignment (as permutation
-// indices into perms) is the lexicographically smallest member of its
-// orbit under σ_q ↦ ρ∘σ_{π(q)}, over every register permutation ρ and
-// every groups-preserving processor permutation π. Enumeration order
-// makes the representative the first orbit member Wirings reaches.
-func orbitRepresentative(choice []int, perms [][]int, idx map[string]int, groups []string) bool {
-	n := len(choice)
-	m := len(perms[0])
-	composed := make([]int, m)
-	mapped := make([]int, n)
-	smallest := true
-	permute(n, func(pi []int) {
-		if !smallest {
-			return
-		}
-		for p := 0; p < n; p++ {
-			if groups != nil && groups[pi[p]] != groups[p] {
-				return
-			}
-		}
-		for _, rho := range perms {
-			for q := 0; q < n; q++ {
-				sigma := perms[choice[pi[q]]]
-				for i := 0; i < m; i++ {
-					composed[i] = rho[sigma[i]]
-				}
-				mapped[q] = idx[permKey(composed)]
-			}
-			for q := 0; q < n; q++ {
-				if mapped[q] != choice[q] {
-					if mapped[q] < choice[q] {
-						smallest = false
+// indices) is the lexicographically smallest member of its orbit under
+// σ_q ↦ ρ∘σ_{π(q)}, over every register permutation ρ (a row of
+// compose, from composeTable) and every processor permutation π in pis
+// (from groupPerms).
+// Enumeration order makes the representative the first orbit member
+// Wirings reaches.
+func orbitRepresentative(choice []int, compose, pis [][]int) bool {
+	for _, pi := range pis {
+		for _, row := range compose {
+			for q, c := range choice {
+				if img := row[choice[pi[q]]]; img != c {
+					if img < c {
+						return false
 					}
 					break
 				}
 			}
-			if !smallest {
-				return
-			}
 		}
-	})
-	return smallest
+	}
+	return true
 }
 
 // permute calls f with every permutation of 0..n-1, identity first.

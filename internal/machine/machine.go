@@ -8,8 +8,8 @@
 // with the local computation that follows it (PlusCal executes everything
 // between two labels atomically). A single Machine implementation is reused
 // by the deterministic simulator, the adversarial schedulers, the
-// exhaustive explorer (which needs Clone and a word encoding, see Tag)
-// and the goroutine runtime.
+// exhaustive explorer (which needs CloneInto and a word encoding, see
+// Tag) and the goroutine runtime.
 package machine
 
 import (
@@ -85,7 +85,9 @@ type Machine interface {
 	// iff Done. Deterministic machines return exactly one op; machines with
 	// internal nondeterminism (PlusCal `with` choices, e.g. which unwritten
 	// register to write) return one op per alternative, with index 0 being
-	// the default the non-exhaustive runners take.
+	// the default the non-exhaustive runners take. The returned slice is
+	// read-only: a machine may hand the same slice to every call, and to
+	// its copies, until it advances.
 	Pending() []Op
 
 	// Advance applies the result of executing Pending()[choice]: read holds
@@ -101,13 +103,32 @@ type Machine interface {
 	// Output returns the machine's output word, or nil if not Done.
 	Output() anonmem.Word
 
-	// Clone returns an independent deep copy.
-	Clone() Machine
+	// CloneInto returns an independent deep copy of the machine. When dst
+	// holds a machine of the receiver's concrete type, CloneInto
+	// overwrites it in place and returns it; otherwise (dst nil, or of
+	// another type) it allocates the copy. Whatever the machine owns
+	// deeply and mutates in place is copied into dst's own storage, never
+	// aliased, so stepping either machine afterwards leaves the other
+	// unchanged; immutable values (views, boxed register words, Pending's
+	// ops) may be shared.
+	CloneInto(dst Machine) Machine
 
 	// StateKey returns a canonical string rendering of the machine's
 	// local state, for traces and analyses. The explorer deduplicates
 	// states by the word encoding below, not by this string.
 	StateKey() string
+}
+
+// Reuse is the first step of a CloneInto implementation: it returns dst
+// when it holds a non-nil *T, and a new T otherwise.
+func Reuse[T any, PT interface {
+	*T
+	Machine
+}](dst Machine) PT {
+	if d, ok := dst.(PT); ok && d != nil {
+		return d
+	}
+	return new(T)
 }
 
 // The exhaustive explorer needs more than Machine: its canonicalizer
@@ -177,8 +198,9 @@ type StepInfo struct {
 type System struct {
 	Mem   *anonmem.Memory
 	Procs []Machine
-	// crashed[p] marks processor p as crash-stopped. Nil until the first
-	// crash, so failure-free executions pay nothing and their Key stays
+	// crashed[p] marks processor p as crash-stopped. Nil (or all false,
+	// in a system CloneInto overwrote) until the first crash, so
+	// failure-free executions pay nothing and their Key stays
 	// byte-identical to the pre-fault-model encoding.
 	crashed []bool
 }
@@ -343,16 +365,34 @@ func (s *System) Step(p, c int) (StepInfo, error) {
 }
 
 // Clone returns an independent deep copy of the system.
-func (s *System) Clone() *System {
-	procs := make([]Machine, len(s.Procs))
+func (s *System) Clone() *System { return s.CloneInto(nil) }
+
+// CloneInto returns an independent deep copy of the system, written over
+// dst when dst is non-nil: its memory, machines (Machine.CloneInto) and
+// crash set are overwritten in place, so copying into an earlier copy of
+// the same system allocates nothing beyond what the machines' own
+// CloneInto allocate. dst must not be shared with anyone who still
+// needs its old state.
+func (s *System) CloneInto(dst *System) *System {
+	if dst == nil {
+		dst = new(System)
+	}
+	dst.Mem = s.Mem.CloneInto(dst.Mem)
+	if len(dst.Procs) != len(s.Procs) {
+		dst.Procs = make([]Machine, len(s.Procs))
+		dst.crashed = nil
+	}
 	for i, m := range s.Procs {
-		procs[i] = m.Clone()
+		dst.Procs[i] = m.CloneInto(dst.Procs[i])
 	}
-	var crashed []bool
-	if s.crashed != nil {
-		crashed = append([]bool(nil), s.crashed...)
+	// A crash-free source leaves dst's crash set all false (or nil), so
+	// no crash bit of dst's old state survives into its key.
+	if s.crashed == nil {
+		clear(dst.crashed)
+	} else {
+		dst.crashed = append(dst.crashed[:0], s.crashed...)
 	}
-	return &System{Mem: s.Mem.Clone(), Procs: procs, crashed: crashed}
+	return dst
 }
 
 // Key returns a canonical encoding of the global state: register contents,

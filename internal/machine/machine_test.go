@@ -49,9 +49,10 @@ func (m *echoMachine) Output() anonmem.Word {
 	return m.seen
 }
 
-func (m *echoMachine) Clone() Machine {
-	cp := *m
-	return &cp
+func (m *echoMachine) CloneInto(dst Machine) Machine {
+	d := Reuse[echoMachine](dst)
+	*d = *m
+	return d
 }
 
 func (m *echoMachine) StateKey() string {
@@ -74,8 +75,12 @@ func (m *brokenOutput) Pending() []Op {
 func (m *brokenOutput) Advance(int, anonmem.Word) {}
 func (m *brokenOutput) Done() bool                { return false }
 func (m *brokenOutput) Output() anonmem.Word      { return nil }
-func (m *brokenOutput) Clone() Machine            { cp := *m; return &cp }
-func (m *brokenOutput) StateKey() string          { return "broken" }
+func (m *brokenOutput) CloneInto(dst Machine) Machine {
+	d := Reuse[brokenOutput](dst)
+	*d = *m
+	return d
+}
+func (m *brokenOutput) StateKey() string { return "broken" }
 
 func newEchoSystem(t *testing.T, perms [][]int) *System {
 	t.Helper()

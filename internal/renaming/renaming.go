@@ -124,11 +124,14 @@ func (r *Renaming) Output() anonmem.Word {
 	return Name(r.name)
 }
 
-// Clone implements machine.Machine.
-func (r *Renaming) Clone() machine.Machine {
-	cp := *r
-	cp.snap = r.snap.CloneSnapshot()
-	return &cp
+// CloneInto implements machine.Machine: the embedded snapshot machine is
+// copied into dst's own.
+func (r *Renaming) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[Renaming](dst)
+	snap := d.snap
+	*d = *r
+	d.snap = r.snap.CloneInto(snap).(*core.Snapshot)
+	return d
 }
 
 // StateKey implements machine.Machine.

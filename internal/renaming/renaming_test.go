@@ -166,7 +166,7 @@ func TestRenamingAdaptiveBound(t *testing.T) {
 
 func TestRenamingCloneAndStateKey(t *testing.T) {
 	r := New(2, 2, 0, false)
-	cp := r.Clone().(*Renaming)
+	cp := r.CloneInto(nil).(*Renaming)
 	if r.StateKey() != cp.StateKey() {
 		t.Error("clone differs immediately")
 	}

@@ -40,8 +40,12 @@ func (m *wrm) Output() anonmem.Word {
 	}
 	return m.tag
 }
-func (m *wrm) Clone() machine.Machine { cp := *m; return &cp }
-func (m *wrm) StateKey() string       { return string(m.tag) + string(rune('0'+m.pc)) }
+func (m *wrm) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[wrm](dst)
+	*d = *m
+	return d
+}
+func (m *wrm) StateKey() string { return string(m.tag) + string(rune('0'+m.pc)) }
 
 func runInstrumented(t *testing.T, reg *obs.Registry, sink *obs.Sink) *Instrument {
 	t.Helper()

@@ -52,7 +52,11 @@ func (c *counter) Output() anonmem.Word {
 	return word(fmt.Sprintf("%d", c.taken))
 }
 
-func (c *counter) Clone() machine.Machine { cp := *c; return &cp }
+func (c *counter) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[counter](dst)
+	*d = *c
+	return d
+}
 
 func (c *counter) StateKey() string {
 	return fmt.Sprintf("counter:%d/%d:%v", c.taken, c.budget, c.done)

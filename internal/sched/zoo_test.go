@@ -97,7 +97,11 @@ func (c *chooser) Output() anonmem.Word {
 	return word("done")
 }
 
-func (c *chooser) Clone() machine.Machine { cp := *c; return &cp }
+func (c *chooser) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[chooser](dst)
+	*d = *c
+	return d
+}
 
 func (c *chooser) StateKey() string { return fmt.Sprintf("chooser:%d:%v", c.steps, c.done) }
 

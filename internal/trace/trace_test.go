@@ -39,8 +39,12 @@ func (m *pingpong) Output() anonmem.Word {
 	}
 	return m.tag
 }
-func (m *pingpong) Clone() machine.Machine { cp := *m; return &cp }
-func (m *pingpong) StateKey() string       { return string(m.tag) + string(rune('0'+m.pc)) }
+func (m *pingpong) CloneInto(dst machine.Machine) machine.Machine {
+	d := machine.Reuse[pingpong](dst)
+	*d = *m
+	return d
+}
+func (m *pingpong) StateKey() string { return string(m.tag) + string(rune('0'+m.pc)) }
 
 func runPingpong(t *testing.T, rec *Recorder) *machine.System {
 	t.Helper()
