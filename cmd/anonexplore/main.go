@@ -224,9 +224,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		return cli, err
 	}
 	cli.run.Canonicalizer = symmetry.Canonicalizer()
-	// Checkpoints do not persist parent logs, so only a fresh run keeps
-	// counterexample traces.
-	cli.run.Traces = cli.run.Resume == ""
 	if cli.run.ProgressEvery > 0 {
 		cli.run.Progress = progressPrinter()
 	}
@@ -386,9 +383,6 @@ func run(cli options, rep *obs.Report) error {
 		"checkpoint": opts.Checkpoint,
 		"resume":     opts.Resume,
 	})
-	if opts.Resume != "" {
-		fmt.Fprintln(os.Stderr, "anonexplore: resuming — counterexample traces disabled for this run")
-	}
 	cfg := explore.SnapshotConfig{
 		Inputs:    inputs,
 		Nondet:    cli.nondet,
@@ -482,9 +476,7 @@ func verdict(opts explore.Options, invariant string, err error) error {
 	)
 	switch {
 	case errors.As(err, &violation):
-		if opts.Traces {
-			fmt.Printf("trace (%d steps): %s\n", len(violation.Trace), explore.FormatTrace(violation.Trace))
-		}
+		fmt.Printf("trace (%d steps): %s\n", len(violation.Trace), explore.FormatTrace(violation.Trace))
 		return exitcode.Violated(invariant, err)
 	case errors.Is(err, explore.ErrStalled):
 		return exitcode.WithCode(exitcode.Stalled, err)

@@ -103,9 +103,10 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 }
 
 // TestExitCodes runs the command line end to end: a counterexample
-// exits 3 and prints its trace on stdout, a run that cannot complete
-// exits 1, and options the check or the store cannot take, or a resume
-// under another sweep identity, exit 2.
+// exits 3 and prints its trace on stdout, also when a resume from a
+// checkpoint finds it, a run that cannot complete exits 1, and options
+// the check or the store cannot take, or a resume under another sweep
+// identity, exit 2.
 func TestExitCodes(t *testing.T) {
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "file")
@@ -117,6 +118,7 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("waitfree checkpoint run exited %d", code)
 	}
 	orbits := filepath.Join(tmp, "orbits")
+	violated := filepath.Join(tmp, "violated") // written by the "counterexample checkpoint" row
 	if code, _ := runCLI(t, "-check", "safety", "-inputs", "a,b,c", "-wirings", "orbits", "-max-states", "200", "-checkpoint", orbits); code != exitcode.OK {
 		t.Fatalf("orbit checkpoint run exited %d", code)
 	}
@@ -127,6 +129,8 @@ func TestExitCodes(t *testing.T) {
 		stdout string
 	}{
 		{"counterexample", []string{"-check", "waitfree", "-inputs", "a,b", "-solo-bound", "16"}, exitcode.Violation, "trace (14 steps): p0:"},
+		{"counterexample checkpoint", []string{"-check", "waitfree", "-inputs", "a,b", "-solo-bound", "16", "-checkpoint", violated, "-checkpoint-every", "5"}, exitcode.Violation, "trace (14 steps): p0:"},
+		{"resumed counterexample", []string{"-check", "waitfree", "-inputs", "a,b", "-solo-bound", "16", "-checkpoint", violated, "-checkpoint-every", "5", "-resume", violated}, exitcode.Violation, "trace (14 steps): p0:"},
 		{"missing checkpoint", []string{"-check", "safety", "-inputs", "a,b", "-resume", filepath.Join(tmp, "missing")}, exitcode.Error, ""},
 		{"unusable store dir", []string{"-check", "safety", "-inputs", "a,b", "-store", "disk", "-store-dir", filepath.Join(file, "sub")}, exitcode.Error, ""},
 		{"truncated waitfree", []string{"-check", "waitfree", "-inputs", "a,b,c", "-max-states", "1000"}, exitcode.Error, ""},

@@ -153,7 +153,7 @@ func runDAG() error {
 func runSafety() error {
 	start := time.Now()
 	sweep, err := explore.CheckSnapshotSafety(explore.SnapshotConfig{
-		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Options: explore.Options{Traces: true},
+		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0,
 	})
 	if err != nil {
 		return fmt.Errorf("SAFETY VIOLATED: %w", err)
@@ -186,7 +186,7 @@ func runSafety() error {
 func runWaitFree() error {
 	start := time.Now()
 	sweep, err := explore.CheckSnapshotWaitFree(explore.SnapshotConfig{
-		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0, Options: explore.Options{Traces: true},
+		Inputs: []string{"a", "b"}, Nondet: true, Wirings: explore.FilterProc0,
 	})
 	if err != nil {
 		return fmt.Errorf("WAIT-FREEDOM VIOLATED: %w", err)
@@ -210,7 +210,7 @@ func runWaitFree() error {
 func runAtomicity() error {
 	start := time.Now()
 	r, err := explore.FindNonAtomicityWitness(explore.SnapshotConfig{
-		Inputs: []string{"a", "b"}, Wirings: explore.FilterProc0, Options: explore.Options{Traces: true},
+		Inputs: []string{"a", "b"}, Wirings: explore.FilterProc0,
 	})
 	if err != nil {
 		return err
@@ -607,7 +607,7 @@ func runSafety3() error {
 	sweep, err := explore.CheckSnapshotSafety(explore.SnapshotConfig{
 		Inputs:  []string{"a", "b", "c"},
 		Wirings: explore.FilterProc0,
-		Options: explore.Options{MaxStates: 600_000, Traces: true},
+		Options: explore.Options{MaxStates: 600_000},
 	})
 	if err != nil {
 		return fmt.Errorf("SAFETY VIOLATED: %w", err)

@@ -96,7 +96,7 @@ func (s SweepResult) StatesPerSec() float64 {
 // budget (SoloBound), and the Options every per-wiring run executes
 // with. On a sweep, Checkpoint and Resume name the sweep directory
 // (sweep.json plus run/; see runSweep), and a caller-set Invariant,
-// Aux, InitAux or Prune is rejected: the check sets them itself.
+// Aux or Prune is rejected: the check sets them itself.
 type SnapshotConfig struct {
 	Inputs []string
 	// Nondet explores the algorithm's internal register choices too.
@@ -192,13 +192,13 @@ func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
 	})
 }
 
-// rejectOwned rejects a caller-set Invariant, Aux, InitAux or Prune:
-// a packaged check sets those itself.
+// rejectOwned rejects a caller-set Invariant, Aux or Prune: a packaged
+// check sets those itself.
 func rejectOwned(check string, opts Options) error {
-	if opts.Invariant == nil && opts.Aux == nil && opts.InitAux == 0 && opts.Prune == nil {
+	if opts.Invariant == nil && opts.Aux == nil && opts.Prune == nil {
 		return nil
 	}
-	return &UnsupportedOptionError{Check: check, Option: "Invariant, Aux, InitAux or Prune", Hint: "the check sets them itself"}
+	return &UnsupportedOptionError{Check: check, Option: "Invariant, Aux or Prune", Hint: "the check sets them itself"}
 }
 
 func (s *SweepResult) accumulate(res Result) {
@@ -360,7 +360,7 @@ func FindNonAtomicityWitnessIn(c SnapshotConfig, perms [][]int) (WitnessResult, 
 // configuration. It keeps its own wiring loop rather than runSweep's,
 // because it runs one search per candidate and stops at the first
 // witness; it therefore rejects Checkpoint and Resume, as well as the
-// Invariant, Aux, InitAux and Prune it sets itself.
+// Invariant, Aux and Prune it sets itself.
 func FindNonAtomicityWitness(c SnapshotConfig) (WitnessResult, error) {
 	n := len(c.Inputs)
 	result := WitnessResult{Exhaustive: true}

@@ -141,7 +141,7 @@ func TestWaitFreeWithCrashes(t *testing.T) {
 		Inputs:  []string{"a", "b"},
 		Nondet:  true,
 		Wirings: FilterProc0,
-		Options: Options{MaxCrashes: 1, Traces: true},
+		Options: Options{MaxCrashes: 1},
 	}
 	states := map[Engine]int{}
 	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
@@ -190,7 +190,6 @@ func TestBlockingFailsWaitFree(t *testing.T) {
 			_, err := Run(sys.Clone(), Options{
 				Engine:     engine,
 				MaxCrashes: 1,
-				Traces:     true,
 				Invariant:  WaitFree(DefaultSoloBound(2, 2)),
 			})
 			var ie *InvariantError
@@ -229,7 +228,7 @@ func TestBlockingFailsWaitFree(t *testing.T) {
 // detects cycles.
 func TestBlockingCycleDetected(t *testing.T) {
 	sys := blockingSystem(t, 2)
-	res, err := Run(sys.Clone(), Options{Engine: DFSEngine, Traces: true})
+	res, err := Run(sys.Clone(), Options{Engine: DFSEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +238,9 @@ func TestBlockingCycleDetected(t *testing.T) {
 }
 
 // TestRootInvariantTrace is the regression test for the lost root trace:
-// when the initial state itself violates the invariant and Traces is set,
-// every engine must return an *InvariantError carrying the (empty but
-// non-nil) one-node trace, not a nil one.
+// when the initial state itself violates the invariant, every engine
+// must return an *InvariantError carrying the (empty but non-nil)
+// one-node trace, not a nil one.
 func TestRootInvariantTrace(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {
@@ -252,7 +251,6 @@ func TestRootInvariantTrace(t *testing.T) {
 		t.Run(engine.String(), func(t *testing.T) {
 			_, err := Run(sys.Clone(), Options{
 				Engine:    engine,
-				Traces:    true,
 				Invariant: func(n Node) error { return rootErr },
 			})
 			var ie *InvariantError

@@ -32,8 +32,11 @@ import (
 // replays each frame's step on its parent's system and lists the
 // successor steps of every expanded frame again.
 //
-// Cycle detection is built in and sets Result.Cycle; Options.Traces is
-// free — counterexample traces come straight off the DFS stack.
+// Cycle detection is built in and sets Result.Cycle. A frame keeps only
+// the step that produced its state, so the stack's steps are the path
+// to the top frame: an invariant trace replays them from init, and the
+// first back edge's trace replays them plus the closing step
+// (replayTrace). Both are built only when they are reported.
 func runDFS(init *machine.System, opts Options) (Result, error) {
 	visited := opts.visited
 	onStack := make(map[uint64]struct{}) // grey: fingerprints on the current stack
@@ -51,8 +54,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		sys   *machine.System
 		fp    uint64
 		aux   uint64
-		step  store.Step       // step that produced this state (root: unused)
-		how   machine.StepInfo // what that step did, for traces
+		step  store.Step // step that produced this state (root: unused)
 		depth int
 		lo    int
 		next  int
@@ -63,15 +65,14 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 	arena := make([]store.Step, 0, 256)
 	var free freeList
 
-	stackTrace := func() []machine.StepInfo {
-		if !opts.Traces {
-			return nil
-		}
-		out := make([]machine.StepInfo, 0, len(stack)-1)
+	// stackSteps returns the path to the top frame, with room for one
+	// more step.
+	stackSteps := func() []store.Step {
+		steps := make([]store.Step, 0, len(stack))
 		for _, f := range stack[1:] {
-			out = append(out, f.how)
+			steps = append(steps, f.step)
 		}
-		return out
+		return steps
 	}
 
 	writeCkpt := func() error {
@@ -86,9 +87,9 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		return opts.ckpt.write(finish(), visited, pending)
 	}
 
-	push := func(sys *machine.System, fp, aux uint64, step store.Step, how machine.StepInfo, depth int) error {
+	push := func(sys *machine.System, fp, aux uint64, step store.Step, depth int) error {
 		onStack[fp] = struct{}{}
-		stack = append(stack, frame{sys: sys, fp: fp, aux: aux, step: step, how: how, depth: depth, lo: len(arena), next: -1})
+		stack = append(stack, frame{sys: sys, fp: fp, aux: aux, step: step, depth: depth, lo: len(arena), next: -1})
 		res.Stats.FrontierPeak = max(res.Stats.FrontierPeak, len(stack))
 		res.MaxDepth = max(res.MaxDepth, depth)
 		if sys.Quiescent() {
@@ -96,7 +97,11 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		}
 		if opts.Invariant != nil {
 			if err := opts.Invariant(Node{Sys: sys, Aux: aux, Depth: depth}); err != nil {
-				return &InvariantError{Err: err, Trace: stackTrace()}
+				trace, terr := replayTrace(init, stackSteps())
+				if terr != nil {
+					return terr
+				}
+				return &InvariantError{Err: err, Trace: trace}
 			}
 		}
 		if opts.Progress != nil && opts.ProgressEvery > 0 && res.States%opts.ProgressEvery == 0 {
@@ -122,6 +127,14 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		if err != nil {
 			return finish(), fmt.Errorf("explore: resume: %w", err)
 		}
+		// A back edge found before the checkpoint keeps its verdict and
+		// its trace.
+		if steps := opts.resume.Meta.CycleSteps; len(steps) > 0 {
+			res.Cycle = true
+			if res.CycleTrace, err = replayTrace(init, steps); err != nil {
+				return finish(), err
+			}
+		}
 		// Rebuild the stack by replaying each frame's step on a clone of
 		// its parent's system; fingerprints and the successor steps of
 		// expanded frames are recomputed, cursors are restored verbatim.
@@ -129,10 +142,9 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		for i, e := range pending {
 			sys = sys.Clone()
 			var step store.Step
-			var how machine.StepInfo
 			if i > 0 {
 				step = e.Path.Step
-				if how, err = step.Apply(sys); err != nil {
+				if _, err = step.Apply(sys); err != nil {
 					return finish(), fmt.Errorf("explore: resume: replaying stack frame %d: %w", i, err)
 				}
 			}
@@ -143,7 +155,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			//lint:ignore anonlint/taint aux fold is canonicalized jointly with π (canon.Key); observer-side, orbit-invariant by construction
 			fp := opts.hasher.Fingerprint(sys, e.Aux)
 			onStack[fp] = struct{}{}
-			stack = append(stack, frame{sys: sys, fp: fp, aux: e.Aux, step: step, how: how,
+			stack = append(stack, frame{sys: sys, fp: fp, aux: e.Aux, step: step,
 				depth: int(e.Depth), lo: len(arena), next: int(e.Tag)})
 			if e.Tag >= 0 {
 				arena = successors(arena, sys, opts.MaxCrashes)
@@ -152,12 +164,12 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 	} else {
 		initSys := init.Clone()
 		res.Stats.DedupLookups++
-		rootFP := opts.hasher.Fingerprint(initSys, opts.InitAux)
+		rootFP := opts.hasher.Fingerprint(initSys, 0)
 		if _, _, err := visited.Insert(rootFP, 0); err != nil {
 			return finish(), fmt.Errorf("explore: %w", err)
 		}
 		res.States++
-		if err := push(initSys, rootFP, opts.InitAux, 0, machine.StepInfo{}, 0); err != nil {
+		if err := push(initSys, rootFP, 0, 0, 0); err != nil {
 			return finish(), err
 		}
 	}
@@ -217,8 +229,10 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 		if _, grey := onStack[fp]; grey {
 			res.Stats.DedupHits++
 			res.Cycle = true
-			if res.CycleTrace == nil && opts.Traces {
-				res.CycleTrace = append(stackTrace(), info)
+			if res.CycleTrace == nil {
+				if res.CycleTrace, err = replayTrace(init, append(stackSteps(), step)); err != nil {
+					return finish(), err
+				}
 			}
 			free = append(free, succ)
 			continue
@@ -235,7 +249,7 @@ func runDFS(init *machine.System, opts Options) (Result, error) {
 			continue
 		}
 		res.States++
-		if err := push(succ, fp, aux, step, info, depth); err != nil {
+		if err := push(succ, fp, aux, step, depth); err != nil {
 			return finish(), err
 		}
 	}

@@ -91,12 +91,11 @@ func (e *Engine) Set(s string) error {
 	return nil
 }
 
-// UnsupportedOptionError reports an Options feature the selected engine,
-// storage tier or packaged check cannot provide. Exactly one of
-// Engine/Store/Check identifies the rejecting side: Check ("safety",
-// "atomicity", ...) or Store ("mem", "disk") when non-empty, else Engine.
+// UnsupportedOptionError reports an Options feature the selected storage
+// tier or packaged check cannot provide. Exactly one of Store and Check
+// identifies the rejecting side: the check ("safety", "atomicity", ...)
+// when Check is non-empty, else the tier ("mem", "disk").
 type UnsupportedOptionError struct {
-	Engine Engine
 	Store  string
 	Check  string
 	Option string
@@ -105,14 +104,9 @@ type UnsupportedOptionError struct {
 
 // Error implements error.
 func (e *UnsupportedOptionError) Error() string {
-	var msg string
-	switch {
-	case e.Check != "":
+	msg := fmt.Sprintf("explore: store %s does not support %s", e.Store, e.Option)
+	if e.Check != "" {
 		msg = fmt.Sprintf("explore: the %s check does not take %s", e.Check, e.Option)
-	case e.Store != "":
-		msg = fmt.Sprintf("explore: store %s does not support %s", e.Store, e.Option)
-	default:
-		msg = fmt.Sprintf("explore: engine %s does not support %s", e.Engine, e.Option)
 	}
 	if e.Hint != "" {
 		msg += " (" + e.Hint + ")"
@@ -153,6 +147,23 @@ func successors(dst []store.Step, sys *machine.System, maxCrashes int) []store.S
 	return dst
 }
 
+// replayTrace turns a discovery path into a counterexample trace: it
+// applies steps to a copy of root and returns what each step did. Both
+// engines build their traces here, and only when they report one. The
+// trace is non-nil even when steps is empty.
+func replayTrace(root *machine.System, steps []store.Step) ([]machine.StepInfo, error) {
+	sys := root.Clone()
+	trace := make([]machine.StepInfo, len(steps))
+	for i, step := range steps {
+		info, err := step.Apply(sys)
+		if err != nil {
+			return nil, fmt.Errorf("explore: replaying the counterexample trace at step %d: %w", i, err)
+		}
+		trace[i] = info
+	}
+	return trace, nil
+}
+
 // freeList holds systems whose states an engine no longer needs: a
 // successor is copied into one of them (System.CloneInto) instead of
 // into a new allocation.
@@ -176,7 +187,7 @@ func (l *freeList) take() *machine.System {
 // AutoEngine resolves to DFSEngine.
 func Run(init *machine.System, opts Options) (Result, error) {
 	engine := opts.Engine.resolve()
-	if err := validateOptions(engine, &opts); err != nil {
+	if err := validateOptions(&opts); err != nil {
 		return Result{}, err
 	}
 	if opts.MaxStates <= 0 {
@@ -190,8 +201,8 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	opts.hasher = hasher
 
 	// Resolve the worker count once, here: the store splits its frontier
-	// memory budget per worker, node ids pack the worker index, and
-	// BFSEngine is the parallel engine at one worker.
+	// memory budget per worker, and BFSEngine is the parallel engine at
+	// one worker.
 	nw := 1
 	if engine == ParallelEngine {
 		nw = opts.Workers
@@ -208,7 +219,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	// root fingerprint pins the system and its canonicalization.
 	id := store.Meta{Engine: engine.String(), Symmetry: canonicalizer.String(), MaxCrashes: opts.MaxCrashes}
 	if opts.Checkpoint != "" || opts.Resume != "" {
-		id.InitFP = fmt.Sprintf("%016x", hasher.Fingerprint(init.Clone(), opts.InitAux))
+		id.InitFP = fmt.Sprintf("%016x", hasher.Fingerprint(init.Clone(), 0))
 	}
 	if opts.Resume != "" {
 		sp := opts.Trace.Start("checkpoint.resume", "load checkpoint")

@@ -132,7 +132,7 @@ func TestParallelInvariantAgreesWithSerial(t *testing.T) {
 		return nil
 	}
 	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{Engine: engine, Workers: 4, Invariant: inv, Traces: true})
+		_, err := Run(sys.Clone(), Options{Engine: engine, Workers: 4, Invariant: inv})
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
 			t.Fatalf("%v: expected InvariantError, got %v", engine, err)
@@ -161,7 +161,7 @@ func TestParallelCounterexampleReplays(t *testing.T) {
 		}
 		return nil
 	}
-	_, err = Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 4, Invariant: inv, Traces: true})
+	_, err = Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 4, Invariant: inv})
 	var ie *InvariantError
 	if !errors.As(err, &ie) {
 		t.Fatalf("expected InvariantError, got %v", err)
@@ -244,28 +244,6 @@ func TestSerialStatsRecorded(t *testing.T) {
 	}
 }
 
-// TestRunCapabilityChecks: option/engine mismatches are uniform
-// *UnsupportedOptionError values naming the resolved engine, with
-// AutoEngine resolved to DFSEngine.
-func TestRunCapabilityChecks(t *testing.T) {
-	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for engine, want := range map[Engine]Engine{
-		AutoEngine: DFSEngine, BFSEngine: BFSEngine, DFSEngine: DFSEngine, ParallelEngine: ParallelEngine,
-	} {
-		_, err := Run(sys.Clone(), Options{Engine: engine, Resume: t.TempDir(), Traces: true})
-		var ue *UnsupportedOptionError
-		if !errors.As(err, &ue) {
-			t.Fatalf("%v+Resume+Traces: expected UnsupportedOptionError, got %v", engine, err)
-		}
-		if ue.Engine != want || ue.Option != "Resume with Traces" {
-			t.Errorf("%v: error fields %+v", engine, ue)
-		}
-	}
-}
-
 // TestAutoEngineIsDFS: the zero Engine means DFSEngine in Run, in the
 // sweeps and in the sweep checkpoint identity.
 func TestAutoEngineIsDFS(t *testing.T) {
@@ -334,8 +312,9 @@ func TestBoundedCutIsPinned(t *testing.T) {
 
 // TestBFSTracesAreShortest: at one worker the breadth-first engine
 // reports a violation at the smallest depth any violating state has,
-// so its counterexample trace is a shortest one. A level-by-level
-// reference search computes that depth.
+// so its counterexample trace is a shortest one, on both tiers and
+// across a resume. A level-by-level reference search computes that
+// depth.
 func TestBFSTracesAreShortest(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -364,18 +343,29 @@ func TestBFSTracesAreShortest(t *testing.T) {
 			if want < 0 {
 				t.Fatal("the reference search found no violation")
 			}
-			for _, kind := range []store.Kind{store.Mem, store.Disk} {
-				opts := Options{Engine: BFSEngine, Invariant: c.inv, Traces: true, MaxCrashes: c.crashes}
-				if kind == store.Disk {
+			for _, run := range []string{"mem", "disk", "resumed"} {
+				opts := Options{Engine: BFSEngine, Invariant: c.inv, MaxCrashes: c.crashes}
+				switch run {
+				case "disk":
 					opts = diskOpts(t, opts)
+				case "resumed":
+					// Canceled after `want` discovered states, which lie
+					// shallower than the violation, then resumed.
+					killed := opts
+					killed.Checkpoint, killed.ProgressEvery = t.TempDir(), 1
+					killed.Cancel, killed.Progress = cancelAfter(want)
+					if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
+						t.Fatalf("killed run: err = %v, want ErrCanceled", err)
+					}
+					opts.Resume = killed.Checkpoint
 				}
 				_, err := Run(sys.Clone(), opts)
 				var ie *InvariantError
 				if !errors.As(err, &ie) {
-					t.Fatalf("%v: err = %v, want an *InvariantError", kind, err)
+					t.Fatalf("%v: err = %v, want an *InvariantError", run, err)
 				}
 				if len(ie.Trace) != want {
-					t.Errorf("%v: trace of %d steps, want the shortest, %d", kind, len(ie.Trace), want)
+					t.Errorf("%v: trace of %d steps, want the shortest, %d", run, len(ie.Trace), want)
 				}
 			}
 		})
@@ -431,16 +421,15 @@ func minViolationDepth(t *testing.T, init *machine.System, inv func(Node) error,
 	return -1
 }
 
-// TestParallelTruncation: the state bound stops the parallel engine and
-// is reported.
 // TestExpansionAllocs bounds what the engines allocate per stored state
 // on the benchmark's N=3 same-input snapshot system (orbit wiring 0,
 // full symmetry, the snapshot invariant, 15,000 states): successors are
 // copied into recycled systems, and Pending, Output and the invariant
 // allocate nothing, so what remains is the machines' own steps and, on
-// the breadth-first engine, the systems its frontier keeps. It counts
-// mallocs over a second run of each engine, after a first has warmed
-// the canonicalizer's scratch pool.
+// the breadth-first engine, the systems its frontier keeps and each
+// state's discovery-path node. It counts mallocs over a second run of
+// each engine, after a first has warmed the canonicalizer's scratch
+// pool.
 func TestExpansionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -474,6 +463,8 @@ func TestExpansionAllocs(t *testing.T) {
 	}
 }
 
+// TestParallelTruncation: the state bound stops the parallel engine and
+// is reported.
 func TestParallelTruncation(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b", "c"}})
 	if err != nil {
@@ -666,8 +657,8 @@ func TestSweepAccumulatesMetrics(t *testing.T) {
 	}
 }
 
-// TestChecksRejectOwnedOptions: the packaged checks set Invariant, Aux,
-// InitAux and Prune themselves, so a caller-set one is rejected before
+// TestChecksRejectOwnedOptions: the packaged checks set Invariant, Aux
+// and Prune themselves, so a caller-set one is rejected before
 // any state is explored; the witness search, which keeps no sweep
 // checkpoint, also rejects Checkpoint and Resume.
 func TestChecksRejectOwnedOptions(t *testing.T) {
@@ -694,7 +685,6 @@ func TestChecksRejectOwnedOptions(t *testing.T) {
 	for _, owned := range []Options{
 		{Invariant: func(Node) error { return nil }},
 		{Aux: func(aux uint64, _ machine.StepInfo, _ *machine.System) uint64 { return aux }},
-		{InitAux: 1},
 		{Prune: func(Node) bool { return false }},
 	} {
 		for _, c := range checks {

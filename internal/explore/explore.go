@@ -15,7 +15,7 @@
 // states²/2⁶⁵, reported in Result.CollisionOdds). On top of the raw
 // search the package provides:
 //
-//   - invariant checking, optionally with counterexample traces (safety);
+//   - invariant checking with counterexample traces (safety);
 //   - cycle detection over the reachable step graph (DFSEngine, inline),
 //     which for these finite-state systems is exactly wait-freedom: an
 //     infinite execution in a finite state space must revisit a state,
@@ -41,13 +41,17 @@
 //	ParallelEngine  sharded fp set + two levels  scales w/Workers  no      yes (shortest)
 //
 // AutoEngine (the zero value) resolves to DFSEngine, in Run and in the
-// sweep helpers alike. Option combinations an engine or storage tier
-// cannot honor return an *UnsupportedOptionError.
+// sweep helpers alike. Option combinations a storage tier or packaged
+// check cannot honor return an *UnsupportedOptionError.
 //
 // Both engines expand a state by the same successor steps, in the same
 // order (successors), and take every step as a packed store.Step
-// (Step.Apply): the breadth-first engine logs those steps for traces,
-// and both checkpoint them in paths.
+// (Step.Apply). A state's steps from the root are its discovery path,
+// the one provenance record: both engines checkpoint their pending work
+// as paths, and every counterexample trace is a path replayed from the
+// root (replayTrace) — a breadth-first entry's path, or the DFS stack's
+// steps. A trace is built only when a violation or a cycle is reported,
+// and a resumed run reports the same trace as an uninterrupted one.
 //
 // Storage tiers. Every engine's visited set and frontier come from the
 // internal/store layer: Options.Store selects the fully-in-RAM mem tier
@@ -57,8 +61,9 @@
 // and counterexamples are identical across tiers. Options.Checkpoint
 // periodically snapshots a run into a directory that a later Run can
 // continue from with Options.Resume: the visited set, the counters,
-// and the engine's pending work as one path segment of store entries
-// (the breadth-first frontier, or the DFS stack one frame per entry).
+// the engine's pending work as one path segment of store entries (the
+// breadth-first frontier, or the DFS stack one frame per entry) and the
+// steps of the first DFS back edge.
 // Options.Cancel aborts a run (writing a final checkpoint) with
 // ErrCanceled.
 package explore
@@ -129,17 +134,10 @@ type Options struct {
 	Invariant func(n Node) error
 	// Aux, when set, folds step information into a 64-bit auxiliary state
 	// distinguishing otherwise-identical system states (e.g. "has the
-	// memory ever held exactly view X"). The initial aux value is InitAux.
-	// sys is the successor the step produced, valid only during the call
-	// (as Node.Sys is).
-	Aux     func(aux uint64, info machine.StepInfo, sys *machine.System) uint64
-	InitAux uint64
-	// Traces makes invariant violations (and DFS cycles) carry a full
-	// counterexample trace. DFS reads it off its stack at no cost. The
-	// breadth-first engines keep a parent log of packed steps, 16 bytes
-	// per discovered state for the whole run, and replay the trace from
-	// the root; the log lives outside MemLimit's ceiling.
-	Traces bool
+	// memory ever held exactly view X"). The root's aux value is 0. sys
+	// is the successor the step produced, valid only during the call (as
+	// Node.Sys is).
+	Aux func(aux uint64, info machine.StepInfo, sys *machine.System) uint64
 	// Prune, when set and returning true for a state, keeps the state but
 	// does not expand its successors. Used to bound inherently infinite
 	// state spaces (e.g. consensus timestamps); pruned states are counted
@@ -175,9 +173,8 @@ type Options struct {
 	// directory, removed when the run ends). Mem rejects it.
 	StoreDir string
 	// MemLimit is the disk tier's RAM ceiling (0 = store.DefaultMemLimit)
-	// for the visited set and the frontier. The breadth-first engines'
-	// Traces log (16 bytes per state) is not counted against it. Mem
-	// rejects it: the in-RAM store has no spill ceiling.
+	// for the visited set and the frontier. Mem rejects it: the in-RAM
+	// store has no spill ceiling.
 	MemLimit store.Bytes
 	// Checkpoint, when non-empty, names a directory the engine
 	// atomically re-snapshots every CheckpointEvery discovered states
@@ -187,8 +184,8 @@ type Options struct {
 	// Resume, when non-empty, loads a checkpoint directory written by a
 	// previous run and continues it; the engine, symmetry, system and
 	// crash budget must match what the checkpoint records
-	// (*CheckpointMismatchError otherwise). Incompatible with Traces —
-	// parent logs are not persisted.
+	// (*CheckpointMismatchError otherwise). A resumed run reports the
+	// counterexample trace an uninterrupted one would.
 	Resume string
 	// Cancel, when non-nil, aborts the search once closed: the engine
 	// writes a final checkpoint (if Checkpoint is set) and returns
@@ -231,8 +228,8 @@ type Result struct {
 	CollisionOdds float64
 	// Cycle reports that DFS found a back edge: an execution that
 	// revisits a global state — a wait-freedom violation for terminating
-	// algorithms. CycleTrace (with Options.Traces) reaches the revisited
-	// state.
+	// algorithms. CycleTrace is the first back edge found: the steps from
+	// the root to the revisited state.
 	Cycle      bool
 	CycleTrace []machine.StepInfo
 	// Stats instruments the run: wall time, frontier peak, dedup
@@ -240,8 +237,9 @@ type Result struct {
 	Stats Stats
 }
 
-// InvariantError carries a (possibly empty) counterexample trace to a
-// violated invariant.
+// InvariantError carries the counterexample trace to a violated
+// invariant: the steps from the root to the violating state, empty when
+// the root itself violates it.
 type InvariantError struct {
 	Err   error
 	Trace []machine.StepInfo

@@ -200,7 +200,6 @@ func TestSnapshotSafetyN2AllWirings(t *testing.T) {
 		Inputs:  []string{"a", "b"},
 		Nondet:  true,
 		Wirings: FilterProc0,
-		Options: Options{Traces: true},
 	})
 	if err != nil {
 		t.Fatalf("safety violated: %v", err)
@@ -229,7 +228,6 @@ func TestSnapshotWaitFreeN2AllWirings(t *testing.T) {
 		Inputs:  []string{"a", "b"},
 		Nondet:  true,
 		Wirings: FilterProc0,
-		Options: Options{Traces: true},
 	})
 	if err != nil {
 		t.Fatalf("wait-freedom violated: %v", err)
@@ -267,7 +265,7 @@ func TestWriteScanHasCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Run(sys.Clone(), Options{Engine: DFSEngine, Traces: true})
+	d, err := Run(sys.Clone(), Options{Engine: DFSEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +294,7 @@ func TestInvariantViolationCarriesTrace(t *testing.T) {
 	}
 	for _, engine := range []Engine{BFSEngine, DFSEngine} {
 		name := engine.String()
-		_, err := Run(sys.Clone(), Options{Engine: engine, Invariant: inv, Traces: true})
+		_, err := Run(sys.Clone(), Options{Engine: engine, Invariant: inv})
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
 			t.Fatalf("%s: err = %v", name, err)
@@ -363,7 +361,6 @@ func TestNoWitnessAtN2(t *testing.T) {
 	r, err := FindNonAtomicityWitness(SnapshotConfig{
 		Inputs:  []string{"a", "b"},
 		Wirings: FilterProc0,
-		Options: Options{Traces: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +456,7 @@ func TestCheckSnapshotSafetyDetectsBrokenLevel(t *testing.T) {
 		Inputs:  []string{"a", "b", "c"},
 		Level:   1,
 		Wirings: FilterProc0,
-		Options: Options{MaxStates: 60_000, Traces: true},
+		Options: Options{MaxStates: 60_000},
 	})
 	var ie *InvariantError
 	if err == nil {

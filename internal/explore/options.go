@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the option-validation and checkpoint plumbing behind
-// Run: which (engine, store, feature) combinations are meaningful, how
+// Run: which (store, feature) combinations are meaningful, how
 // a resume is matched against the checkpoint it came from, and the
 // shared periodic-checkpoint trigger the engines poll.
 
@@ -39,9 +39,9 @@ func (e *CheckpointMismatchError) Error() string {
 		e.Field, e.Checkpoint, e.Field, e.Requested)
 }
 
-// validateOptions rejects option combinations no engine/store pair can
-// honor. engine is already resolved (never AutoEngine).
-func validateOptions(engine Engine, opts *Options) error {
+// validateOptions rejects option combinations the storage tier cannot
+// honor.
+func validateOptions(opts *Options) error {
 	if opts.Store == store.Mem {
 		if opts.MemLimit != 0 {
 			return &UnsupportedOptionError{Store: "mem", Option: "MemLimit",
@@ -51,10 +51,6 @@ func validateOptions(engine Engine, opts *Options) error {
 			return &UnsupportedOptionError{Store: "mem", Option: "StoreDir",
 				Hint: "the in-RAM store writes nothing; use Store: store.Disk (-store disk)"}
 		}
-	}
-	if opts.Resume != "" && opts.Traces {
-		return &UnsupportedOptionError{Engine: engine, Option: "Resume with Traces",
-			Hint: "checkpoints do not persist parent logs; rerun without Resume for a traced counterexample"}
 	}
 	return nil
 }
@@ -117,7 +113,9 @@ func (c *ckptState) write(res Result, v store.VisitedSet, pending []store.Entry)
 	meta.DedupHits = res.Stats.DedupHits
 	meta.FrontierPeak = res.Stats.FrontierPeak
 	meta.WorkerSteps = res.Stats.WorkerSteps
-	meta.Cycle = res.Cycle
+	for _, info := range res.CycleTrace {
+		meta.CycleSteps = append(meta.CycleSteps, store.StepOf(info))
+	}
 	sp := c.tr.StartArgs("checkpoint.write", "write checkpoint",
 		map[string]any{"states": meta.States, "frontier": len(pending)})
 	err := store.WriteCheckpoint(c.dir, meta, v, pending)
@@ -131,10 +129,12 @@ func (c *ckptState) write(res Result, v store.VisitedSet, pending []store.Entry)
 }
 
 // resumedResult reads back the counters ckptState.write recorded in m.
+// The cycle verdict is DFS's to restore: its trace replays from the
+// root.
 func resumedResult(m store.Meta) Result {
 	return Result{
 		States: int(m.States), Edges: int(m.Edges), Terminals: int(m.Terminals),
-		Pruned: int(m.Pruned), MaxDepth: int(m.MaxDepth), Cycle: m.Cycle,
+		Pruned: int(m.Pruned), MaxDepth: int(m.MaxDepth),
 		Stats: Stats{
 			DedupLookups: m.DedupLookups, DedupHits: m.DedupHits,
 			FrontierPeak: m.FrontierPeak, WorkerSteps: m.WorkerSteps,

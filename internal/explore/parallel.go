@@ -54,13 +54,16 @@ import (
 // does not leave its systems parked there until the run ends. Fresh
 // successors go to the frontier, which owns them until they are popped.
 //
+// Provenance. Every entry carries its discovery path (store.PathNode),
+// which the disk tier spills and checkpoints write. The path is also
+// the entry's trace: the first invariant violation records the
+// violating state's path, and after the workers have joined the
+// coordinator replays it from the root into the counterexample trace
+// (replayTrace).
+//
 // Stopping. Invariant violations and step errors set a stop flag that
 // every worker checks between successor generations, so all workers quit
-// promptly. The first invariant violation wins; its counterexample trace
-// is rebuilt after the workers have joined, from per-worker append-only
-// parent logs of packed steps (node ids pack worker and log index into
-// an int64, so the logs need no cross-worker synchronization), by
-// replaying the steps from the root. The state bound,
+// promptly. The first invariant violation wins. The state bound,
 // Options.Cancel and a due periodic checkpoint act only between
 // expansions: a worker checks them at its loop top (cancel and the
 // checkpoint) or right after a pop (the bound, which then leaves the
@@ -72,8 +75,8 @@ import (
 // the same level; after a cancel it writes the final checkpoint and
 // returns.
 
-// maxParallelWorkers bounds Options.Workers so node ids can pack the
-// worker index into the top 16 bits of an int64.
+// maxParallelWorkers bounds Options.Workers, a value that reaches Run
+// from a command-line flag and starts one goroutine per worker.
 const maxParallelWorkers = 1 << 15
 
 // maxFreeSystems caps a worker's free list. An expansion takes one
@@ -81,30 +84,14 @@ const maxParallelWorkers = 1 << 15
 // state, so a handful covers the steady state.
 const maxFreeSystems = 8
 
-// parNode is one entry of a worker's parent log (Traces only): 16 bytes
-// per discovered state.
-type parNode struct {
-	parent int64
-	step   store.Step
-}
-
-// packID builds a node id from a worker index and that worker's log index.
-func packID(worker, idx int) int64 { return int64(worker)<<48 | int64(idx) }
-
-func unpackID(id int64) (worker, idx int) {
-	return int(id >> 48), int(id & (1<<48 - 1))
-}
-
 // parWorker is one worker's private state. Only the owning goroutine
-// touches the counters and log; the frontier shards have their own
-// locks.
+// touches the counters; the frontier shards have their own locks.
 type parWorker struct {
 	cur, next *store.Frontier
 	steps     int64 // states expanded
 	lookups   int64
 	hits      int64
 	maxDepth  int32        // deepest state this worker discovered
-	log       []parNode    // parent pointers (Traces only)
 	succ      []store.Step // the successor steps of the state in expansion
 	free      freeList     // systems to copy successors into
 }
@@ -118,11 +105,10 @@ func (wk *parWorker) recycle(sys *machine.System) {
 
 // parRun is the shared state of one breadth-first exploration.
 type parRun struct {
-	opts     Options
-	root     *machine.System // traces replay from it
-	workers  []parWorker
-	visited  store.VisitedSet
-	needPath bool
+	opts    Options
+	root    *machine.System // traces replay from it
+	workers []parWorker
+	visited store.VisitedSet
 
 	states    atomic.Int64
 	edges     atomic.Int64
@@ -136,9 +122,9 @@ type parRun struct {
 	pause     atomic.Bool // a periodic checkpoint is due
 
 	failMu     sync.Mutex
-	stepErr    error // first non-invariant failure
-	invErr     error // first invariant violation
-	invNode    int64 // node id of the violation (-1 without Traces)
+	stepErr    error           // first non-invariant failure
+	invErr     error           // first invariant violation
+	invPath    *store.PathNode // the violating state's discovery path
 	progressMu sync.Mutex
 }
 
@@ -161,8 +147,6 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 			defer f.Close()
 		}
 	}
-	// The disk tier spills entries by path, and checkpoints write paths.
-	p.needPath = opts.st.Kind() == store.Disk || opts.ckpt != nil
 	if opts.resume != nil {
 		if err := p.restore(); err != nil {
 			return p.result(), fmt.Errorf("explore: resume: %w", err)
@@ -185,7 +169,7 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 		res := p.result()
 		switch {
 		case p.invErr != nil:
-			trace, err := p.traceTo(p.invNode)
+			trace, err := replayTrace(p.root, p.invPath.Steps())
 			if err != nil {
 				return res, err
 			}
@@ -226,31 +210,24 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 func (p *parRun) seed(init *machine.System) error {
 	opts := p.opts
 	rootSys := init.Clone()
-	rootFP := opts.hasher.Fingerprint(rootSys, opts.InitAux)
+	rootFP := opts.hasher.Fingerprint(rootSys, 0)
 	if _, _, err := p.visited.Insert(rootFP, 0); err != nil {
 		return fmt.Errorf("explore: %w", err)
 	}
 	p.workers[0].lookups++
 	p.states.Store(1)
-	rootID := int64(-1)
-	if opts.Traces {
-		p.workers[0].log = append(p.workers[0].log, parNode{parent: -1})
-		rootID = packID(0, 0)
-	}
 	if rootSys.Quiescent() {
 		p.terminals.Store(1)
 	}
 	if opts.Invariant != nil {
-		if err := opts.Invariant(Node{Sys: rootSys, Aux: opts.InitAux, Depth: 0}); err != nil {
-			// The one-node trace: zero steps, but non-nil when Traces is
-			// set, matching DFS's root-violation behaviour.
-			trace, _ := p.traceTo(rootID) // no step to replay, so no error
-			return &InvariantError{Err: err, Trace: trace}
+		if err := opts.Invariant(Node{Sys: rootSys, Depth: 0}); err != nil {
+			// The one-node trace: zero steps, but non-nil, as on DFS.
+			return &InvariantError{Err: err, Trace: []machine.StepInfo{}}
 		}
 	}
 	p.pending.Store(1)
 	p.peak.Store(1)
-	if err := p.workers[0].cur.Push(store.Entry{Sys: rootSys, Aux: opts.InitAux, Depth: 0, Tag: rootID}); err != nil {
+	if err := p.workers[0].cur.Push(store.Entry{Sys: rootSys}); err != nil {
 		return fmt.Errorf("explore: %w", err)
 	}
 	// The root is discovered state 1, which only a cadence of 1 reports.
@@ -286,7 +263,6 @@ func (p *parRun) restore() error {
 		level = min(level, e.Depth)
 	}
 	for i, e := range entries {
-		e.Tag = -1
 		fr := p.workers[i%nw].next
 		if e.Depth == level {
 			fr = p.workers[i%nw].cur
@@ -345,7 +321,6 @@ func (p *parRun) work(w int) {
 func (p *parRun) writeCheckpoint() error {
 	var snap []store.Entry
 	collect := func(e store.Entry) error {
-		e.Tag = 0
 		snap = append(snap, e)
 		return nil
 	}
@@ -431,11 +406,7 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, step stor
 		self.recycle(succ)
 		return true
 	}
-	var path *store.PathNode
-	if p.needPath {
-		path = e.Path.Extend(step)
-	}
-	if !p.discovered(w, succ, aux, e.Tag, step, e.Depth+1, path) {
+	if !p.discovered(w, succ, aux, e.Depth+1, e.Path.Extend(step)) {
 		return false
 	}
 	// Counted after discovery, so the Progress call inside it and an
@@ -444,24 +415,19 @@ func (p *parRun) successor(w int, e store.Entry, succ *machine.System, step stor
 	return true
 }
 
-// discovered registers a newly-inserted state: counters, parent log,
-// invariant and the push onto the worker's next shard. false means the
-// search is stopping (the reason is recorded in p).
-func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int64, step store.Step, depth int32, path *store.PathNode) bool {
+// discovered registers a newly-inserted state, reached by path:
+// counters, invariant and the push onto the worker's next shard. false
+// means the search is stopping (the reason is recorded in p).
+func (p *parRun) discovered(w int, succ *machine.System, aux uint64, depth int32, path *store.PathNode) bool {
 	self := &p.workers[w]
 	cnt := p.states.Add(1)
 	self.maxDepth = max(self.maxDepth, depth)
-	id := int64(-1)
-	if p.opts.Traces {
-		self.log = append(self.log, parNode{parent: parent, step: step})
-		id = packID(w, len(self.log)-1)
-	}
 	if succ.Quiescent() {
 		p.terminals.Add(1)
 	}
 	if p.opts.Invariant != nil {
 		if err := p.opts.Invariant(Node{Sys: succ, Aux: aux, Depth: int(depth)}); err != nil {
-			p.failInvariant(err, id)
+			p.failInvariant(err, path)
 			return false
 		}
 	}
@@ -472,7 +438,7 @@ func (p *parRun) discovered(w int, succ *machine.System, aux uint64, parent int6
 			break
 		}
 	}
-	if err := self.next.Push(store.Entry{Sys: succ, Aux: aux, Depth: depth, Tag: id, Path: path}); err != nil {
+	if err := self.next.Push(store.Entry{Sys: succ, Aux: aux, Depth: depth, Path: path}); err != nil {
 		p.fail(fmt.Errorf("explore: %w", err))
 		return false
 	}
@@ -497,42 +463,16 @@ func (p *parRun) fail(err error) {
 	p.stop.Store(true)
 }
 
-// failInvariant records the first invariant violation and cancels all
-// workers.
-func (p *parRun) failInvariant(err error, node int64) {
+// failInvariant records the first invariant violation, at the state
+// path reaches, and cancels all workers.
+func (p *parRun) failInvariant(err error, path *store.PathNode) {
 	p.failMu.Lock()
 	if p.stepErr == nil && p.invErr == nil {
 		p.invErr = err
-		p.invNode = node
+		p.invPath = path
 	}
 	p.failMu.Unlock()
 	p.stop.Store(true)
-}
-
-// traceTo rebuilds the trace from the root to the given node: it walks
-// the per-worker parent logs back to the root and replays their steps
-// forward from it. Called only after the workers have joined.
-func (p *parRun) traceTo(id int64) ([]machine.StepInfo, error) {
-	if !p.opts.Traces || id < 0 {
-		return nil, nil
-	}
-	var rev []store.Step
-	for id != packID(0, 0) {
-		w, i := unpackID(id)
-		n := p.workers[w].log[i]
-		rev = append(rev, n.step)
-		id = n.parent
-	}
-	out := make([]machine.StepInfo, len(rev))
-	sys := p.root.Clone()
-	for j := range rev {
-		info, err := rev[len(rev)-1-j].Apply(sys)
-		if err != nil {
-			return nil, fmt.Errorf("explore: replaying the counterexample trace: %w", err)
-		}
-		out[j] = info
-	}
-	return out, nil
 }
 
 // result assembles the Result from the run's counters. Called only

@@ -229,6 +229,12 @@ func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *ma
 //
 // k is 10. -short, which make race and CI's repeated step use, sets it
 // to 40.
+//
+// One more DFS input checks that a cycle verdict and its trace survive
+// every cut point: the blocking baseline at N=2 with one crash, whose 59
+// states hold scan loops DFS meets early, is canceled after every k-th
+// discovered state and resumed, for each k from 1 to 59, so some
+// checkpoints precede the first back edge and some follow it.
 func TestKillResumeEveryK(t *testing.T) {
 	k := 10
 	if testing.Short() {
@@ -262,20 +268,40 @@ func TestKillResumeEveryK(t *testing.T) {
 			}
 		}
 	}
+	t.Run("blocking-cycle/dfs", func(t *testing.T) {
+		blocking := blockingSystem(t, 2)
+		opts := Options{Engine: DFSEngine, MaxCrashes: 1}
+		ref, err := Run(blocking.Clone(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ref.Cycle {
+			t.Fatal("DFS found no cycle in the blocking baseline")
+		}
+		for k := 1; k <= ref.States; k++ {
+			t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+				killResumeEveryK(t, blocking, opts, k, 7, false)
+			})
+		}
+	})
 }
 
 // killResumeEveryK runs opts uninterrupted, then again with a
 // checkpoint every `every` states and a cancel after every k-th
 // discovered state, or with bySucc after every k-th generated
-// successor, resuming after every cancel, and compares the two. It
-// demands at least one cancel per 2k events; on DFS, the successor
-// cancels must also leave at least one checkpoint whose top frame is
-// partly expanded.
+// successor, resuming after every cancel, and compares the two: totals,
+// dedup counters and, when DFS finds a cycle, its trace. It demands at
+// least one cancel per 2k events; on DFS, the successor cancels must
+// also leave at least one checkpoint whose top frame is partly
+// expanded.
 func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every int, bySucc bool) {
 	t.Helper()
 	ref, err := Run(sys.Clone(), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ref.Cycle && len(ref.CycleTrace) == 0 {
+		t.Fatal("the uninterrupted run reports a cycle without its trace")
 	}
 	dir := t.TempDir()
 	run := opts
@@ -316,6 +342,9 @@ func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every 
 			t.Errorf("after %d kills: %d dedup lookups and %d hits, uninterrupted %d and %d", kills,
 				got.Stats.DedupLookups, got.Stats.DedupHits, ref.Stats.DedupLookups, ref.Stats.DedupHits)
 		}
+		if g, w := FormatTrace(got.CycleTrace), FormatTrace(ref.CycleTrace); g != w {
+			t.Errorf("after %d kills: cycle trace %q, uninterrupted %q", kills, g, w)
+		}
 		break
 	}
 	// A cancel lands after the expansion in flight (DFS: the successor
@@ -335,7 +364,10 @@ func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every 
 
 // TestResumeReproducesViolation: a run canceled before it reaches an
 // invariant violation must, on resume, report the same violation an
-// uninterrupted run does.
+// uninterrupted run does, with its counterexample trace. The one-worker
+// engines are deterministic, so their resumed traces must render
+// exactly as the reference's (20 steps on bfs, 29 on dfs); the parallel
+// engine's trace must replay from the root to a violating state.
 func TestResumeReproducesViolation(t *testing.T) {
 	boom := errors.New("all processors terminated")
 	inv := func(n Node) error {
@@ -355,7 +387,8 @@ func TestResumeReproducesViolation(t *testing.T) {
 				opts.Workers = 4
 			}
 			ref, err := Run(sys.Clone(), opts)
-			if !errors.Is(err, boom) {
+			var refErr *InvariantError
+			if !errors.As(err, &refErr) || !errors.Is(err, boom) {
 				t.Fatalf("reference run: err = %v, want the planted violation", err)
 			}
 
@@ -365,14 +398,8 @@ func TestResumeReproducesViolation(t *testing.T) {
 			killed.CheckpointEvery = 10
 			killed.ProgressEvery = 1
 			killed.Cancel, killed.Progress = cancelAfter(20)
-			_, kerr := Run(sys.Clone(), killed)
-			if errors.Is(kerr, boom) {
-				// The violation surfaced before the cancel threshold (DFS
-				// dives deep immediately); the verdict already matches.
-				return
-			}
-			if !errors.Is(kerr, ErrCanceled) {
-				t.Fatalf("killed run: err = %v, want ErrCanceled or the violation", kerr)
+			if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("killed run: err = %v, want ErrCanceled: the violation must lie past the cancel so the resume runs", err)
 			}
 
 			resumed := opts
@@ -385,10 +412,29 @@ func TestResumeReproducesViolation(t *testing.T) {
 			if !errors.As(rerr, &ie) {
 				t.Fatalf("resumed run: err = %T, want *InvariantError", rerr)
 			}
-			if engine != ParallelEngine && got.States != ref.States {
-				// One-worker engines are deterministic, so the resumed
-				// search must stop at exactly the reference witness.
+			if len(ie.Trace) == 0 {
+				t.Fatal("resumed run reports an empty counterexample trace")
+			}
+			t.Logf("resumed trace of %d steps, reference %d", len(ie.Trace), len(refErr.Trace))
+			if engine == ParallelEngine {
+				replay := sys.Clone()
+				for i, info := range ie.Trace {
+					if _, err := replay.Step(info.Proc, info.Choice); err != nil {
+						t.Fatalf("resumed trace does not replay at step %d: %v", i, err)
+					}
+				}
+				if inv(Node{Sys: replay}) == nil {
+					t.Error("resumed trace ends in a state that satisfies the invariant")
+				}
+				return
+			}
+			// One-worker engines are deterministic, so the resumed search
+			// must stop at exactly the reference witness, by the same path.
+			if got.States != ref.States {
 				t.Errorf("resumed run found the violation at state %d, reference at %d", got.States, ref.States)
+			}
+			if g, w := FormatTrace(ie.Trace), FormatTrace(refErr.Trace); g != w {
+				t.Errorf("resumed trace (%d steps):\n%s\nreference (%d steps):\n%s", len(ie.Trace), g, len(refErr.Trace), w)
 			}
 		})
 	}
@@ -470,8 +516,8 @@ func TestSweepKillAndResume(t *testing.T) {
 	}
 }
 
-// TestOptionsValidation is the table of option combinations no
-// engine/store pair can honor; each must be rejected up front with an
+// TestOptionsValidation is the table of option combinations the
+// storage tier cannot honor; each must be rejected up front with an
 // *UnsupportedOptionError naming the offender.
 func TestOptionsValidation(t *testing.T) {
 	cases := []struct {
@@ -481,7 +527,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"mem+MemLimit", Options{MemLimit: 1 << 20}, "MemLimit"},
 		{"mem+StoreDir", Options{StoreDir: "/tmp/x"}, "StoreDir"},
-		{"resume+Traces", Options{Resume: "ck", Traces: true}, "Resume with Traces"},
 	}
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {

@@ -158,7 +158,6 @@ func TestSymmetryViolationTraceReplays(t *testing.T) {
 			Workers:       4,
 			Canonicalizer: canon.ProcSymmetry{},
 			Invariant:     inv,
-			Traces:        true,
 		})
 		var ie *InvariantError
 		if !errors.As(err, &ie) {

@@ -49,7 +49,7 @@ func witnessForCandidate(c SnapshotConfig, perms [][]int, cand view.View, maxSta
 		}
 		return true
 	}
-	res, err := Run(sys, Options{Engine: DFSEngine, MaxStates: maxStates, Aux: aux, Invariant: invariant, Prune: prune, Traces: true})
+	res, err := Run(sys, Options{Engine: DFSEngine, MaxStates: maxStates, Aux: aux, Invariant: invariant, Prune: prune})
 	if err != nil {
 		var ie *InvariantError
 		if errors.As(err, &ie) {

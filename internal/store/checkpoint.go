@@ -10,7 +10,9 @@ import (
 // Checkpoints. A checkpoint is a directory:
 //
 //	meta.json    — Meta: format version, run identity (engine, symmetry,
-//	               root fingerprint, crash budget) and cumulative counters
+//	               root fingerprint, crash budget), cumulative counters
+//	               and the depth-first engine's first back edge
+//	               (CycleSteps)
 //	visited.fp   — the visited set as one sorted fingerprint run ("ANVF")
 //	frontier.seg — the pending work as one path segment ("ANSF"): the
 //	               breadth-first frontier, or the depth-first stack, one
@@ -33,7 +35,10 @@ import (
 // held 12-byte (fingerprint, depth) records. Version 5 writes the
 // depth-first stack into frontier.seg, one entry per frame, where
 // version 4 wrote it into meta.json with four cursors per frame.
-const MetaVersion = 5
+// Version 6 records a found cycle as CycleSteps, the back edge's steps
+// from the root, so a resume rebuilds its trace; version 5 recorded a
+// bare cycle flag, which this build would read as no cycle at all.
+const MetaVersion = 6
 
 const (
 	metaName     = "meta.json"
@@ -61,9 +66,11 @@ type Meta struct {
 	DedupHits    int64   `json:"dedupHits"`
 	FrontierPeak int     `json:"frontierPeak"`
 	WorkerSteps  []int64 `json:"workerSteps,omitempty"`
-	// Cycle preserves a DFS back-edge verdict found before the
-	// checkpoint, so a resumed run cannot lose it.
-	Cycle bool `json:"cycle,omitempty"`
+	// CycleSteps is the first DFS back edge found before the
+	// checkpoint, as steps from the root to the revisited state: a
+	// resumed run keeps the cycle verdict and replays its trace. Empty
+	// when no cycle was found.
+	CycleSteps []Step `json:"cycleSteps,omitempty"`
 }
 
 // Checkpoint is a loaded checkpoint directory.

@@ -7,8 +7,8 @@ import "anonshm/internal/machine"
 // machine.NewSystem caps systems at 64 processors, and nondeterministic
 // choice fans out over a machine's pending ops, far below 2^24. It is
 // the one step record of the explorer: both engines expand a state by
-// applying its successor steps and checkpoint them in paths, and the
-// breadth-first engine logs them for traces.
+// applying its successor steps and checkpoint them in paths, and a
+// counterexample trace is a path of them replayed from the root.
 type Step uint32
 
 const (
@@ -35,6 +35,15 @@ func (s Step) Proc() int { return int(s>>1) & (1<<stepProcBits - 1) }
 // Choice returns the pending-op choice index (0 for crashes).
 func (s Step) Choice() int { return int(s >> (1 + stepProcBits)) }
 
+// StepOf packs the step a trace entry records: the inverse of Apply's
+// report.
+func StepOf(info machine.StepInfo) Step {
+	if info.Op.Kind == machine.OpCrash {
+		return PackCrash(info.Proc)
+	}
+	return PackStep(info.Proc, info.Choice)
+}
+
 // Apply takes the step on sys and reports what it did.
 func (s Step) Apply(sys *machine.System) (machine.StepInfo, error) {
 	if s.Crash() {
@@ -48,7 +57,10 @@ func (s Step) Apply(sys *machine.System) (machine.StepInfo, error) {
 // parent's, so a whole frontier of depth-d entries costs O(states on
 // the discovery tree) nodes, not O(entries × d). The garbage collector
 // reclaims prefixes as soon as no live entry (in RAM) references them;
-// spilled segments encode the steps by value and drop the chain.
+// spilled segments encode the steps by value and drop the chain. The
+// path is the state's provenance: what the disk tier replays, what a
+// checkpoint writes, and what the explorer replays into a
+// counterexample trace.
 type PathNode struct {
 	// Parent is the discovering state's node (nil at the root).
 	Parent *PathNode
@@ -73,13 +85,4 @@ func (p *PathNode) Steps() []Step {
 		out[n] = q.Step
 	}
 	return out
-}
-
-// PathFromSteps rebuilds a node chain from a root-to-state sequence.
-func PathFromSteps(steps []Step) *PathNode {
-	var p *PathNode
-	for _, s := range steps {
-		p = p.Extend(s)
-	}
-	return p
 }

@@ -33,6 +33,11 @@
 //     the engine counters into a directory that a later run can resume
 //     from.
 //
+// On both tiers the discovery path is a state's one provenance record:
+// the explorer replays it into counterexample traces, so a trace needs
+// no RAM beyond the paths the pending entries already hold, and a
+// resumed run rebuilds the same trace.
+//
 // Everything in this package is deterministic: no wall-clock reads, no
 // global randomness, and every table is sorted before it is written, so
 // identical runs produce identical spill files and checkpoint bytes.
@@ -194,15 +199,15 @@ type Entry struct {
 	// the state's minimum distance from the root.
 	Depth int32
 	// Tag is an engine-private value carried through spills and
-	// checkpoints. The breadth-first engine keeps the entry's trace log
-	// id in it (-1 without Options.Traces) and writes 0 into its
-	// checkpoints; the depth-first engine checkpoints each stack frame's
-	// successor cursor in it (-1 before the frame is expanded).
+	// checkpoints. The depth-first engine checkpoints each stack frame's
+	// successor cursor in it (-1 before the frame is expanded); the
+	// breadth-first engine leaves it 0.
 	Tag int64
 	// Path is the reversed step list that produced this state from the
-	// root, shared structurally with sibling entries. Required (and
-	// built by the engines) only on the disk tier, whose frontier
-	// spills, or when checkpoints are enabled; nil otherwise.
+	// root, shared structurally with sibling entries: the entry's
+	// provenance. Every entry an engine hands the store carries it (nil
+	// only at the root): the disk tier's frontier spills it, checkpoints
+	// write it, and the explorer replays it into a counterexample trace.
 	Path *PathNode
 }
 
