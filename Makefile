@@ -47,17 +47,22 @@ test:
 # with real concurrency or fault injection; everything else is
 # single-threaded model code, so the race detector runs only where it can
 # find something. internal/canon rides along because one hasher, and
-# its pool of scratch buffers, is shared by all of the parallel engine's
-# workers (TestFingerprintConcurrent, and the symmetry-equivalence tests
-# in internal/explore, drive exactly that sharing); internal/store because its visited table and frontier are the
-# shared mutable state under those workers; internal/obs and its span
+# its pool of scratch buffers, is shared by all of the breadth-first
+# engine's workers (TestFingerprintConcurrent, and the
+# symmetry-equivalence tests in internal/explore, drive exactly that
+# sharing); internal/store because its visited table and frontier shards
+# are the shared mutable state under those workers, which pop from each
+# other's shards; internal/obs and its span
 # tracer because metrics, histograms and trace spans are written from
 # all of those goroutines at once; cmd/anonsim because the campaign
 # runner's worker pool aggregates per-cell histograms across goroutines.
 # -short skips the N=3 crash spaces and trims the 100-seed zoo sweep,
-# which the plain test target still covers in full.
+# which the plain test target still covers in full. The explore package
+# alone takes about 300 s under the race detector on a 2-vCPU host and
+# nearly 600 s, go test's default timeout, when another process holds a
+# CPU, hence the explicit budget.
 race:
-	$(GO) test -race -short ./internal/explore/ ./internal/canon/ ./internal/sched/ ./internal/runtime/ ./internal/store/ ./internal/obs/ ./internal/obs/span/ ./cmd/anonsim/
+	$(GO) test -race -short -timeout 30m ./internal/explore/ ./internal/canon/ ./internal/sched/ ./internal/runtime/ ./internal/store/ ./internal/obs/ ./internal/obs/span/ ./cmd/anonsim/
 
 # Extended tier-1 gate: what CI (and ROADMAP.md) require before merge.
 verify: fmt build vet lint test race bench-check
@@ -98,8 +103,8 @@ fuzz-smoke:
 bench-report:
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -report BENCH_dfs.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine bfs -report BENCH_bfs.json
-	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine parallel -workers 2 -report BENCH_parallel.json
-	$(GO) run ./cmd/anonexplore -check waitfree -inputs a,b -crashes 1 -engine parallel -workers 2 -report BENCH_crash_parallel.json
+	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine bfs -workers 2 -report BENCH_parallel.json
+	$(GO) run ./cmd/anonexplore -check waitfree -inputs a,b -crashes 1 -engine bfs -workers 2 -report BENCH_crash_parallel.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry none -report BENCH_sym_none_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry proc -report BENCH_sym_proc_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry full -report BENCH_sym_full_n2.json

@@ -424,7 +424,7 @@ func BenchmarkExploreThroughput(b *testing.B) {
 	b.ReportMetric(float64(states), "states/op")
 }
 
-// exploreBenchCase builds the parallel-engine benchmark workload: a
+// exploreBenchCase builds the breadth-first benchmark workload: a
 // 3-processor snapshot system cut to an untruncated ~135k-state subspace
 // by a depth-independent prune (views only grow), so every worker count
 // explores exactly the same states and the states/sec metrics compare
@@ -465,14 +465,14 @@ func runExploreBench(b *testing.B, sys *machine.System, opts explore.Options) {
 	b.ReportMetric(float64(states)/float64(b.N), "states/op")
 }
 
-// BenchmarkExploreParallel measures ParallelEngine on the 3-processor
-// snapshot subspace at several worker counts; workers=1 runs the same
-// code as BFSEngine and is the single-threaded reference.
+// BenchmarkExploreParallel measures BFSEngine on the 3-processor
+// snapshot subspace at several worker counts; workers=1 is the
+// single-threaded reference.
 func BenchmarkExploreParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sys, opts := exploreBenchCase(b)
-			opts.Engine = explore.ParallelEngine
+			opts.Engine = explore.BFSEngine
 			opts.Workers = workers
 			runExploreBench(b, sys, opts)
 		})

@@ -2,12 +2,11 @@
 // every interleaving (and optionally every wiring), replacing the TLC
 // model checker used in the paper.
 //
-// The search backend is selectable: -engine bfs|dfs|parallel picks the
-// explorer engine (dfs by default — smallest memory footprint, and the
-// only engine that detects cycles, so only a dfs -check waitfree also
-// verifies an acyclic step graph), and -workers sets the parallel
-// engine's worker count (0 = all cores; bfs is that engine at one
-// worker).
+// The search backend is selectable: -engine dfs|bfs picks the explorer
+// engine (dfs by default — smallest memory footprint, and the only
+// engine that detects cycles, so only a dfs -check waitfree also
+// verifies an acyclic step graph), and -workers sets the breadth-first
+// engine's worker count (0 or 1 means one worker).
 //
 // Symmetry reduction: -wirings all|proc0|orbits picks how the wiring
 // sweep is cut down (proc0 pins processor 0's wiring to the identity;
@@ -32,9 +31,10 @@
 // -checkpoint-every states) of the wiring in flight; a first ^C
 // checkpoints and stops cleanly, and -resume DIR continues where it
 // left off. sweep.json records every flag that shapes the explored
-// space, and a -resume under different ones is refused. Resumed runs
-// cannot keep counterexample traces (checkpoints do not persist parent
-// logs), so -resume reruns report the violation without a trace.
+// space, and a -resume under different ones is refused; -workers is not
+// among them, so a bfs sweep may resume at another worker count. A
+// resumed run that finds a counterexample prints its trace, as an
+// uninterrupted one does.
 //
 // Observability: results go to stdout; -progress diagnostics go to
 // stderr so piped output stays clean. A run explains itself through
@@ -65,7 +65,7 @@
 // Examples:
 //
 //	anonexplore -check safety   -inputs a,b       # snapshot-task outputs, all wirings
-//	anonexplore -check safety   -inputs a,b -engine parallel -workers 4
+//	anonexplore -check safety   -inputs a,b -engine bfs -workers 4
 //	anonexplore -check safety   -inputs a,b -report r.json
 //	anonexplore -check safety   -inputs a,b,c -http :6060 -progress 1000000
 //	anonexplore -check safety   -inputs a,b,c -store disk -mem 64MiB
@@ -195,7 +195,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var symmetry canon.Symmetry
 	fs.StringVar(&cli.check, "check", "safety", "check: safety | waitfree | atomicity | atomicity-random | consensus")
 	fs.StringVar(&cli.inputsCSV, "inputs", "a,b", "comma-separated processor inputs")
-	fs.IntVar(&cli.run.Workers, "workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
+	fs.IntVar(&cli.run.Workers, "workers", 0, "breadth-first engine workers (0 or 1 = one worker)")
 	fs.IntVar(&cli.run.ProgressEvery, "progress", 0, "print progress to stderr every N discovered states (0 = off)")
 	fs.BoolVar(&cli.nondet, "nondet", true, "explore the algorithms' internal register choices")
 	fs.IntVar(&cli.level, "level", 0, "snapshot termination level override (0 = N)")
@@ -215,7 +215,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&cli.ledgerPath, "ledger", "", "append a run-history entry to this JSONL ledger (conventionally "+ledger.DefaultPath+")")
 	fs.DurationVar(&cli.run.StallAfter, "stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
 	fs.BoolVar(&cli.run.StallAbort, "stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
-	fs.Var(&cli.run.Engine, "engine", "explorer engine: auto | bfs | dfs | parallel")
+	fs.Var(&cli.run.Engine, "engine", "explorer engine: dfs | bfs")
 	fs.Var(&cli.wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
 	fs.Var(&symmetry, "symmetry", "state canonicalizer: none | proc | full")
 	fs.Var(&cli.run.Store, "store", "state store tier: mem | disk")
@@ -369,6 +369,9 @@ func sectionOf(sweep explore.SweepResult) sweepSection {
 func run(cli options, rep *obs.Report) error {
 	inputs := strings.Split(cli.inputsCSV, ",")
 	opts := cli.run
+	if opts.StallAbort && opts.StallAfter <= 0 {
+		return exitcode.WithCode(exitcode.Usage, errors.New("-stall-abort requires -stall-after"))
+	}
 	rep.Section("check", map[string]any{
 		"check":      cli.check,
 		"inputs":     inputs,

@@ -28,9 +28,8 @@ func TestWaitFreeVerdict(t *testing.T) {
 	}{
 		{explore.DFSEngine, 0, true, "every processor"},
 		{explore.BFSEngine, 0, false, "every processor"},
-		{explore.ParallelEngine, 0, false, "every processor"},
 		{explore.DFSEngine, 1, true, "every survivor"},
-		{explore.ParallelEngine, 2, false, "every survivor"},
+		{explore.BFSEngine, 2, false, "every survivor"},
 	} {
 		got := waitFreeVerdict(c.engine, c.crashes)
 		if strings.Contains(got, "acyclic") != c.acyclic {
@@ -105,8 +104,8 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // TestExitCodes runs the command line end to end: a counterexample
 // exits 3 and prints its trace on stdout, also when a resume from a
 // checkpoint finds it, a run that cannot complete exits 1, and options
-// the check or the store cannot take, or a resume under another sweep
-// identity, exit 2.
+// the check or the store cannot take, a -stall-abort with no watchdog to
+// abort, or a resume under another sweep identity, exit 2.
 func TestExitCodes(t *testing.T) {
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "file")
@@ -136,6 +135,7 @@ func TestExitCodes(t *testing.T) {
 		{"truncated waitfree", []string{"-check", "waitfree", "-inputs", "a,b,c", "-max-states", "1000"}, exitcode.Error, ""},
 		{"store dir on mem", []string{"-check", "consensus", "-inputs", "x,y", "-store-dir", tmp}, exitcode.Usage, ""},
 		{"atomicity checkpoint", []string{"-check", "atomicity", "-inputs", "a,b", "-checkpoint", filepath.Join(tmp, "atomicity")}, exitcode.Usage, ""},
+		{"stall abort without stall after", []string{"-check", "safety", "-inputs", "a,b", "-stall-abort"}, exitcode.Usage, ""},
 		{"resume other solo bound", []string{"-check", "waitfree", "-inputs", "a,b", "-resume", waitFree, "-solo-bound", "1"}, exitcode.Usage, ""},
 		{"resume other wirings", []string{"-check", "safety", "-inputs", "a,b,c", "-wirings", "proc0", "-max-states", "200", "-resume", orbits}, exitcode.Usage, ""},
 		{"resume other level", []string{"-check", "safety", "-inputs", "a,b,c", "-wirings", "orbits", "-max-states", "200", "-level", "1", "-resume", orbits}, exitcode.Usage, ""},

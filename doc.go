@@ -36,10 +36,10 @@
 //
 // The model checker is engine-based: explore.Run(sys, explore.Options{})
 // dispatches to one of two search implementations selected by
-// Options.Engine — a serial depth-first engine (the default, and the one
-// that detects cycles inline) or a work-stealing breadth-first engine
-// that expands one level at a time, run at one worker as BFSEngine or at
-// Options.Workers as ParallelEngine — and returns per-run Stats (wall
+// Options.Engine — the serial depth-first engine DFSEngine (the default,
+// and the one that detects cycles inline) or the breadth-first engine
+// BFSEngine, which expands one level at a time at Options.Workers
+// workers — and returns per-run Stats (wall
 // time, peak frontier, dedup counters) and the run's
 // fingerprint-collision odds. See internal/explore's package
 // documentation for the engine-selection table.

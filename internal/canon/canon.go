@@ -69,8 +69,9 @@ import (
 type Canonicalizer interface {
 	// Bind computes the admissible symmetry group of init and returns a
 	// Hasher for states reachable from it. The Hasher is safe for
-	// concurrent use by the parallel engine's workers. Bind fails when a
-	// machine or an initial register word of init is not an Encoder.
+	// concurrent use by the breadth-first engine's workers. Bind fails
+	// when a machine or an initial register word of init is not an
+	// Encoder.
 	Bind(init *machine.System) (Hasher, error)
 	// String names the canonicalizer ("none", "proc", "full").
 	String() string

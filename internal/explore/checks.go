@@ -161,8 +161,8 @@ func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
 // explore with MaxCrashes = N−1 to quantify over every crash pattern.
 // DFSEngine additionally verifies, inline and on every tier, that the
 // reachable step graph is acyclic: the stronger guarantee that no
-// adversarial interleaving runs forever. The breadth-first engines run
-// the invariant form only. Either violation is an *InvariantError
+// adversarial interleaving runs forever. BFSEngine runs the invariant
+// form only. Either violation is an *InvariantError
 // carrying its trace; a truncated search establishes neither form.
 func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
 	bound := c.SoloBound

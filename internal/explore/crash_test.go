@@ -90,14 +90,14 @@ func TestCrashEngineEquivalence(t *testing.T) {
 				t.Errorf("crash exploration found %d states, failure-free %d: crash branches missing",
 					ref.States, noCrash.States)
 			}
-			for _, engine := range []Engine{DFSEngine, ParallelEngine} {
-				res, err := Run(c.sys.Clone(), Options{Engine: engine, MaxCrashes: c.crashes, Prune: c.prune, Workers: 4})
+			for _, ec := range []engineConfig{{"dfs", DFSEngine, 1}, {"parallel", BFSEngine, 4}} {
+				res, err := Run(c.sys.Clone(), ec.on(Options{MaxCrashes: c.crashes, Prune: c.prune}))
 				if err != nil {
-					t.Fatalf("%v: %v", engine, err)
+					t.Fatalf("%s: %v", ec.name, err)
 				}
 				if res.States != ref.States || res.Edges != ref.Edges || res.Terminals != ref.Terminals {
-					t.Errorf("%v: states=%d edges=%d terminals=%d, want %d/%d/%d",
-						engine, res.States, res.Edges, res.Terminals,
+					t.Errorf("%s: states=%d edges=%d terminals=%d, want %d/%d/%d",
+						ec.name, res.States, res.Edges, res.Terminals,
 						ref.States, ref.Edges, ref.Terminals)
 				}
 			}
@@ -143,20 +143,20 @@ func TestWaitFreeWithCrashes(t *testing.T) {
 		Wirings: FilterProc0,
 		Options: Options{MaxCrashes: 1},
 	}
-	states := map[Engine]int{}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
+	states := map[string]int{}
+	for _, ec := range engineConfigs(4) {
 		cfg := c
-		cfg.Engine = engine
+		cfg.Options = ec.on(cfg.Options)
 		sweep, err := CheckSnapshotWaitFree(cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", ec.name, err)
 		}
 		if sweep.TotalStates == 0 {
-			t.Fatalf("%v: empty sweep", engine)
+			t.Fatalf("%s: empty sweep", ec.name)
 		}
-		states[engine] = sweep.TotalStates
+		states[ec.name] = sweep.TotalStates
 	}
-	if states[DFSEngine] != states[BFSEngine] || states[ParallelEngine] != states[BFSEngine] {
+	if states["dfs"] != states["bfs"] || states["parallel"] != states["bfs"] {
 		t.Errorf("engines disagree on crash-augmented state counts: %v", states)
 	}
 
@@ -165,17 +165,16 @@ func TestWaitFreeWithCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		res, err := Run(renSys.Clone(), Options{
-			Engine:     engine,
+	for _, ec := range engineConfigs(4) {
+		res, err := Run(renSys.Clone(), ec.on(Options{
 			MaxCrashes: 1,
 			Invariant:  WaitFree(DefaultSoloBound(2, 2)),
-		})
+		}))
 		if err != nil {
-			t.Fatalf("renaming on %v: %v", engine, err)
+			t.Fatalf("renaming on %s: %v", ec.name, err)
 		}
 		if res.Cycle {
-			t.Fatalf("renaming on %v: unexpected cycle", engine)
+			t.Fatalf("renaming on %s: unexpected cycle", ec.name)
 		}
 	}
 }
@@ -184,14 +183,13 @@ func TestWaitFreeWithCrashes(t *testing.T) {
 // fixture — every engine must reject it with an *InvariantError whose
 // trace replays to the violating state.
 func TestBlockingFailsWaitFree(t *testing.T) {
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, ec := range engineConfigs(4) {
+		t.Run(ec.name, func(t *testing.T) {
 			sys := blockingSystem(t, 2)
-			_, err := Run(sys.Clone(), Options{
-				Engine:     engine,
+			_, err := Run(sys.Clone(), ec.on(Options{
 				MaxCrashes: 1,
 				Invariant:  WaitFree(DefaultSoloBound(2, 2)),
-			})
+			}))
 			var ie *InvariantError
 			if !errors.As(err, &ie) {
 				t.Fatalf("expected InvariantError, got %v", err)
@@ -247,12 +245,11 @@ func TestRootInvariantTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rootErr := errors.New("root is bad")
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
-			_, err := Run(sys.Clone(), Options{
-				Engine:    engine,
+	for _, ec := range engineConfigs(4) {
+		t.Run(ec.name, func(t *testing.T) {
+			_, err := Run(sys.Clone(), ec.on(Options{
 				Invariant: func(n Node) error { return rootErr },
-			})
+			}))
 			var ie *InvariantError
 			if !errors.As(err, &ie) {
 				t.Fatalf("expected InvariantError, got %v", err)

@@ -27,35 +27,33 @@ func keyOf(r Result) resultKey {
 	}
 }
 
-// TestRunDeterminism re-runs every engine on every small system and
-// demands identical summaries each time — including ParallelEngine,
-// where work-stealing order is the likeliest source of drift.
+// TestRunDeterminism re-runs every engine configuration on every small
+// system and demands identical summaries each time — including the
+// breadth-first engine at several workers, where the order in which
+// the workers pop is the likeliest source of drift.
 func TestRunDeterminism(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		c := c
 		t.Run(name, func(t *testing.T) {
-			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-				opts := c.opts
-				opts.Engine = engine
-				if engine == ParallelEngine {
-					opts.Workers = 4
-				}
+			for _, ec := range engineConfigs(4) {
+				opts := ec.on(c.opts)
 				var ref resultKey
 				for run := 0; run < 3; run++ {
 					res, err := Run(c.sys.Clone(), opts)
 					if err != nil {
-						t.Fatalf("%v run %d: %v", engine, run, err)
+						t.Fatalf("%s run %d: %v", ec.name, run, err)
 					}
-					// MaxDepth is a hard assertion on every engine:
-					// ParallelEngine min-merges racing discovery depths and
-					// reads the exact BFS eccentricity off the visited set.
+					// MaxDepth is a hard assertion on every configuration:
+					// the breadth-first engine expands level by level, so
+					// every worker count discovers each state at its
+					// minimum depth.
 					k := keyOf(res)
 					if run == 0 {
 						ref = k
 						continue
 					}
 					if k != ref {
-						t.Errorf("%v run %d diverged: %+v, first run %+v", engine, run, k, ref)
+						t.Errorf("%s run %d diverged: %+v, first run %+v", ec.name, run, k, ref)
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"anonshm/internal/canon"
@@ -10,73 +9,50 @@ import (
 	"anonshm/internal/store"
 )
 
-// Engine selects the search backend used by Run. There are two search
-// implementations: the depth-first engine, and the work-stealing
-// breadth-first engine, which BFSEngine runs at one worker and
-// ParallelEngine at Options.Workers. They share the state, fingerprint
+// Engine selects the search backend used by Run: the depth-first
+// engine or the breadth-first engine. They share the state, fingerprint
 // and option model and differ in visit order, memory profile and
 // parallelism.
 type Engine uint8
 
 const (
-	// AutoEngine is the zero value and resolves to DFSEngine everywhere:
-	// in Run, in the Check* sweeps and in sweep checkpoint identities.
-	AutoEngine Engine = iota
-	// BFSEngine is the breadth-first engine at one worker: it visits
-	// states in minimal-depth order, so counterexample traces are
-	// shortest, and it is deterministic, like DFSEngine.
+	// DFSEngine, the zero value, is the serial depth-first engine:
+	// smallest memory footprint (only the current path's systems stay
+	// alive), reaches terminal states early, and detects cycles inline
+	// (Result.Cycle) — the only engine that does.
+	DFSEngine Engine = iota
+	// BFSEngine is the breadth-first engine at Options.Workers workers
+	// (0 or 1 means one): the workers expand one level at a time, each
+	// draining its own shard of the level and then its peers', and the
+	// visited set is a sharded fingerprint table whose reads take no
+	// lock. It visits states in minimal-depth order, so counterexample
+	// traces are shortest; at one worker it is deterministic, like
+	// DFSEngine. Invariant violations stop every worker.
 	BFSEngine
-	// DFSEngine is the serial depth-first engine: smallest memory
-	// footprint (only the current path's systems stay alive), reaches
-	// terminal states early, and detects cycles inline (Result.Cycle) —
-	// the only engine that does.
-	DFSEngine
-	// ParallelEngine is the work-stealing breadth-first engine at
-	// Options.Workers goroutines: the workers expand one level at a
-	// time, the frontier is sharded across them and the visited set is
-	// a sharded lock-free-read fingerprint table, so throughput scales
-	// with cores. Invariant violations cancel all workers and still
-	// carry a (shortest) counterexample trace.
-	ParallelEngine
 )
-
-// resolve maps AutoEngine to DFSEngine; every other engine is itself.
-func (e Engine) resolve() Engine {
-	if e == AutoEngine {
-		return DFSEngine
-	}
-	return e
-}
 
 // String implements fmt.Stringer.
 func (e Engine) String() string {
 	switch e {
-	case AutoEngine:
-		return "auto"
-	case BFSEngine:
-		return "bfs"
 	case DFSEngine:
 		return "dfs"
-	case ParallelEngine:
-		return "parallel"
+	case BFSEngine:
+		return "bfs"
 	default:
 		return fmt.Sprintf("Engine(%d)", uint8(e))
 	}
 }
 
-// ParseEngine converts a command-line engine name to an Engine.
+// ParseEngine converts a command-line engine name to an Engine. The
+// empty name means DFSEngine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "auto":
-		return AutoEngine, nil
+	case "", "dfs":
+		return DFSEngine, nil
 	case "bfs":
 		return BFSEngine, nil
-	case "dfs":
-		return DFSEngine, nil
-	case "parallel", "par":
-		return ParallelEngine, nil
 	default:
-		return AutoEngine, fmt.Errorf("explore: unknown engine %q (want auto, bfs, dfs or parallel)", s)
+		return DFSEngine, fmt.Errorf("explore: unknown engine %q (want dfs or bfs)", s)
 	}
 }
 
@@ -184,9 +160,7 @@ func (l *freeList) take() *machine.System {
 // Run is the single entry point for exhaustive exploration: it validates
 // opts against the storage tier, binds the store (visited set, frontier
 // factory, checkpoint trigger), dispatches, and fills Result.Stats.
-// AutoEngine resolves to DFSEngine.
 func Run(init *machine.System, opts Options) (Result, error) {
-	engine := opts.Engine.resolve()
 	if err := validateOptions(&opts); err != nil {
 		return Result{}, err
 	}
@@ -201,23 +175,16 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	opts.hasher = hasher
 
 	// Resolve the worker count once, here: the store splits its frontier
-	// memory budget per worker, and BFSEngine is the parallel engine at
-	// one worker.
-	nw := 1
-	if engine == ParallelEngine {
-		nw = opts.Workers
-		if nw <= 0 {
-			nw = runtime.GOMAXPROCS(0)
-		}
-		if nw > maxParallelWorkers {
-			nw = maxParallelWorkers
-		}
+	// memory budget per worker.
+	if opts.Engine == BFSEngine {
+		opts.Workers = min(max(opts.Workers, 1), maxWorkers)
+	} else {
+		opts.Workers = 1
 	}
-	opts.Workers = nw
 
 	// The checkpoint identity: which run a checkpoint belongs to. The
 	// root fingerprint pins the system and its canonicalization.
-	id := store.Meta{Engine: engine.String(), Symmetry: canonicalizer.String(), MaxCrashes: opts.MaxCrashes}
+	id := store.Meta{Engine: opts.Engine.String(), Symmetry: canonicalizer.String(), MaxCrashes: opts.MaxCrashes}
 	if opts.Checkpoint != "" || opts.Resume != "" {
 		id.InitFP = fmt.Sprintf("%016x", hasher.Fingerprint(init.Clone(), 0))
 	}
@@ -239,7 +206,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 		Dir:      opts.StoreDir,
 		MemLimit: opts.MemLimit,
 		Root:     init,
-		Workers:  nw,
+		Workers:  opts.Workers,
 		Trace:    opts.Trace,
 	})
 	if err != nil {
@@ -274,26 +241,24 @@ func Run(init *machine.System, opts Options) (Result, error) {
 
 	wd := startWatchdog(&opts)
 	defer wd.stop()
-	runSpan := opts.Trace.StartArgs("run", "engine "+engine.String(),
-		map[string]any{"engine": engine.String(), "workers": opts.Workers})
+	runSpan := opts.Trace.StartArgs("run", "engine "+opts.Engine.String(),
+		map[string]any{"engine": opts.Engine.String(), "workers": opts.Workers})
 	defer runSpan.End()
 
 	//lint:ignore anonlint/determinism wall time feeds only Stats (throughput reporting), never fingerprints, traces or state counts
 	start := time.Now()
 	var res Result
-	switch engine {
+	switch opts.Engine {
 	case DFSEngine:
 		res, err = runDFS(init, opts)
-	case BFSEngine, ParallelEngine:
+	case BFSEngine:
 		res, err = runParallel(init, opts)
 	default:
 		return Result{}, fmt.Errorf("explore: unknown engine %v", opts.Engine)
 	}
 	err = wd.stallError(err)
-	res.Stats.Engine = engine
-	if res.Stats.Workers == 0 {
-		res.Stats.Workers = 1
-	}
+	res.Stats.Engine = opts.Engine
+	res.Stats.Workers = opts.Workers
 	res.Stats.Symmetry = canonicalizer.String()
 	res.Stats.GroupSize = hasher.GroupSize()
 	res.Stats.Store = st.Snapshot()

@@ -23,6 +23,27 @@ type engineCase struct {
 	opts Options
 }
 
+// engineConfig is one engine configuration the equivalence tests run,
+// named as their subtests and messages are.
+type engineConfig struct {
+	name    string
+	engine  Engine
+	workers int
+}
+
+// on returns o set to run c.
+func (c engineConfig) on(o Options) Options {
+	o.Engine, o.Workers = c.engine, c.workers
+	return o
+}
+
+// engineConfigs are the configurations the equivalence tests compare:
+// "bfs", the breadth-first engine at one worker, "dfs", and "parallel",
+// the breadth-first engine at the given worker count.
+func engineConfigs(workers int) []engineConfig {
+	return []engineConfig{{"bfs", BFSEngine, 1}, {"dfs", DFSEngine, 1}, {"parallel", BFSEngine, workers}}
+}
+
 // engineSystems builds the small systems the engine-equivalence tests run
 // on: 2-processor snapshot systems (nondeterministic, over every
 // canonical wiring), a 3-processor snapshot system cut down by a
@@ -62,11 +83,10 @@ func engineSystems(t *testing.T) map[string]engineCase {
 }
 
 // TestParallelMatchesBFS is the engine-equivalence test: on every small
-// system, ParallelEngine at several workers must visit exactly the same
-// number of states, edges and terminals as BFSEngine — the same search
-// at one worker — and DFSEngine, and reach the same BFS MaxDepth as
-// BFSEngine, since level rounds discover every state at its minimum
-// depth.
+// system, BFSEngine at several workers must visit exactly the same
+// number of states, edges and terminals as BFSEngine at one worker and
+// DFSEngine, and reach the same BFS MaxDepth as at one worker, since
+// level rounds discover every state at its minimum depth.
 func TestParallelMatchesBFS(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		sys := c.sys
@@ -92,7 +112,7 @@ func TestParallelMatchesBFS(t *testing.T) {
 			}
 			for _, workers := range []int{2, 4} {
 				popts := c.opts
-				popts.Engine = ParallelEngine
+				popts.Engine = BFSEngine
 				popts.Workers = workers
 				got, err := Run(sys.Clone(), popts)
 				if err != nil {
@@ -116,9 +136,10 @@ func TestParallelMatchesBFS(t *testing.T) {
 	}
 }
 
-// TestParallelInvariantAgreesWithSerial: the three engines must agree on the
-// invariant verdict (violated or not) for a violated invariant, and the
-// parallel counterexample must be a real trace (replay-checked below).
+// TestParallelInvariantAgreesWithSerial: every engine configuration must
+// agree on the invariant verdict (violated or not) for a violated
+// invariant, and the several-worker counterexample must be a real trace
+// (replay-checked below).
 func TestParallelInvariantAgreesWithSerial(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -131,24 +152,25 @@ func TestParallelInvariantAgreesWithSerial(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{Engine: engine, Workers: 4, Invariant: inv})
+	for _, ec := range engineConfigs(4) {
+		_, err := Run(sys.Clone(), ec.on(Options{Invariant: inv}))
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
-			t.Fatalf("%v: expected InvariantError, got %v", engine, err)
+			t.Fatalf("%s: expected InvariantError, got %v", ec.name, err)
 		}
 		if !errors.Is(err, boom) {
-			t.Errorf("%v: unwrap failed", engine)
+			t.Errorf("%s: unwrap failed", ec.name)
 		}
 		if len(ie.Trace) == 0 {
-			t.Errorf("%v: empty counterexample trace", engine)
+			t.Errorf("%s: empty counterexample trace", ec.name)
 		}
 	}
 }
 
-// TestParallelCounterexampleReplays replays the parallel engine's
-// counterexample trace step by step from the initial state and asserts it
-// reaches a state that really violates the invariant.
+// TestParallelCounterexampleReplays replays the breadth-first engine's
+// counterexample trace at several workers step by step from the initial
+// state and asserts it reaches a state that really violates the
+// invariant.
 func TestParallelCounterexampleReplays(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -161,7 +183,7 @@ func TestParallelCounterexampleReplays(t *testing.T) {
 		}
 		return nil
 	}
-	_, err = Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 4, Invariant: inv})
+	_, err = Run(sys.Clone(), Options{Engine: BFSEngine, Workers: 4, Invariant: inv})
 	var ie *InvariantError
 	if !errors.As(err, &ie) {
 		t.Fatalf("expected InvariantError, got %v", err)
@@ -189,11 +211,11 @@ func TestParallelStatsInternallyConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 3})
+	res, err := Run(sys.Clone(), Options{Engine: BFSEngine, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Engine != ParallelEngine || res.Stats.Workers != 3 {
+	if res.Stats.Engine != BFSEngine || res.Stats.Workers != 3 {
 		t.Errorf("stats engine/workers = %v/%d", res.Stats.Engine, res.Stats.Workers)
 	}
 	var expanded int64
@@ -244,9 +266,9 @@ func TestSerialStatsRecorded(t *testing.T) {
 	}
 }
 
-// TestAutoEngineIsDFS: the zero Engine means DFSEngine in Run, in the
+// TestZeroEngineIsDFS: the zero Engine is DFSEngine in Run, in the
 // sweeps and in the sweep checkpoint identity.
-func TestAutoEngineIsDFS(t *testing.T) {
+func TestZeroEngineIsDFS(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +290,7 @@ func TestAutoEngineIsDFS(t *testing.T) {
 	}
 	c.Resume, c.Engine = c.Checkpoint, DFSEngine
 	if _, err := CheckSnapshotSafety(c); err != nil {
-		t.Errorf("an explicit dfs resume of an AutoEngine sweep: %v", err)
+		t.Errorf("an explicit dfs resume of a sweep run with the zero Engine: %v", err)
 	}
 	cs, err := CheckConsensusBounded(ConsensusConfig{Inputs: []string{"x", "y"}, MaxTimestamp: 1, Wirings: FilterProc0})
 	if err != nil {
@@ -289,8 +311,8 @@ func TestBoundedCutIsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range map[string]Options{
-		"bfs":        {Engine: BFSEngine},
-		"parallel-1": {Engine: ParallelEngine, Workers: 1},
+		"bfs":           {Engine: BFSEngine},
+		"bfs-workers-1": {Engine: BFSEngine, Workers: 1},
 	} {
 		for _, kind := range []store.Kind{store.Mem, store.Disk} {
 			opts := opts
@@ -463,14 +485,14 @@ func TestExpansionAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelTruncation: the state bound stops the parallel engine and
-// is reported.
+// TestParallelTruncation: the state bound stops the breadth-first engine
+// at several workers and is reported.
 func TestParallelTruncation(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b", "c"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 4, MaxStates: 1000})
+	res, err := Run(sys.Clone(), Options{Engine: BFSEngine, Workers: 4, MaxStates: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +502,8 @@ func TestParallelTruncation(t *testing.T) {
 }
 
 // TestParallelPruneMatchesSerial: with a depth-independent prune, the
-// engines agree on state and pruned counts.
+// breadth-first engine agrees on state and pruned counts at one worker
+// and at several.
 func TestParallelPruneMatchesSerial(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -491,7 +514,7 @@ func TestParallelPruneMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 4, Prune: prune})
+	got, err := Run(sys.Clone(), Options{Engine: BFSEngine, Workers: 4, Prune: prune})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,22 +523,23 @@ func TestParallelPruneMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the flag-level engine names.
+// TestParseEngine covers the flag-level engine names: dfs, the zero
+// value and the empty name's, and bfs.
 func TestParseEngine(t *testing.T) {
-	for s, want := range map[string]Engine{
-		"": AutoEngine, "auto": AutoEngine, "bfs": BFSEngine,
-		"dfs": DFSEngine, "parallel": ParallelEngine, "par": ParallelEngine,
-	} {
+	for s, want := range map[string]Engine{"": DFSEngine, "dfs": DFSEngine, "bfs": BFSEngine} {
 		got, err := ParseEngine(s)
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("bogus engine accepted")
+	for _, s := range []string{"bogus", "auto", "parallel"} {
+		if _, err := ParseEngine(s); err == nil {
+			t.Errorf("engine %q accepted", s)
+		}
 	}
-	if ParallelEngine.String() != "parallel" {
-		t.Errorf("String = %q", ParallelEngine)
+	var zero Engine
+	if zero != DFSEngine || DFSEngine.String() != "dfs" || BFSEngine.String() != "bfs" {
+		t.Errorf("zero Engine %v; String = %q, %q", zero, DFSEngine, BFSEngine)
 	}
 }
 
@@ -524,8 +548,8 @@ func TestParseEngine(t *testing.T) {
 func TestEngineFlagValue(t *testing.T) {
 	var e Engine
 	var _ flag.Value = &e
-	if err := e.Set("parallel"); err != nil || e != ParallelEngine {
-		t.Errorf("Set(parallel) = %v, e=%v", err, e)
+	if err := e.Set("bfs"); err != nil || e != BFSEngine {
+		t.Errorf("Set(bfs) = %v, e=%v", err, e)
 	}
 	if err := e.Set("bogus"); err == nil {
 		t.Error("Set(bogus) accepted")
@@ -566,55 +590,54 @@ func TestChecksAcceptEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, ParallelEngine} {
+	for _, ec := range []engineConfig{{"bfs", BFSEngine, 1}, {"parallel", BFSEngine, 4}} {
 		c := base
-		c.Engine = engine
-		c.Workers = 4
+		c.Options = ec.on(c.Options)
 		sweep, err := CheckSnapshotSafety(c)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", ec.name, err)
 		}
 		if sweep.TotalStates != ref.TotalStates || sweep.TotalEdges != ref.TotalEdges || sweep.Terminals != ref.Terminals {
-			t.Errorf("%v: sweep %+v, want totals of %+v", engine, sweep, ref)
+			t.Errorf("%s: sweep %+v, want totals of %+v", ec.name, sweep, ref)
 		}
 		hitRate := float64(sweep.Stats.DedupHits) / float64(sweep.Stats.DedupLookups)
-		if sweep.Stats.Engine != engine || sweep.Stats.WallTime <= 0 || sweep.StatesPerSec() <= 0 ||
-			sweep.Stats.DedupHitRate() != hitRate {
-			t.Errorf("%v: sweep stats not merged: %+v", engine, sweep.Stats)
+		if sweep.Stats.Engine != ec.engine || sweep.Stats.Workers != ec.workers || sweep.Stats.WallTime <= 0 ||
+			sweep.StatesPerSec() <= 0 || sweep.Stats.DedupHitRate() != hitRate {
+			t.Errorf("%s: sweep stats not merged: %+v", ec.name, sweep.Stats)
 		}
 	}
 
 	// Wait-freedom runs on every engine: DFS checks cycles inline, and
-	// all three check the solo-bound invariant — which is all the
-	// breadth-first engines run.
-	for _, engine := range []Engine{DFSEngine, BFSEngine, ParallelEngine} {
+	// every configuration checks the solo-bound invariant — which is all
+	// the breadth-first engine runs.
+	for _, ec := range engineConfigs(4) {
 		c := base
-		c.Engine = engine
+		c.Options = ec.on(c.Options)
 		if _, err := CheckSnapshotWaitFree(c); err != nil {
-			t.Errorf("waitfree with %v: %v", engine, err)
+			t.Errorf("waitfree with %s: %v", ec.name, err)
 		}
 	}
 
 	// The witness search runs on any engine; at N=2 all prove atomicity.
-	for _, engine := range []Engine{DFSEngine, ParallelEngine} {
-		w := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Options: Options{Engine: engine, Workers: 2}}
+	for _, ec := range []engineConfig{{"dfs", DFSEngine, 1}, {"parallel", BFSEngine, 2}} {
+		w := SnapshotConfig{Inputs: []string{"a", "b"}, Wirings: FilterProc0, Options: ec.on(Options{})}
 		r, err := FindNonAtomicityWitness(w)
 		if err != nil {
-			t.Fatalf("witness with %v: %v", engine, err)
+			t.Fatalf("witness with %s: %v", ec.name, err)
 		}
 		if r.Found || !r.Exhaustive {
-			t.Errorf("witness with %v: %+v", engine, r)
+			t.Errorf("witness with %s: %+v", ec.name, r)
 		}
 	}
 
-	// Consensus sweep on the parallel engine matches the serial totals.
+	// Consensus sweep at several workers matches the serial totals.
 	cref, err := CheckConsensusBounded(ConsensusConfig{Inputs: []string{"x", "y"}, MaxTimestamp: 2, Wirings: FilterProc0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cpar, err := CheckConsensusBounded(ConsensusConfig{
 		Inputs: []string{"x", "y"}, MaxTimestamp: 2, Wirings: FilterProc0,
-		Options: Options{Engine: ParallelEngine, Workers: 4},
+		Options: Options{Engine: BFSEngine, Workers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,12 @@
 // checker the paper uses to validate the Figure 3 algorithm for 3
 // processors.
 //
-// Run is the single entry point: Options.Engine selects a serial
-// depth-first engine (DFSEngine) or a work-stealing breadth-first engine
-// that expands one level at a time and shards the frontier and the
-// visited set across Options.Workers goroutines (ParallelEngine);
-// BFSEngine is that engine at one worker.
-// All engines search every interleaving of processor steps (and, when
+// Run is the single entry point: Options.Engine selects the serial
+// depth-first engine (DFSEngine, the default) or the breadth-first
+// engine (BFSEngine), which expands one level at a time at
+// Options.Workers goroutines that share the level's frontier shards and
+// one sharded visited set.
+// Both engines search every interleaving of processor steps (and, when
 // machines expose it, every internal register-choice alternative),
 // deduplicating global states by 64-bit fingerprint exactly as TLC does
 // (the probability of a hash collision masking a state is about
@@ -35,14 +35,12 @@
 //
 // Picking an engine:
 //
-//	engine          memory                       speed             cycles  traces
-//	DFSEngine       stack + fp set (least)       single-threaded   inline  yes
-//	BFSEngine       two levels + fp set          single-threaded   no      yes (shortest)
-//	ParallelEngine  sharded fp set + two levels  scales w/Workers  no      yes (shortest)
+//	engine     memory                  speed                cycles  traces
+//	DFSEngine  stack + fp set (least)  single-threaded      inline  yes
+//	BFSEngine  two levels + fp set     Options.Workers      no      yes (shortest)
 //
-// AutoEngine (the zero value) resolves to DFSEngine, in Run and in the
-// sweep helpers alike. Option combinations a storage tier or packaged
-// check cannot honor return an *UnsupportedOptionError.
+// Option combinations a storage tier or packaged check cannot honor
+// return an *UnsupportedOptionError.
 //
 // Both engines expand a state by the same successor steps, in the same
 // order (successors), and take every step as a packed store.Step
@@ -91,18 +89,17 @@ type Node struct {
 
 // Options configures an exploration.
 type Options struct {
-	// Engine selects the search backend (AutoEngine = DFSEngine). See
-	// the Engine constants for the trade-offs.
+	// Engine selects the search backend (the zero value is DFSEngine).
+	// See the Engine constants for the trade-offs.
 	Engine Engine
-	// Workers is the worker count for ParallelEngine (0 = GOMAXPROCS).
-	// BFSEngine always runs one worker and DFSEngine is serial; both
-	// ignore it.
+	// Workers is BFSEngine's worker count (0 or 1 means one worker).
+	// DFSEngine is serial and ignores it.
 	Workers int
 	// MaxStates bounds the number of distinct states; exceeding it sets
 	// Result.Truncated instead of failing. Zero means DefaultMaxStates.
 	// The cut falls between expansions, never inside one: once more than
 	// MaxStates states are known, DFSEngine stops before generating its
-	// next successor and the breadth-first engines stop before expanding
+	// next successor and BFSEngine's workers stop before expanding
 	// their next popped state, so States exceeds MaxStates by the fresh
 	// successors of the last expansion at most. At one worker the cut,
 	// and every count at it, is deterministic.
@@ -209,11 +206,11 @@ type Result struct {
 	States    int
 	Edges     int
 	Terminals int // states where every machine has terminated
-	// MaxDepth is the largest first-discovery depth. On the breadth-first
-	// engines (BFSEngine, ParallelEngine) it is the exact BFS
-	// eccentricity of the state graph: the engine expands one level at a
-	// time, so every state is first discovered at its minimum depth, and
-	// the value is deterministic and equal at every worker count.
+	// MaxDepth is the largest first-discovery depth. On BFSEngine it is
+	// the exact BFS eccentricity of the state graph: the engine expands
+	// one level at a time, so every state is first discovered at its
+	// minimum depth, and the value is deterministic and equal at every
+	// worker count.
 	// DFSEngine reports its (deterministic) depth-first discovery depth,
 	// which is an upper bound. States, Edges and Terminals are exact and
 	// reproducible on every engine.

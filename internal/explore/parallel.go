@@ -10,31 +10,32 @@ import (
 	"anonshm/internal/store"
 )
 
-// This file implements the breadth-first engine: a work-stealing
-// breadth-first search that expands one level at a time. ParallelEngine
-// runs it at Options.Workers goroutines, BFSEngine at one. With one
-// worker there is nothing to steal, so the search is the classic FIFO
+// This file implements the breadth-first engine, BFSEngine: a
+// breadth-first search that expands one level at a time at
+// Options.Workers workers. With one worker it is the classic FIFO
 // breadth-first search and deterministic.
 //
 // Layout. Every worker owns two frontier shards (store.Frontier): cur
 // holds its part of the level being expanded, next collects the fresh
-// successors, which all lie one level deeper. A worker pops from the
-// front of its cur (oldest first) and, once that is empty, steals the
-// back half of another worker's cur, so load balances without a shared
-// queue; stolen states go onto the thief's own cur, which is the only
-// way a cur ever grows. The visited set comes from the store layer: on
-// the mem tier a sharded open-addressing fingerprint table whose readers
-// probe with atomic loads and never take a lock, on the disk tier a hot
-// table plus sorted runs behind an internal mutex. Deduplication
-// therefore does not serialize the workers on the mem tier — the only
-// shared mutable state on the hot path is the table's atomic slots and a
-// handful of counters.
+// successors, which all lie one level deeper. Workers share the level:
+// a worker pops the oldest entry of its own cur and, once that is
+// empty, of its peers' cur shards in turn, so no entry moves between
+// shards. Only seeding and a resume push into a
+// cur, both before a round starts, so a cur never grows during a round
+// and a worker that finds every cur empty has reached the end of the
+// level. The visited set comes from the store layer: on the mem tier a
+// sharded open-addressing fingerprint table whose readers probe with
+// atomic loads and never take a lock, on the disk tier a hot table
+// plus sorted runs behind an internal mutex. Deduplication therefore
+// does not serialize the workers on the mem tier — the only shared
+// mutable state on the hot path is the table's atomic slots, the
+// shards' locks and a handful of counters.
 //
 // Rounds. runParallel is the coordinator. It starts one round per level:
-// every worker expands until it finds nothing to pop or steal and then
-// returns, so the round ends when the level is exhausted and no
-// expansion is in flight. The coordinator joins the workers, turns every
-// next into the new cur, and stops when all shards are empty.
+// every worker expands until it finds nothing to pop and then returns,
+// so the round ends when the level is exhausted and no expansion is in
+// flight. The coordinator joins the workers, turns every next into the
+// new cur, and stops when all shards are empty.
 //
 // Depth. Every state of level d is expanded before any of level d+1, so
 // every state is first discovered at its minimum depth whatever the
@@ -75,9 +76,9 @@ import (
 // the same level; after a cancel it writes the final checkpoint and
 // returns.
 
-// maxParallelWorkers bounds Options.Workers, a value that reaches Run
-// from a command-line flag and starts one goroutine per worker.
-const maxParallelWorkers = 1 << 15
+// maxWorkers bounds Options.Workers, a value that reaches Run from a
+// command-line flag and starts one goroutine per worker.
+const maxWorkers = 1 << 15
 
 // maxFreeSystems caps a worker's free list. An expansion takes one
 // system per successor and returns the duplicates and then the expanded
@@ -276,24 +277,20 @@ func (p *parRun) restore() error {
 	return nil
 }
 
-// work is one worker's part of a round: expand the level from its own
-// cur shard, then from what it steals; return when neither yields a
-// state, or at the loop top once the run stops, is cut or canceled, or
+// work is one worker's part of a round: expand the level, popping from
+// its own cur shard and then from its peers'; return when every cur is
+// empty, or at the loop top once the run stops, is cut or canceled, or
 // a periodic checkpoint is due.
 func (p *parRun) work(w int) {
-	self := &p.workers[w]
 	for !p.stop.Load() && !p.truncated.Load() && !p.pause.Load() {
 		if canceled(&p.opts) {
 			p.canceled.Store(true)
 			return
 		}
-		e, ok, err := self.cur.Pop()
+		e, ok, err := p.pop(w)
 		if err != nil {
 			p.fail(fmt.Errorf("explore: %w", err))
 			return
-		}
-		if !ok {
-			e, ok = p.steal(w)
 		}
 		if !ok {
 			return
@@ -302,17 +299,23 @@ func (p *parRun) work(w int) {
 			p.truncated.Store(true)
 			return
 		}
-		// After a resume a thief can steal a restored entry that carries
-		// only its path; StealHalf does not replay, Pop replays the rest.
-		if e.Sys == nil {
-			if err := p.opts.st.Replay(&e); err != nil {
-				p.fail(fmt.Errorf("explore: %w", err))
-				return
-			}
-		}
 		p.expand(w, e)
 		p.pending.Add(-1)
 	}
+}
+
+// pop takes worker w's next entry: the oldest one of the first cur
+// shard that has any, trying w's own and then (w+1) mod n, and so on.
+// ok is false when every cur is empty. Frontier.Pop replays a spilled
+// or restored entry, so the entry always has its Sys.
+func (p *parRun) pop(w int) (store.Entry, bool, error) {
+	n := len(p.workers)
+	for off := range n {
+		if e, ok, err := p.workers[(w+off)%n].cur.Pop(); ok || err != nil {
+			return e, ok, err
+		}
+	}
+	return store.Entry{}, false, nil
 }
 
 // writeCheckpoint snapshots the visited set, every frontier shard (the
@@ -335,26 +338,6 @@ func (p *parRun) writeCheckpoint() error {
 		}
 	}
 	return p.opts.ckpt.write(p.result(), p.visited, snap)
-}
-
-// steal scans the other workers round-robin and takes the newest half of
-// the first non-empty cur shard.
-func (p *parRun) steal(w int) (store.Entry, bool) {
-	n := len(p.workers)
-	for off := 1; off < n; off++ {
-		victim := &p.workers[(w+off)%n]
-		if got := victim.cur.StealHalf(); len(got) > 0 {
-			e := got[0]
-			for _, b := range got[1:] {
-				if err := p.workers[w].cur.Push(b); err != nil {
-					p.fail(fmt.Errorf("explore: %w", err))
-					return store.Entry{}, false
-				}
-			}
-			return e, true
-		}
-	}
-	return store.Entry{}, false
 }
 
 // expand generates every successor of e, deduplicates, and queues the new

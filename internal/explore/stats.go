@@ -8,9 +8,10 @@ import (
 
 // Stats instruments an exploration: how fast the engine ran, how much
 // frontier it had to hold, how often deduplication paid off, and how
-// evenly the parallel engine spread the work. Every engine fills it.
+// evenly the breadth-first workers spread the work. Every engine fills
+// it.
 type Stats struct {
-	// Engine is the engine that actually ran (AutoEngine resolved).
+	// Engine is the engine that ran.
 	Engine Engine
 	// Symmetry names the canonicalizer the run fingerprinted under
 	// ("none", "proc", "full").
@@ -18,13 +19,13 @@ type Stats struct {
 	// GroupSize is the number of admissible symmetry-group elements the
 	// canonicalizer bound for the initial system (1 = no reduction).
 	GroupSize int
-	// Workers is the number of expansion workers (1 for BFSEngine and
-	// DFSEngine).
+	// Workers is the number of expansion workers: Options.Workers
+	// resolved for BFSEngine, 1 for DFSEngine.
 	Workers int
 	// WallTime is the end-to-end duration of the search.
 	WallTime time.Duration
 	// FrontierPeak is the largest number of discovered-but-unexpanded
-	// states held at once (stack for DFS; for the breadth-first engines,
+	// states held at once (stack for DFS; for the breadth-first engine,
 	// both levels' shards of every worker plus the states being
 	// expanded).
 	FrontierPeak int
@@ -35,7 +36,8 @@ type Stats struct {
 	// rate DedupHits/DedupLookups is how much work fingerprinting saved.
 	DedupHits int64
 	// WorkerSteps is the number of states expanded by each worker; a
-	// skewed distribution means work stealing failed to balance the load.
+	// skewed distribution means the workers did not share the levels
+	// evenly.
 	WorkerSteps []int64
 	// StoreKind names the storage tier the run used ("mem", "disk").
 	StoreKind string
@@ -63,9 +65,7 @@ func ratio(n, d float64) float64 {
 // durations and counters add, peaks take the maximum, and the per-worker
 // step counts add element-wise.
 func (s *Stats) Merge(o Stats) {
-	if s.Engine == AutoEngine {
-		s.Engine = o.Engine
-	}
+	s.Engine = o.Engine
 	if s.Symmetry == "" {
 		s.Symmetry = o.Symmetry
 	}

@@ -38,38 +38,35 @@ func diskOpts(t *testing.T, opts Options) Options {
 }
 
 // TestDiskMatchesMem is the store-equivalence test: on every small
-// system and every engine, the disk tier under a spill-forcing memory
-// ceiling must report exactly the counters of the in-RAM store.
+// system and every engine configuration, the disk tier under a
+// spill-forcing memory ceiling must report exactly the counters of the
+// in-RAM store.
 func TestDiskMatchesMem(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		c := c
 		t.Run(name, func(t *testing.T) {
-			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-				mopts := c.opts
-				mopts.Engine = engine
-				if engine == ParallelEngine {
-					mopts.Workers = 4
-				}
+			for _, ec := range engineConfigs(4) {
+				mopts := ec.on(c.opts)
 				ref, err := Run(c.sys.Clone(), mopts)
 				if err != nil {
-					t.Fatalf("%v mem: %v", engine, err)
+					t.Fatalf("%s mem: %v", ec.name, err)
 				}
 				got, err := Run(c.sys.Clone(), diskOpts(t, mopts))
 				if err != nil {
-					t.Fatalf("%v disk: %v", engine, err)
+					t.Fatalf("%s disk: %v", ec.name, err)
 				}
 				if keyOf(got) != keyOf(ref) {
-					t.Errorf("%v: disk %+v, mem %+v", engine, keyOf(got), keyOf(ref))
+					t.Errorf("%s: disk %+v, mem %+v", ec.name, keyOf(got), keyOf(ref))
 				}
 				if got.Stats.StoreKind != "disk" {
-					t.Errorf("%v: StoreKind = %q, want disk", engine, got.Stats.StoreKind)
+					t.Errorf("%s: StoreKind = %q, want disk", ec.name, got.Stats.StoreKind)
 				}
 				// The hot table floors at 4096 slots and flushes at
 				// half-full, so any run past that many states must have
 				// spilled — otherwise the ceiling was never exercised.
 				if got.States >= 4096 && got.Stats.Store.Spills == 0 {
-					t.Errorf("%v: ceiling %d never spilled (states=%d); equivalence untested",
-						engine, tinyMemLimit, got.States)
+					t.Errorf("%s: ceiling %d never spilled (states=%d); equivalence untested",
+						ec.name, tinyMemLimit, got.States)
 				}
 			}
 		})
@@ -79,35 +76,32 @@ func TestDiskMatchesMem(t *testing.T) {
 // TestDiskMatchesMemUnderSymmetry repeats the store-equivalence check on
 // every symmetry level: canonical fingerprints flow through the same
 // spill/merge path as exact ones, and the reduced counts must agree
-// between tiers on every engine.
+// between tiers on every engine configuration.
 func TestDiskMatchesMemUnderSymmetry(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "a"}, Nondet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
-		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-			mopts := Options{Engine: engine, Canonicalizer: sym.Canonicalizer()}
-			if engine == ParallelEngine {
-				mopts.Workers = 4
-			}
+		for _, ec := range engineConfigs(4) {
+			mopts := ec.on(Options{Canonicalizer: sym.Canonicalizer()})
 			ref, err := Run(sys.Clone(), mopts)
 			if err != nil {
-				t.Fatalf("%v/%v mem: %v", engine, sym, err)
+				t.Fatalf("%s/%v mem: %v", ec.name, sym, err)
 			}
 			got, err := Run(sys.Clone(), diskOpts(t, mopts))
 			if err != nil {
-				t.Fatalf("%v/%v disk: %v", engine, sym, err)
+				t.Fatalf("%s/%v disk: %v", ec.name, sym, err)
 			}
 			if keyOf(got) != keyOf(ref) {
-				t.Errorf("%v/%v: disk %+v, mem %+v", engine, sym, keyOf(got), keyOf(ref))
+				t.Errorf("%s/%v: disk %+v, mem %+v", ec.name, sym, keyOf(got), keyOf(ref))
 			}
 		}
 	}
 }
 
 // cancelAfter closes a cancel channel after n progress callbacks. Safe
-// under the parallel engine's concurrent progress calls.
+// under the breadth-first workers' concurrent progress calls.
 func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 	ch := make(chan struct{})
 	var once sync.Once
@@ -124,25 +118,23 @@ func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 	}
 }
 
-// TestKillAndResume hard-cancels every engine on both tiers at several
-// points of the run — right after the root, and a quarter, half and
-// three quarters of the way — then resumes from the checkpoint and
-// demands the exact totals of an uninterrupted run. A periodic
-// checkpoint every 200 states (about 50 a run) ends breadth-first
-// rounds mid-level around every cancel point, while 50 repetitions of
-// the whole test still fit go test's default 10-minute timeout.
+// TestKillAndResume hard-cancels every engine configuration on both
+// tiers at several points of the run — right after the root, and a
+// quarter, half and three quarters of the way — then resumes from the
+// checkpoint and demands the exact totals of an uninterrupted run. A
+// periodic checkpoint every 200 states (about 50 a run) ends
+// breadth-first rounds mid-level around every cancel point, while 50
+// repetitions of the whole test still fit go test's default 10-minute
+// timeout.
 func TestKillAndResume(t *testing.T) {
 	for _, kind := range []store.Kind{store.Mem, store.Disk} {
-		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-			t.Run(kind.String()+"/"+engine.String(), func(t *testing.T) {
+		for _, ec := range engineConfigs(4) {
+			t.Run(kind.String()+"/"+ec.name, func(t *testing.T) {
 				sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Engine: engine}
-				if engine == ParallelEngine {
-					opts.Workers = 4
-				}
+				opts := ec.on(Options{})
 				if kind == store.Disk {
 					opts = diskOpts(t, opts)
 				}
@@ -194,7 +186,7 @@ func TestKillAndResume(t *testing.T) {
 // cancelEverySucc is cancelAfter's mid-expansion twin: an identity
 // Options.Aux that closes the returned cancel channel at the n-th
 // successor it is called on, so the cancel lands while a state is being
-// expanded. Safe under the parallel engine's concurrent workers.
+// expanded. Safe under the breadth-first engine's concurrent workers.
 func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *machine.System) uint64) {
 	ch := make(chan struct{})
 	var once sync.Once
@@ -211,11 +203,11 @@ func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *ma
 // whole run again and again, resumes it from its checkpoint each time
 // until it completes, and demands the uninterrupted run's totals and
 // dedup counters. Periodic checkpoints also end breadth-first rounds
-// mid-level between the cancels. It covers every engine (the parallel
-// one at 3 workers), both tiers (disk under tinyMemLimit) and every
-// symmetry level, on the N=2 same-input snapshot system, whose 1,364
-// states (700 under either reduction) lie in 23 levels, with two
-// cancel sources:
+// mid-level between the cancels. It covers DFS and the breadth-first
+// engine at 1 and at 3 workers, both tiers (disk under tinyMemLimit)
+// and every symmetry level, on the N=2 same-input snapshot system,
+// whose 1,364 states (700 under either reduction) lie in 23 levels,
+// with two cancel sources:
 //
 //   - states: after every k-th discovered state (a Progress call), with
 //     a checkpoint every 7 states, so a DFS checkpoint's top frame is
@@ -229,6 +221,11 @@ func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *ma
 //
 // k is 10. -short, which make race and CI's repeated step use, sets it
 // to 40.
+//
+// On each tier one more breadth-first input, without symmetry, changes
+// the worker count at every resume, cycling through 1, 3 and 2: a
+// checkpoint does not record the worker count, and a resume deals the
+// frontier over however many workers it runs.
 //
 // One more DFS input checks that a cycle verdict and its trace survive
 // every cut point: the blocking baseline at N=2 with one crash, whose 59
@@ -246,27 +243,15 @@ func TestKillResumeEveryK(t *testing.T) {
 	}
 	for _, kind := range []store.Kind{store.Mem, store.Disk} {
 		for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
-			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-				t.Run(fmt.Sprintf("%v/%v/%v", kind, sym, engine), func(t *testing.T) {
-					opts := Options{Engine: engine, Canonicalizer: sym.Canonicalizer()}
-					if engine == ParallelEngine {
-						opts.Workers = 3
-					}
-					if kind == store.Disk {
-						opts = diskOpts(t, opts)
-					}
-					t.Run("states", func(t *testing.T) {
-						killResumeEveryK(t, sys, opts, k, 7, false)
-					})
-					t.Run("successors", func(t *testing.T) {
-						opts := opts
-						opts.MaxCrashes = 1
-						_, opts.Aux = cancelEverySucc(1) // the identity Aux on the reference run too
-						killResumeEveryK(t, sys, opts, 4*k, 4*k*7/10, true)
-					})
+			for _, ec := range engineConfigs(3) {
+				t.Run(fmt.Sprintf("%v/%v/%s", kind, sym, ec.name), func(t *testing.T) {
+					killResumeSources(t, sys, ec.on(Options{Canonicalizer: sym.Canonicalizer()}), kind, k, nil)
 				})
 			}
 		}
+		t.Run(fmt.Sprintf("%v/none/bfs-workers-1-3-2", kind), func(t *testing.T) {
+			killResumeSources(t, sys, Options{Engine: BFSEngine}, kind, k, []int{1, 3, 2})
+		})
 	}
 	t.Run("blocking-cycle/dfs", func(t *testing.T) {
 		blocking := blockingSystem(t, 2)
@@ -280,9 +265,26 @@ func TestKillResumeEveryK(t *testing.T) {
 		}
 		for k := 1; k <= ref.States; k++ {
 			t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-				killResumeEveryK(t, blocking, opts, k, 7, false)
+				killResumeEveryK(t, blocking, opts, k, 7, false, nil)
 			})
 		}
+	})
+}
+
+// killResumeSources runs killResumeEveryK on opts, on the tier kind, with
+// each of TestKillResumeEveryK's two cancel sources.
+func killResumeSources(t *testing.T, sys *machine.System, opts Options, kind store.Kind, k int, workers []int) {
+	if kind == store.Disk {
+		opts = diskOpts(t, opts)
+	}
+	t.Run("states", func(t *testing.T) {
+		killResumeEveryK(t, sys, opts, k, 7, false, workers)
+	})
+	t.Run("successors", func(t *testing.T) {
+		opts := opts
+		opts.MaxCrashes = 1
+		_, opts.Aux = cancelEverySucc(1) // the identity Aux on the reference run too
+		killResumeEveryK(t, sys, opts, 4*k, 4*k*7/10, true, workers)
 	})
 }
 
@@ -290,11 +292,12 @@ func TestKillResumeEveryK(t *testing.T) {
 // checkpoint every `every` states and a cancel after every k-th
 // discovered state, or with bySucc after every k-th generated
 // successor, resuming after every cancel, and compares the two: totals,
-// dedup counters and, when DFS finds a cycle, its trace. It demands at
-// least one cancel per 2k events; on DFS, the successor cancels must
-// also leave at least one checkpoint whose top frame is partly
-// expanded.
-func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every int, bySucc bool) {
+// dedup counters and, when DFS finds a cycle, its trace. A non-empty
+// workers gives the worker count of each run in turn, the first run and
+// then each resume, cycling. It demands at least one cancel per 2k
+// events; on DFS, the successor cancels must also leave at least one
+// checkpoint whose top frame is partly expanded.
+func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every int, bySucc bool, workers []int) {
 	t.Helper()
 	ref, err := Run(sys.Clone(), opts)
 	if err != nil {
@@ -308,6 +311,9 @@ func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every 
 	run.Checkpoint, run.CheckpointEvery, run.ProgressEvery = dir, every, 1
 	kills, midExpansion := 0, 0
 	for {
+		if len(workers) > 0 {
+			run.Workers = workers[kills%len(workers)]
+		}
 		if bySucc {
 			run.Cancel, run.Aux = cancelEverySucc(k)
 		} else {
@@ -365,9 +371,9 @@ func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every 
 // TestResumeReproducesViolation: a run canceled before it reaches an
 // invariant violation must, on resume, report the same violation an
 // uninterrupted run does, with its counterexample trace. The one-worker
-// engines are deterministic, so their resumed traces must render
-// exactly as the reference's (20 steps on bfs, 29 on dfs); the parallel
-// engine's trace must replay from the root to a violating state.
+// configurations are deterministic, so their resumed traces must render
+// exactly as the reference's (20 steps on bfs, 29 on dfs); at several
+// workers the trace must replay from the root to a violating state.
 func TestResumeReproducesViolation(t *testing.T) {
 	boom := errors.New("all processors terminated")
 	inv := func(n Node) error {
@@ -376,16 +382,13 @@ func TestResumeReproducesViolation(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, ec := range engineConfigs(4) {
+		t.Run(ec.name, func(t *testing.T) {
 			sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Engine: engine, Invariant: inv}
-			if engine == ParallelEngine {
-				opts.Workers = 4
-			}
+			opts := ec.on(Options{Invariant: inv})
 			ref, err := Run(sys.Clone(), opts)
 			var refErr *InvariantError
 			if !errors.As(err, &refErr) || !errors.Is(err, boom) {
@@ -416,7 +419,7 @@ func TestResumeReproducesViolation(t *testing.T) {
 				t.Fatal("resumed run reports an empty counterexample trace")
 			}
 			t.Logf("resumed trace of %d steps, reference %d", len(ie.Trace), len(refErr.Trace))
-			if engine == ParallelEngine {
+			if ec.workers > 1 {
 				replay := sys.Clone()
 				for i, info := range ie.Trace {
 					if _, err := replay.Step(info.Proc, info.Choice); err != nil {
@@ -456,8 +459,8 @@ func consensusSweep(o Options) (SweepResult, error) {
 // checkpoint, and the aggregate totals and every per-wiring row but its
 // wall time match an uninterrupted sweep.
 // The consensus sweep is cut a quarter, half and three quarters of the
-// way on every engine (only halfway under -short, which make race
-// uses). Each checkpoint re-sorts the whole visited set, so its larger
+// way on every engine configuration (only halfway under -short, which
+// make race uses). Each checkpoint re-sorts the whole visited set, so its larger
 // space takes a sparser cadence than the safety sweep.
 func TestSweepKillAndResume(t *testing.T) {
 	quarters := []int{1, 2, 3}
@@ -467,15 +470,15 @@ func TestSweepKillAndResume(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		sweep    func(Options) (SweepResult, error)
-		engines  []Engine
+		engines  []engineConfig
 		quarters []int
 		every    int
 	}{
-		{"safety", safetySweep, []Engine{BFSEngine}, []int{3}, 50},
-		{"consensus", consensusSweep, []Engine{BFSEngine, DFSEngine, ParallelEngine}, quarters, 500},
+		{"safety", safetySweep, engineConfigs(4)[:1], []int{3}, 50},
+		{"consensus", consensusSweep, engineConfigs(4), quarters, 500},
 	} {
-		for _, engine := range tc.engines {
-			ref, err := tc.sweep(Options{Engine: engine})
+		for _, ec := range tc.engines {
+			ref, err := tc.sweep(ec.on(Options{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -483,14 +486,14 @@ func TestSweepKillAndResume(t *testing.T) {
 				t.Fatalf("reference sweep too small to kill mid-flight: %+v", ref)
 			}
 			for _, q := range tc.quarters {
-				t.Run(fmt.Sprintf("%s/%v/at-%dof4", tc.name, engine, q), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/at-%dof4", tc.name, ec.name, q), func(t *testing.T) {
 					dir := t.TempDir()
-					killed := Options{Engine: engine, Checkpoint: dir, CheckpointEvery: tc.every, ProgressEvery: 1}
+					killed := ec.on(Options{Checkpoint: dir, CheckpointEvery: tc.every, ProgressEvery: 1})
 					killed.Cancel, killed.Progress = cancelAfter(ref.TotalStates * q / 4)
 					if _, err := tc.sweep(killed); !errors.Is(err, ErrCanceled) {
 						t.Fatalf("killed sweep: err = %v, want ErrCanceled", err)
 					}
-					got, err := tc.sweep(Options{Engine: engine, Checkpoint: dir, CheckpointEvery: tc.every, Resume: dir})
+					got, err := tc.sweep(ec.on(Options{Checkpoint: dir, CheckpointEvery: tc.every, Resume: dir}))
 					if err != nil {
 						t.Fatalf("resumed sweep: %v", err)
 					}

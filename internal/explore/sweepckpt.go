@@ -33,8 +33,10 @@ import (
 // root fingerprint cannot tell a wiring filter or a level apart.
 
 // sweepMetaVersion versions sweep.json alongside store.MetaVersion.
-// Version 3 added the per-wiring rows to the accumulated SweepResult.
-const sweepMetaVersion = 3
+// Version 3 added the per-wiring rows to the accumulated SweepResult;
+// version 4 renumbered Engine, which the accumulated Stats record as a
+// number.
+const sweepMetaVersion = 4
 
 // sweepCheckpoint is the sweep.json document: the sweep identity, which
 // a resume must match field by field, then the progress made.
@@ -122,7 +124,7 @@ func runSweep(id sweepCheckpoint, opts Options, wo WiringOptions, body func(perm
 		return sweep, err
 	}
 	id.Version = sweepMetaVersion
-	id.Engine = opts.Engine.resolve().String()
+	id.Engine = opts.Engine.String()
 	id.Symmetry = opts.canonicalizer().String()
 	id.Wirings = wo.Filter.String()
 	id.MaxCrashes = opts.MaxCrashes

@@ -59,9 +59,9 @@ func TestSymmetryOrbitCrossCheck(t *testing.T) {
 }
 
 // TestEnginesAgreeUnderSymmetry: the acceptance gate on the Figure 3
-// snapshot sweep — all three engines, with symmetry on and off, produce
-// the same verdict; the reduced state counts agree across engines and
-// never exceed the unreduced ones.
+// snapshot sweep — every engine configuration, with symmetry on and
+// off, produces the same verdict; the reduced state counts agree across
+// configurations and never exceed the unreduced ones.
 func TestEnginesAgreeUnderSymmetry(t *testing.T) {
 	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0}
 	for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
@@ -74,28 +74,27 @@ func TestEnginesAgreeUnderSymmetry(t *testing.T) {
 			}
 			unreduced = ref.TotalStates
 		}
-		states := map[Engine]int{}
-		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
+		states := map[string]int{}
+		for _, ec := range engineConfigs(4) {
 			c := base
 			c.Canonicalizer = sym.Canonicalizer()
-			c.Engine = engine
-			c.Workers = 4
+			c.Options = ec.on(c.Options)
 			sweep, err := CheckSnapshotSafety(c)
 			if err != nil {
-				t.Fatalf("%v/%v: safety verdict flipped: %v", engine, sym, err)
+				t.Fatalf("%s/%v: safety verdict flipped: %v", ec.name, sym, err)
 			}
 			if sweep.TotalStates == 0 {
-				t.Fatalf("%v/%v: empty sweep", engine, sym)
+				t.Fatalf("%s/%v: empty sweep", ec.name, sym)
 			}
 			if sweep.TotalStates > unreduced {
-				t.Errorf("%v/%v: %d states exceeds unreduced %d", engine, sym, sweep.TotalStates, unreduced)
+				t.Errorf("%s/%v: %d states exceeds unreduced %d", ec.name, sym, sweep.TotalStates, unreduced)
 			}
-			states[engine] = sweep.TotalStates
+			states[ec.name] = sweep.TotalStates
 			if sym != canon.None && sweep.Stats.Symmetry != sym.String() {
-				t.Errorf("%v/%v: stats symmetry %q", engine, sym, sweep.Stats.Symmetry)
+				t.Errorf("%s/%v: stats symmetry %q", ec.name, sym, sweep.Stats.Symmetry)
 			}
 		}
-		if states[DFSEngine] != states[BFSEngine] || states[ParallelEngine] != states[BFSEngine] {
+		if states["dfs"] != states["bfs"] || states["parallel"] != states["bfs"] {
 			t.Errorf("%v: engines disagree on reduced state counts: %v", sym, states)
 		}
 	}
@@ -112,22 +111,21 @@ func TestRenamingAgreesUnderSymmetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
-			states := map[Engine]int{}
-			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-				res, err := Run(sys.Clone(), Options{
-					Engine:        engine,
+			states := map[string]int{}
+			for _, ec := range engineConfigs(4) {
+				res, err := Run(sys.Clone(), ec.on(Options{
 					Canonicalizer: sym.Canonicalizer(),
 					Invariant:     WaitFree(DefaultSoloBound(2, 2)),
-				})
+				}))
 				if err != nil {
-					t.Fatalf("inputs %v %v/%v: %v", inputs, engine, sym, err)
+					t.Fatalf("inputs %v %s/%v: %v", inputs, ec.name, sym, err)
 				}
 				if res.Cycle {
-					t.Fatalf("inputs %v %v/%v: unexpected cycle", inputs, engine, sym)
+					t.Fatalf("inputs %v %s/%v: unexpected cycle", inputs, ec.name, sym)
 				}
-				states[engine] = res.States
+				states[ec.name] = res.States
 			}
-			if states[DFSEngine] != states[BFSEngine] || states[ParallelEngine] != states[BFSEngine] {
+			if states["dfs"] != states["bfs"] || states["parallel"] != states["bfs"] {
 				t.Errorf("inputs %v %v: engines disagree: %v", inputs, sym, states)
 			}
 		}
@@ -152,24 +150,22 @@ func TestSymmetryViolationTraceReplays(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{
-			Engine:        engine,
-			Workers:       4,
+	for _, ec := range engineConfigs(4) {
+		_, err := Run(sys.Clone(), ec.on(Options{
 			Canonicalizer: canon.ProcSymmetry{},
 			Invariant:     inv,
-		})
+		}))
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
-			t.Fatalf("%v: expected InvariantError, got %v", engine, err)
+			t.Fatalf("%s: expected InvariantError, got %v", ec.name, err)
 		}
 		if len(ie.Trace) == 0 {
-			t.Fatalf("%v: empty counterexample trace", engine)
+			t.Fatalf("%s: empty counterexample trace", ec.name)
 		}
 		replay := sys.Clone()
 		for i, info := range ie.Trace {
 			if replay.DoneCount() > 0 {
-				t.Fatalf("%v: invariant already violated before step %d", engine, i)
+				t.Fatalf("%s: invariant already violated before step %d", ec.name, i)
 			}
 			if info.Op.Kind == machine.OpCrash {
 				_, err = replay.Crash(info.Proc)
@@ -177,11 +173,11 @@ func TestSymmetryViolationTraceReplays(t *testing.T) {
 				_, err = replay.Step(info.Proc, info.Choice)
 			}
 			if err != nil {
-				t.Fatalf("%v: trace does not replay at step %d: %v", engine, i, err)
+				t.Fatalf("%s: trace does not replay at step %d: %v", ec.name, i, err)
 			}
 		}
 		if replay.DoneCount() == 0 {
-			t.Fatalf("%v: replayed trace does not violate the invariant", engine)
+			t.Fatalf("%s: replayed trace does not violate the invariant", ec.name)
 		}
 	}
 }
@@ -272,16 +268,16 @@ func TestCollisionOddsUnderSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		res, err := Run(sys.Clone(), Options{Engine: engine, Workers: 2, Canonicalizer: canon.FullSymmetry{}})
+	for _, ec := range engineConfigs(2) {
+		res, err := Run(sys.Clone(), ec.on(Options{Canonicalizer: canon.FullSymmetry{}}))
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", ec.name, err)
 		}
 		if res.Stats.GroupSize < 2 {
-			t.Fatalf("%v: group size %d, want a nontrivial group", engine, res.Stats.GroupSize)
+			t.Fatalf("%s: group size %d, want a nontrivial group", ec.name, res.Stats.GroupSize)
 		}
 		if want := uniformOdds(res.States); math.Abs(res.CollisionOdds/want-1) > 1e-12 {
-			t.Errorf("%v: collision odds %g, want %g (states=%d)", engine, res.CollisionOdds, want, res.States)
+			t.Errorf("%s: collision odds %g, want %g (states=%d)", ec.name, res.CollisionOdds, want, res.States)
 		}
 	}
 }

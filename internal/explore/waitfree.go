@@ -8,9 +8,8 @@ import (
 
 // This file provides the invariant form of the wait-freedom check: bounded
 // solo termination at every reachable state. It complements the cycle
-// form, which DFSEngine detects inline, and is the only form the
-// breadth-first engines (BFSEngine, ParallelEngine) run, since invariants
-// are checked per state with no global graph.
+// form, which DFSEngine detects inline, and is the only form BFSEngine
+// runs, since invariants are checked per state with no global graph.
 //
 // The two forms catch different failure shapes. A cycle is an execution in
 // which live processors step forever — non-termination under adversarial
@@ -37,8 +36,8 @@ func WaitFree(bound int) func(Node) error {
 	return func(n Node) error {
 		sys := n.Sys
 		// One solo system per call, recopied for each processor: the
-		// closure is shared by the parallel engine's workers, so it
-		// cannot own one.
+		// closure is shared by the breadth-first engine's workers, so
+		// it cannot own one.
 		var solo *machine.System
 		for p := 0; p < sys.N(); p++ {
 			if !sys.Enabled(p) {

@@ -14,8 +14,8 @@ import (
 // spill. Pops drain the head, then reload the oldest segment, then fall
 // through to the tail, so the global service order is exactly the
 // in-RAM order — the engine explores the same sequence whether or not
-// anything spilled. Thieves steal only from the in-RAM tail, never from
-// disk. All methods are safe for concurrent use.
+// anything spilled. All methods are safe for concurrent use: the
+// breadth-first workers pop from each other's shards.
 type Frontier struct {
 	mu     sync.Mutex
 	st     *Store
@@ -146,28 +146,6 @@ func (d *Frontier) Pop() (Entry, bool, error) {
 		return Entry{}, false, err
 	}
 	return e, true, nil
-}
-
-// StealHalf removes the newest half of the in-RAM tail (rounded up) and
-// returns it in queue order — the parallel engine's work stealing. It
-// never touches spilled segments, returns nil when nothing is stealable
-// in RAM, and does not replay: a stolen entry may lack Sys.
-func (d *Frontier) StealHalf() []Entry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	avail := len(d.tail) - d.tailIdx
-	if avail <= 0 {
-		return nil
-	}
-	take := (avail + 1) / 2
-	out := make([]Entry, take)
-	copy(out, d.tail[len(d.tail)-take:])
-	cut := len(d.tail) - take
-	for i := cut; i < len(d.tail); i++ {
-		d.tail[i] = Entry{}
-	}
-	d.tail = d.tail[:cut]
-	return out
 }
 
 // Len returns the number of queued entries, spilled included.

@@ -172,10 +172,11 @@ type Config struct {
 	// Root is the initial system; the disk tier replays spilled frontier
 	// paths from it. Required for Disk and for checkpoint resume.
 	Root *machine.System
-	// Workers is the number of engine workers; 0 means 1. Each worker
-	// holds two frontier shards (the level it expands and the next), so
-	// the disk tier splits the frontier half of MemLimit into 2·Workers
-	// shares, and the mem tier sizes its visited table's shards by it.
+	// Workers is the breadth-first engine's worker count; 0 means 1.
+	// Each worker holds two frontier shards (its part of the level being
+	// expanded and of the next), so the disk tier splits the frontier
+	// half of MemLimit into 2·Workers shares, and the mem tier sizes its
+	// visited table's shards by it.
 	Workers int
 	// Trace, when non-nil, records the store's I/O phases as spans:
 	// visited spills and compactions, frontier segment spills/loads, and
@@ -189,8 +190,7 @@ type Config struct {
 type Entry struct {
 	// Sys is the live state. Nil for entries decoded from a spilled
 	// segment or checkpoint, on either tier; Frontier.Pop replays Path
-	// from the root to rebuild it before returning the entry, but
-	// StealHalf hands such an entry over as it is.
+	// from the root to rebuild it before returning the entry.
 	Sys *machine.System
 	// Aux is the engine's 64-bit auxiliary state for this entry.
 	Aux uint64

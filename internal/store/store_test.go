@@ -363,10 +363,17 @@ func TestFrontierOrders(t *testing.T) {
 	}
 }
 
-func TestFrontierStealHalf(t *testing.T) {
+// TestFrontierPeersDrainOneShard: the breadth-first workers pop from
+// each other's shards, so several goroutines drain one shard at once,
+// loading its spilled segments and replaying its path-only entries as
+// they go. Every entry must come back exactly once with a live Sys, on
+// the mem tier and on the disk tier under a ceiling that spills several
+// segments, and every spilled segment must be loaded.
+func TestFrontierPeersDrainOneShard(t *testing.T) {
+	const n, poppers = 2000, 4
 	for _, kind := range []Kind{Mem, Disk} {
 		t.Run(kind.String(), func(t *testing.T) {
-			st, err := Open(Config{Kind: kind, Dir: t.TempDir(), MemLimit: 1 << 24, Root: testRoot(t)})
+			st, err := Open(Config{Kind: kind, Dir: t.TempDir(), MemLimit: 1 << 16, Root: testRoot(t)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,25 +384,57 @@ func TestFrontierStealHalf(t *testing.T) {
 			}
 			defer fr.Close()
 			sys := testRoot(t)
+			paths := make([]*PathNode, 8) // paths[d] takes d+1 steps
 			var path *PathNode
-			for i := 0; i < 10; i++ {
-				path = path.Extend(PackStep(0, 0))
-				if err := fr.Push(Entry{Sys: sys.Clone(), Aux: uint64(i), Path: path}); err != nil {
+			for d := range paths {
+				path = path.Extend(PackStep(d%2, 0))
+				paths[d] = path
+			}
+			for i := range n {
+				e := Entry{Aux: uint64(i), Path: paths[i%len(paths)]}
+				if i%3 != 0 { // every third entry carries only its path, as a restored one does
+					e.Sys = sys.Clone()
+				}
+				if err := fr.Push(e); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got := fr.StealHalf()
-			if len(got) != 5 {
-				t.Fatalf("StealHalf() took %d, want 5", len(got))
+			if s := st.Snapshot(); kind == Disk && s.FrontierSpills < 2 {
+				t.Fatalf("%d segments spilled, want several", s.FrontierSpills)
 			}
-			for i, e := range got {
-				if e.Aux != uint64(5+i) {
-					t.Fatalf("stolen entry %d has aux %d, want %d (newest half)", i, e.Aux, 5+i)
+			var popped [n]atomic.Int32
+			var wg sync.WaitGroup
+			for range poppers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						e, ok, err := fr.Pop()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !ok {
+							return
+						}
+						if e.Sys == nil {
+							t.Errorf("entry %d popped without its Sys", e.Aux)
+						}
+						popped[e.Aux].Add(1)
+					}
+				}()
+			}
+			wg.Wait()
+			for i := range popped {
+				if c := popped[i].Load(); c != 1 {
+					t.Fatalf("entry %d popped %d times, want once", i, c)
 				}
 			}
-			if fr.Len() != 5 {
-				t.Fatalf("Len() after steal = %d, want 5", fr.Len())
+			s := st.Snapshot()
+			if s.FrontierLoads != s.FrontierSpills {
+				t.Fatalf("loads (%d) != spills (%d) after draining", s.FrontierLoads, s.FrontierSpills)
 			}
+			t.Logf("%d segments spilled and loaded, %d entries replayed", s.FrontierSpills, s.Replays)
 		})
 	}
 }
