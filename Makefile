@@ -96,9 +96,9 @@ fuzz-smoke:
 # the one N=3 snapshot space small enough to sweep untruncated (~72M
 # states, ~15 min total), so the reduction ratio is exact rather than an
 # artifact of per-wiring state caps. The store rows rerun the N=3
-# full-symmetry sweep through both state-store tiers — in-RAM and disk
-# under a 64MiB ceiling — so the out-of-core overhead and the
-# states-match-exactly property are pinned as artifacts. Render reports
+# full-symmetry sweep with no RAM budget and under a 64MiB one, which
+# spills, so the out-of-core overhead and the states-match-exactly
+# property are pinned as artifacts. Render reports
 # back with `go run ./cmd/figures -load BENCH_dfs.json`.
 bench-report:
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -report BENCH_dfs.json
@@ -112,4 +112,4 @@ bench-report:
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry proc -report BENCH_sym_proc_n3.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -report BENCH_sym_full_n3.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -report BENCH_store_mem_n3.json
-	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -store disk -mem 64MiB -report BENCH_store_disk_n3.json
+	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -mem 64MiB -report BENCH_store_disk_n3.json

@@ -4,9 +4,10 @@
 //
 // The search backend is selectable: -engine dfs|bfs picks the explorer
 // engine (dfs by default — smallest memory footprint, and the only
-// engine that detects cycles, so only a dfs -check waitfree also
-// verifies an acyclic step graph), and -workers sets the breadth-first
-// engine's worker count (0 or 1 means one worker).
+// engine that detects cycles, so only a dfs -check waitfree verifies
+// wait-freedom; on bfs it verifies solo termination within the solo
+// bound, obstruction-freedom, and says so), and -workers sets the
+// breadth-first engine's worker count (0 or 1 means one worker).
 //
 // Symmetry reduction: -wirings all|proc0|orbits picks how the wiring
 // sweep is cut down (proc0 pins processor 0's wiring to the identity;
@@ -18,23 +19,25 @@
 // Crash faults: -crashes F explores every execution in which up to F
 // processors crash-stop (each enabled processor may crash at each state
 // until the budget is spent). Combined with -check waitfree this verifies
-// wait-freedom in the crash-fault model: every survivor terminates within
-// the -solo-bound solo-step budget no matter which subset of the others
-// stops forever. -crashes N-1 covers every f-resilient adversary.
+// that every survivor terminates within the -solo-bound solo-step budget
+// no matter which subset of the others stops forever, and on dfs that no
+// interleaving of the survivors runs forever: wait-freedom in the
+// crash-fault model. -crashes N-1 covers every f-resilient adversary.
 //
-// Out-of-core exploration: -store disk bounds RAM use to -mem (e.g.
-// -mem 64MiB) by spilling visited fingerprints to sorted runs and
-// frontier overflow to path-replay segments under -store-dir (a temp
-// directory by default). -checkpoint DIR makes the safety, waitfree and
-// consensus sweeps resumable: the sweep writes DIR/sweep.json after
-// every wiring and a periodic per-run checkpoint (cadence
-// -checkpoint-every states) of the wiring in flight; a first ^C
-// checkpoints and stops cleanly, and -resume DIR continues where it
-// left off. sweep.json records every flag that shapes the explored
-// space, and a -resume under different ones is refused; -workers is not
-// among them, so a bfs sweep may resume at another worker count. A
-// resumed run that finds a counterexample prints its trace, as an
-// uninterrupted one does.
+// Out-of-core exploration: -mem sets the RAM budget of the visited set
+// and the frontier (e.g. -mem 64MiB). Past it, visited fingerprints
+// spill to sorted runs and frontier overflow to path-replay segments
+// under -store-dir (a temp directory by default); every budget gives the
+// same counts. -mem 0, the default, sets no ceiling and writes no file.
+// -checkpoint DIR makes the safety, waitfree and consensus sweeps
+// resumable: the sweep writes DIR/sweep.json after every wiring and a
+// periodic per-run checkpoint (cadence -checkpoint-every states) of the
+// wiring in flight; a first ^C checkpoints and stops cleanly, and
+// -resume DIR continues where it left off. sweep.json records every
+// flag that shapes the explored space, and a -resume under different
+// ones is refused; -workers and -mem are not among them, so a sweep may
+// resume at another worker count or budget. A resumed run that finds a
+// counterexample prints its trace, as an uninterrupted one does.
 //
 // Observability: results go to stdout; -progress diagnostics go to
 // stderr so piped output stays clean. A run explains itself through
@@ -68,7 +71,7 @@
 //	anonexplore -check safety   -inputs a,b -engine bfs -workers 4
 //	anonexplore -check safety   -inputs a,b -report r.json
 //	anonexplore -check safety   -inputs a,b,c -http :6060 -progress 1000000
-//	anonexplore -check safety   -inputs a,b,c -store disk -mem 64MiB
+//	anonexplore -check safety   -inputs a,b,c -mem 64MiB
 //	anonexplore -check safety   -inputs a,b,c -checkpoint ck/   # ^C, then:
 //	anonexplore -check safety   -inputs a,b,c -checkpoint ck/ -resume ck/
 //	anonexplore -check waitfree -inputs a,b
@@ -80,7 +83,7 @@
 // checked invariant held; 1 on operational errors (a canceled run, a
 // truncated wait-freedom search, a missing checkpoint, an unusable
 // store directory); 2 on usage errors (bad flags, an option the check
-// or store tier cannot take, a -resume under different settings); 3
+// cannot take, a -resume under different settings); 3
 // when the search produced a counterexample — the one-line "invariant
 // violated: ..." summary goes to stderr, the full "trace (N steps): ..."
 // to stdout — and 5 when -stall-abort killed a stalled run.
@@ -207,7 +210,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.Int64Var(&cli.seed, "seed", 1, "seed for atomicity-random")
 	fs.StringVar(&cli.reportPath, "report", "", "write a JSON report (check, sweep totals and per-wiring rows, trace phases) to this file")
 	fs.StringVar(&cli.httpAddr, "http", "", "serve pprof (/debug/pprof/) on this address during the run")
-	fs.StringVar(&cli.run.StoreDir, "store-dir", "", "disk store scratch directory (default: a temp directory per run)")
+	fs.StringVar(&cli.run.StoreDir, "store-dir", "", "scratch directory for what spills past -mem (default: a temp directory per run)")
 	fs.StringVar(&cli.run.Checkpoint, "checkpoint", "", "write periodic checkpoints to this directory; ^C stops cleanly after a final one")
 	fs.IntVar(&cli.run.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in discovered states (0 = default)")
 	fs.StringVar(&cli.run.Resume, "resume", "", "resume a stopped sweep from this checkpoint directory")
@@ -218,8 +221,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.Var(&cli.run.Engine, "engine", "explorer engine: dfs | bfs")
 	fs.Var(&cli.wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
 	fs.Var(&symmetry, "symmetry", "state canonicalizer: none | proc | full")
-	fs.Var(&cli.run.Store, "store", "state store tier: mem | disk")
-	fs.Var(&cli.run.MemLimit, "mem", "disk tier RAM ceiling, e.g. 64MiB, 2GiB (0 = 256MiB default)")
+	fs.Var(&cli.run.MemLimit, "mem", "RAM budget of the visited set and frontier, past which they spill to -store-dir, e.g. 64MiB, 2GiB (0 = no ceiling)")
 	if err := fs.Parse(args); err != nil {
 		return cli, err
 	}
@@ -309,23 +311,22 @@ type sweepSection struct {
 	DedupHits     int64   `json:"dedupHits"`
 	DedupHitRate  float64 `json:"dedupHitRate"`
 	WorkerSteps   []int64 `json:"workerSteps"`
-	// Out-of-core fields, present when the disk store was in use.
-	Store          string `json:"store,omitempty"`
-	Spills         int64  `json:"spills,omitempty"`
-	Compactions    int64  `json:"compactions,omitempty"`
-	FrontierSpills int64  `json:"frontierSpills,omitempty"`
-	FrontierLoads  int64  `json:"frontierLoads,omitempty"`
-	Replays        int64  `json:"replays,omitempty"`
-	ReplaySteps    int64  `json:"replaySteps,omitempty"`
-	DiskBytes      int64  `json:"diskBytes,omitempty"`
-	VisitedRuns    int64  `json:"visitedRuns,omitempty"`
-	DiskFootprint  int64  `json:"diskFootprint,omitempty"`
-	Checkpoints    int64  `json:"checkpoints,omitempty"`
+	// Out-of-core fields, present under a -mem budget.
+	Spills         int64 `json:"spills,omitempty"`
+	Compactions    int64 `json:"compactions,omitempty"`
+	FrontierSpills int64 `json:"frontierSpills,omitempty"`
+	FrontierLoads  int64 `json:"frontierLoads,omitempty"`
+	Replays        int64 `json:"replays,omitempty"`
+	ReplaySteps    int64 `json:"replaySteps,omitempty"`
+	DiskBytes      int64 `json:"diskBytes,omitempty"`
+	VisitedRuns    int64 `json:"visitedRuns,omitempty"`
+	DiskFootprint  int64 `json:"diskFootprint,omitempty"`
+	Checkpoints    int64 `json:"checkpoints,omitempty"`
 	// PerWiring has one row per explored wiring, in sweep order.
 	PerWiring []explore.WiringRow `json:"perWiring"`
 }
 
-func sectionOf(sweep explore.SweepResult) sweepSection {
+func sectionOf(sweep explore.SweepResult, budget store.Bytes) sweepSection {
 	st := sweep.Stats
 	s := sweepSection{
 		Wirings:       sweep.Wirings,
@@ -351,8 +352,7 @@ func sectionOf(sweep explore.SweepResult) sweepSection {
 		Checkpoints:   st.Store.Checkpoints,
 		PerWiring:     sweep.PerWiring,
 	}
-	if st.StoreKind == "disk" {
-		s.Store = st.StoreKind
+	if budget > 0 {
 		s.Spills = st.Store.Spills
 		s.Compactions = st.Store.Compactions
 		s.FrontierSpills = st.Store.FrontierSpills
@@ -372,7 +372,7 @@ func run(cli options, rep *obs.Report) error {
 	if opts.StallAbort && opts.StallAfter <= 0 {
 		return exitcode.WithCode(exitcode.Usage, errors.New("-stall-abort requires -stall-after"))
 	}
-	rep.Section("check", map[string]any{
+	check := map[string]any{
 		"check":      cli.check,
 		"inputs":     inputs,
 		"engine":     opts.Engine.String(),
@@ -381,11 +381,14 @@ func run(cli options, rep *obs.Report) error {
 		"wirings":    cli.wirings.String(),
 		"symmetry":   opts.Canonicalizer.String(),
 		"crashes":    opts.MaxCrashes,
-		"store":      opts.Store.String(),
 		"mem":        opts.MemLimit.String(),
 		"checkpoint": opts.Checkpoint,
 		"resume":     opts.Resume,
-	})
+	}
+	if cli.check == "waitfree" {
+		check["property"] = waitFreeProperty(opts.Engine)
+	}
+	rep.Section("check", check)
 	cfg := explore.SnapshotConfig{
 		Inputs:    inputs,
 		Nondet:    cli.nondet,
@@ -406,7 +409,7 @@ func run(cli options, rep *obs.Report) error {
 		invariant, holds = "snapshot safety", "snapshot-task safety holds over every explored interleaving"
 	case "waitfree":
 		sweep, err = explore.CheckSnapshotWaitFree(cfg)
-		invariant, holds = "wait-freedom", waitFreeVerdict(sweep.Stats.Engine, opts.MaxCrashes)
+		invariant, holds = "wait-freedom", waitFreeVerdict(opts.Engine, opts.MaxCrashes)
 	case "consensus":
 		sweep, err = explore.CheckConsensusBounded(explore.ConsensusConfig{
 			Inputs:       inputs,
@@ -455,8 +458,8 @@ func run(cli options, rep *obs.Report) error {
 	default:
 		return fmt.Errorf("unknown check %q", cli.check)
 	}
-	report(sweep, start)
-	rep.Section("sweep", sectionOf(sweep))
+	report(sweep, opts.MemLimit, start)
+	rep.Section("sweep", sectionOf(sweep, opts.MemLimit))
 	if err != nil {
 		return verdict(opts, invariant, err)
 	}
@@ -491,18 +494,30 @@ func verdict(opts explore.Options, invariant string, err error) error {
 	return err
 }
 
-// waitFreeVerdict is the line a passing -check waitfree prints. It
-// claims an acyclic step graph only when DFS, the one engine that looks
-// for cycles, ran the sweep; every engine checks solo termination.
-func waitFreeVerdict(engine explore.Engine, crashes int) string {
-	acyclic := ""
+// waitFreeProperty names what a passing -check waitfree verified on
+// engine. Every engine checks that each processor solo-terminates within
+// the solo bound from every reachable state, which is obstruction-freedom;
+// only DFS, the one engine that looks for cycles, also checks that the
+// reachable step graph is acyclic, which makes it wait-freedom.
+func waitFreeProperty(engine explore.Engine) string {
 	if engine == explore.DFSEngine {
-		acyclic = "the reachable step graph is acyclic and "
+		return "wait-freedom"
 	}
+	return "obstruction-freedom"
+}
+
+// waitFreeVerdict is the line a passing -check waitfree prints: what
+// waitFreeProperty names, and what was checked to verify it.
+func waitFreeVerdict(engine explore.Engine, crashes int) string {
+	holds, who := waitFreeProperty(engine)+" holds", "every processor"
 	if crashes > 0 {
-		return fmt.Sprintf("wait-freedom holds with a crash budget of %d: %severy survivor solo-terminates from every reachable state", crashes, acyclic)
+		holds += fmt.Sprintf(" with a crash budget of %d", crashes)
+		who = "every survivor"
 	}
-	return "wait-freedom holds: " + acyclic + "every processor solo-terminates from every reachable state"
+	if engine == explore.DFSEngine {
+		return holds + ": the reachable step graph is acyclic and " + who + " solo-terminates from every reachable state"
+	}
+	return holds + ": " + who + " solo-terminates within the solo bound from every reachable state; acyclicity was not checked (only -engine dfs checks it), so wait-freedom is not established"
 }
 
 // canceledError renders a cancellation (first SIGINT) as an operational
@@ -524,7 +539,7 @@ func progressPrinter() func(states, edges int) {
 	}
 }
 
-func report(sweep explore.SweepResult, start time.Time) {
+func report(sweep explore.SweepResult, budget store.Bytes, start time.Time) {
 	fmt.Printf("wirings=%d states=%d edges=%d terminals=%d largest=%d pruned=%d max-depth=%d truncated=%v elapsed=%v\n",
 		sweep.Wirings, sweep.TotalStates, sweep.TotalEdges, sweep.Terminals, sweep.MaxStates,
 		sweep.Pruned, sweep.MaxDepth, sweep.Truncated, time.Since(start).Round(time.Millisecond))
@@ -534,10 +549,10 @@ func report(sweep explore.SweepResult, start time.Time) {
 	if sweep.Stats.Symmetry != "" && sweep.Stats.Symmetry != "none" {
 		fmt.Printf(" symmetry=%s group=%d", sweep.Stats.Symmetry, sweep.Stats.GroupSize)
 	}
-	if sweep.Stats.StoreKind == "disk" {
+	if budget > 0 {
 		st := sweep.Stats.Store
-		fmt.Printf(" store=disk spills=%d compactions=%d replays=%d disk=%s",
-			st.Spills, st.Compactions, st.Replays, store.Bytes(st.DiskBytesWritten))
+		fmt.Printf(" mem=%s spills=%d compactions=%d replays=%d disk=%s",
+			budget, st.Spills, st.Compactions, st.Replays, store.Bytes(st.DiskBytesWritten))
 	}
 	if sweep.Stats.Store.Checkpoints > 0 {
 		fmt.Printf(" checkpoints=%d", sweep.Stats.Store.Checkpoints)

@@ -16,30 +16,49 @@ import (
 	"anonshm/internal/obs"
 )
 
-// TestWaitFreeVerdict: a passing wait-freedom sweep claims an acyclic
-// step graph only when DFS ran it, since no other engine looks for
-// cycles; every verdict claims solo termination.
+// TestWaitFreeVerdict: a passing wait-freedom sweep claims wait-freedom
+// and an acyclic step graph only when DFS ran it, since no other engine
+// looks for cycles. On bfs it claims obstruction-freedom, solo
+// termination within the solo bound, and says acyclicity was not
+// checked. Every verdict claims solo termination, and the report's
+// check section names the verified property.
 func TestWaitFreeVerdict(t *testing.T) {
 	for _, c := range []struct {
 		engine  explore.Engine
 		crashes int
-		acyclic bool
+		holds   string
 		subject string
 	}{
-		{explore.DFSEngine, 0, true, "every processor"},
-		{explore.BFSEngine, 0, false, "every processor"},
-		{explore.DFSEngine, 1, true, "every survivor"},
-		{explore.BFSEngine, 2, false, "every survivor"},
+		{explore.DFSEngine, 0, "wait-freedom holds: the reachable step graph is acyclic", "every processor"},
+		{explore.BFSEngine, 0, "obstruction-freedom holds: ", "every processor"},
+		{explore.DFSEngine, 1, "wait-freedom holds with a crash budget of 1: the reachable step graph is acyclic", "every survivor"},
+		{explore.BFSEngine, 2, "obstruction-freedom holds with a crash budget of 2: ", "every survivor"},
 	} {
 		got := waitFreeVerdict(c.engine, c.crashes)
-		if strings.Contains(got, "acyclic") != c.acyclic {
-			t.Errorf("%v, %d crashes: %q; want the acyclicity clause: %v", c.engine, c.crashes, got, c.acyclic)
+		if !strings.HasPrefix(got, c.holds) {
+			t.Errorf("%v, %d crashes: %q; want it to start %q", c.engine, c.crashes, got, c.holds)
 		}
 		if !strings.Contains(got, c.subject+" solo-terminates") {
 			t.Errorf("%v, %d crashes: %q lacks %q", c.engine, c.crashes, got, c.subject+" solo-terminates")
 		}
-		if c.crashes > 0 && !strings.Contains(got, "crash budget of") {
-			t.Errorf("%v, %d crashes: %q omits the crash budget", c.engine, c.crashes, got)
+		if c.engine == explore.BFSEngine && (!strings.Contains(got, "within the solo bound") ||
+			!strings.Contains(got, "acyclicity was not checked") || strings.Contains(got, "wait-freedom holds")) {
+			t.Errorf("%v, %d crashes: %q must name the solo bound, say acyclicity was not checked, and not claim wait-freedom",
+				c.engine, c.crashes, got)
+		}
+	}
+	for _, c := range []struct{ engine, property string }{{"dfs", "wait-freedom"}, {"bfs", "obstruction-freedom"}} {
+		args := []string{"-check", "waitfree", "-inputs", "a,b", "-engine", c.engine}
+		cli, err := parseFlags(flag.NewFlagSet("anonexplore", flag.ContinueOnError), args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := obs.NewReport("anonexplore", args)
+		if err := run(cli, rep); err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Sections["check"].(map[string]any)["property"]; got != c.property {
+			t.Errorf("-engine %s: check section property %v, want %s", c.engine, got, c.property)
 		}
 	}
 }
@@ -59,7 +78,7 @@ func TestVerdictExitCodes(t *testing.T) {
 		{"counterexample", violation, exitcode.Violation, "violation"},
 		{"wrapped counterexample", fmt.Errorf("sweep: %w", violation), exitcode.Violation, "violation"},
 		{"stalled", fmt.Errorf("%w (no progress for 1s)", explore.ErrStalled), exitcode.Stalled, "stalled"},
-		{"unsupported option", &explore.UnsupportedOptionError{Store: "mem", Option: "StoreDir"}, exitcode.Usage, "error"},
+		{"unsupported option", &explore.UnsupportedOptionError{Check: "atomicity", Option: "Checkpoint or Resume"}, exitcode.Usage, "error"},
 		{"checkpoint mismatch", &explore.CheckpointMismatchError{Field: "engine"}, exitcode.Usage, "error"},
 		{"canceled", fmt.Errorf("explore: %w", explore.ErrCanceled), exitcode.Error, "canceled"},
 		{"operational", errors.New("explore: store: disk full"), exitcode.Error, "error"},
@@ -104,8 +123,8 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 // TestExitCodes runs the command line end to end: a counterexample
 // exits 3 and prints its trace on stdout, also when a resume from a
 // checkpoint finds it, a run that cannot complete exits 1, and options
-// the check or the store cannot take, a -stall-abort with no watchdog to
-// abort, or a resume under another sweep identity, exit 2.
+// the check cannot take, a -stall-abort with no watchdog to abort, or a
+// resume under another sweep identity, exit 2.
 func TestExitCodes(t *testing.T) {
 	tmp := t.TempDir()
 	file := filepath.Join(tmp, "file")
@@ -131,9 +150,8 @@ func TestExitCodes(t *testing.T) {
 		{"counterexample checkpoint", []string{"-check", "waitfree", "-inputs", "a,b", "-solo-bound", "16", "-checkpoint", violated, "-checkpoint-every", "5"}, exitcode.Violation, "trace (14 steps): p0:"},
 		{"resumed counterexample", []string{"-check", "waitfree", "-inputs", "a,b", "-solo-bound", "16", "-checkpoint", violated, "-checkpoint-every", "5", "-resume", violated}, exitcode.Violation, "trace (14 steps): p0:"},
 		{"missing checkpoint", []string{"-check", "safety", "-inputs", "a,b", "-resume", filepath.Join(tmp, "missing")}, exitcode.Error, ""},
-		{"unusable store dir", []string{"-check", "safety", "-inputs", "a,b", "-store", "disk", "-store-dir", filepath.Join(file, "sub")}, exitcode.Error, ""},
+		{"unusable store dir", []string{"-check", "safety", "-inputs", "a,b", "-mem", "64KiB", "-store-dir", filepath.Join(file, "sub")}, exitcode.Error, ""},
 		{"truncated waitfree", []string{"-check", "waitfree", "-inputs", "a,b,c", "-max-states", "1000"}, exitcode.Error, ""},
-		{"store dir on mem", []string{"-check", "consensus", "-inputs", "x,y", "-store-dir", tmp}, exitcode.Usage, ""},
 		{"atomicity checkpoint", []string{"-check", "atomicity", "-inputs", "a,b", "-checkpoint", filepath.Join(tmp, "atomicity")}, exitcode.Usage, ""},
 		{"stall abort without stall after", []string{"-check", "safety", "-inputs", "a,b", "-stall-abort"}, exitcode.Usage, ""},
 		{"resume other solo bound", []string{"-check", "waitfree", "-inputs", "a,b", "-resume", waitFree, "-solo-bound", "1"}, exitcode.Usage, ""},
@@ -156,7 +174,7 @@ func TestExitCodes(t *testing.T) {
 // by key: the consensus sweep at timestamp bound 1 prunes 2,614 states,
 // and its two wiring rows hold 23,975 and 21,882 states at depths 86 and
 // 83; the dedup counts, per-worker steps and collision odds are there
-// too, and the section reports no disk-tier key on the mem tier.
+// too, and with no -mem budget the section carries no out-of-core key.
 func TestReportSweepSection(t *testing.T) {
 	args := []string{"-check", "consensus", "-inputs", "x,y", "-max-ts", "1"}
 	cli, err := parseFlags(flag.NewFlagSet("anonexplore", flag.ContinueOnError), args)
@@ -182,7 +200,7 @@ func TestReportSweepSection(t *testing.T) {
 	}
 	for _, k := range []string{"frontierLoads", "visitedRuns", "diskFootprint"} {
 		if _, ok := keys[k]; ok {
-			t.Errorf("mem-tier sweep section carries disk-tier key %q", k)
+			t.Errorf("unbudgeted sweep section carries out-of-core key %q", k)
 		}
 	}
 	var sec sweepSection

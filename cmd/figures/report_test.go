@@ -6,13 +6,12 @@ import (
 )
 
 // TestRenderSectionStoreFields checks that an out-of-core sweep section
-// — as written by anonexplore -report after a -store disk run — renders
-// with its spill/compaction/checkpoint fields visible and the disk byte
-// count humanized.
+// — as written by anonexplore -report after a run under a -mem budget —
+// renders with its spill/compaction/checkpoint fields visible and the
+// disk byte count humanized.
 func TestRenderSectionStoreFields(t *testing.T) {
 	section := map[string]any{
 		"totalStates": float64(12011466),
-		"store":       "disk",
 		"spills":      float64(41),
 		"compactions": float64(5),
 		"replays":     float64(9),
@@ -20,7 +19,7 @@ func TestRenderSectionStoreFields(t *testing.T) {
 		"diskBytes":   float64(168 << 20),
 	}
 	out := renderSection(section)
-	for _, want := range []string{"store", "disk", "spills", "41", "compactions", "5", "replays", "9", "checkpoints", "12", "168MiB"} {
+	for _, want := range []string{"spills", "41", "compactions", "5", "replays", "9", "checkpoints", "12", "168MiB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered section missing %q:\n%s", want, out)
 		}

@@ -18,8 +18,10 @@ import (
 //     outputs is related by containment, outputs contain the writer's own
 //     input and only participating inputs (Section 5.3.2's strong form);
 //   - E4: the algorithm is wait-free — the reachable step graph is acyclic
-//     (Section 5.3.3; DFSEngine) and every processor solo-terminates from
-//     every reachable state (every engine);
+//     (Section 5.3.3; DFSEngine only) and every processor solo-terminates
+//     from every reachable state. Every engine checks solo termination,
+//     which on its own establishes obstruction-freedom; only DFSEngine,
+//     which adds acyclicity, establishes wait-freedom;
 //   - E5: the algorithm is NOT an atomic memory snapshot — some execution
 //     produces an output that the memory never held exactly (Section 8);
 //   - E7: consensus agreement and validity over a timestamp-bounded state
@@ -153,17 +155,20 @@ func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
 	})
 }
 
-// CheckSnapshotWaitFree exhaustively verifies wait-freedom over every
-// wiring assignment, in two complementary forms. Every engine checks the
-// WaitFree solo-bound invariant on every reachable state (bound: SoloBound
-// or DefaultSoloBound): each enabled processor must finish within the
-// budget when it runs alone, which is the property crash faults attack —
-// explore with MaxCrashes = N−1 to quantify over every crash pattern.
-// DFSEngine additionally verifies, inline and on every tier, that the
-// reachable step graph is acyclic: the stronger guarantee that no
-// adversarial interleaving runs forever. BFSEngine runs the invariant
-// form only. Either violation is an *InvariantError
-// carrying its trace; a truncated search establishes neither form.
+// CheckSnapshotWaitFree exhaustively checks solo termination over every
+// wiring assignment, and on DFSEngine acyclicity too; only both together
+// verify wait-freedom. Every engine checks the WaitFree solo-bound
+// invariant on every reachable state (bound: SoloBound or
+// DefaultSoloBound): each enabled processor must finish within the
+// budget when it runs alone. That is obstruction-freedom, the property
+// crash faults attack — explore with MaxCrashes = N−1 to quantify over
+// every crash pattern. DFSEngine additionally verifies, inline and under
+// every budget, that the reachable step graph is acyclic, so that no
+// adversarial interleaving runs forever: with solo termination, that is
+// wait-freedom. BFSEngine runs the invariant form only, so a passing
+// BFSEngine sweep establishes obstruction-freedom, not wait-freedom.
+// Either violation is an *InvariantError carrying its trace; a truncated
+// search establishes neither form.
 func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
 	bound := c.SoloBound
 	if bound <= 0 {

@@ -16,7 +16,7 @@ import (
 // terminating algorithms it is exactly a wait-freedom violation.
 //
 // The visited set comes from the store layer (fingerprint membership;
-// the disk tier bounds its RAM use); stack membership — the grey states
+// Options.MemLimit bounds its RAM use); stack membership — the grey states
 // of the classic coloring — stays engine-private, since only the O(depth)
 // states on the current path can be grey. A frame expands its state by
 // the successors steps, which it lists once into one step arena shared

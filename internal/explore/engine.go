@@ -67,12 +67,9 @@ func (e *Engine) Set(s string) error {
 	return nil
 }
 
-// UnsupportedOptionError reports an Options feature the selected storage
-// tier or packaged check cannot provide. Exactly one of Store and Check
-// identifies the rejecting side: the check ("safety", "atomicity", ...)
-// when Check is non-empty, else the tier ("mem", "disk").
+// UnsupportedOptionError reports an Options feature a packaged check
+// ("safety", "atomicity", ...) cannot provide.
 type UnsupportedOptionError struct {
-	Store  string
 	Check  string
 	Option string
 	Hint   string
@@ -80,10 +77,7 @@ type UnsupportedOptionError struct {
 
 // Error implements error.
 func (e *UnsupportedOptionError) Error() string {
-	msg := fmt.Sprintf("explore: store %s does not support %s", e.Store, e.Option)
-	if e.Check != "" {
-		msg = fmt.Sprintf("explore: the %s check does not take %s", e.Check, e.Option)
-	}
+	msg := fmt.Sprintf("explore: the %s check does not take %s", e.Check, e.Option)
 	if e.Hint != "" {
 		msg += " (" + e.Hint + ")"
 	}
@@ -157,13 +151,10 @@ func (l *freeList) take() *machine.System {
 	return sys
 }
 
-// Run is the single entry point for exhaustive exploration: it validates
-// opts against the storage tier, binds the store (visited set, frontier
-// factory, checkpoint trigger), dispatches, and fills Result.Stats.
+// Run is the single entry point for exhaustive exploration: it binds
+// the store (visited set, frontier factory, checkpoint trigger),
+// dispatches, and fills Result.Stats.
 func Run(init *machine.System, opts Options) (Result, error) {
-	if err := validateOptions(&opts); err != nil {
-		return Result{}, err
-	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
 	}
@@ -202,7 +193,6 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	}
 
 	st, err := store.Open(store.Config{
-		Kind:     opts.Store,
 		Dir:      opts.StoreDir,
 		MemLimit: opts.MemLimit,
 		Root:     init,
@@ -262,7 +252,6 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	res.Stats.Symmetry = canonicalizer.String()
 	res.Stats.GroupSize = hasher.GroupSize()
 	res.Stats.Store = st.Snapshot()
-	res.Stats.StoreKind = st.Kind().String()
 	res.Stats.WallTime = time.Since(start)
 	s := float64(res.States)
 	res.CollisionOdds = s * s / 0x1p65

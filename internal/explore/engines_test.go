@@ -314,19 +314,16 @@ func TestBoundedCutIsPinned(t *testing.T) {
 		"bfs":           {Engine: BFSEngine},
 		"bfs-workers-1": {Engine: BFSEngine, Workers: 1},
 	} {
-		for _, kind := range []store.Kind{store.Mem, store.Disk} {
+		for _, b := range budgets {
 			opts := opts
 			opts.MaxStates = 1000
-			if kind == store.Disk {
-				opts = diskOpts(t, opts)
-			}
-			res, err := Run(sys.Clone(), opts)
+			res, err := Run(sys.Clone(), withBudget(t, opts, b.limit))
 			if err != nil {
-				t.Fatalf("%s/%v: %v", name, kind, err)
+				t.Fatalf("%s/%s: %v", name, b.name, err)
 			}
 			if res.States != 1004 || res.Edges != 1594 || res.MaxDepth != 5 || !res.Truncated {
-				t.Errorf("%s/%v: states=%d edges=%d maxDepth=%d truncated=%v, want 1004/1594/5/true",
-					name, kind, res.States, res.Edges, res.MaxDepth, res.Truncated)
+				t.Errorf("%s/%s: states=%d edges=%d maxDepth=%d truncated=%v, want 1004/1594/5/true",
+					name, b.name, res.States, res.Edges, res.MaxDepth, res.Truncated)
 			}
 		}
 	}
@@ -334,9 +331,9 @@ func TestBoundedCutIsPinned(t *testing.T) {
 
 // TestBFSTracesAreShortest: at one worker the breadth-first engine
 // reports a violation at the smallest depth any violating state has,
-// so its counterexample trace is a shortest one, on both tiers and
-// across a resume. A level-by-level reference search computes that
-// depth.
+// so its counterexample trace is a shortest one, with no budget, under
+// one that spills, and across a resume. A level-by-level reference
+// search computes that depth.
 func TestBFSTracesAreShortest(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -369,7 +366,7 @@ func TestBFSTracesAreShortest(t *testing.T) {
 				opts := Options{Engine: BFSEngine, Invariant: c.inv, MaxCrashes: c.crashes}
 				switch run {
 				case "disk":
-					opts = diskOpts(t, opts)
+					opts = withBudget(t, opts, tinyMemLimit)
 				case "resumed":
 					// Canceled after `want` discovered states, which lie
 					// shallower than the violation, then resumed.
@@ -444,43 +441,60 @@ func minViolationDepth(t *testing.T, init *machine.System, inv func(Node) error,
 }
 
 // TestExpansionAllocs bounds what the engines allocate per stored state
-// on the benchmark's N=3 same-input snapshot system (orbit wiring 0,
-// full symmetry, the snapshot invariant, 15,000 states): successors are
-// copied into recycled systems, and Pending, Output and the invariant
-// allocate nothing, so what remains is the machines' own steps and, on
+// on the benchmark's N=3 snapshot systems (orbit wiring 0, full
+// symmetry): the same-input system under the snapshot invariant
+// (15,000 states) on both engines, and the distinct-input system with
+// register choice under the wait-freedom invariant (9,000 states) on
+// DFS. Successors are copied into recycled systems, Pending, Output and
+// the snapshot invariant allocate nothing, and the wait-freedom
+// invariant copies each state into a pooled solo system, so what
+// remains is the machines' own steps (the solo runs' included) and, on
 // the breadth-first engine, the systems its frontier keeps and each
 // state's discovery-path node. It counts mallocs over a second run of
-// each engine, after a first has warmed the canonicalizer's scratch
-// pool.
+// each configuration, after a first has warmed the canonicalizer's
+// scratch pool and the invariant's.
 func TestExpansionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	sys, in, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"g", "g", "g"}, Wirings: anonmem.IdentityWirings(3, 3)})
+	ggg, in, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"g", "g", "g"}, Wirings: anonmem.IdentityWirings(3, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	abc, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b", "c"}, Wirings: anonmem.IdentityWirings(3, 3), Nondet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, _ := in.Lookup("g")
+	safety := Options{Canonicalizer: canon.FullSymmetry{}, MaxStates: 15_000, Invariant: SnapshotInvariant([]view.ID{g, g, g})}
+	waitFree := Options{Canonicalizer: canon.FullSymmetry{}, MaxStates: 9_000, Invariant: WaitFree(DefaultSoloBound(3, 3))}
 	for _, c := range []struct {
+		name   string
+		sys    *machine.System
+		opts   Options
 		engine Engine
 		bound  float64
-	}{{DFSEngine, 3}, {BFSEngine, 8}} {
-		opts := Options{Engine: c.engine, Canonicalizer: canon.FullSymmetry{}, MaxStates: 15_000,
-			Invariant: SnapshotInvariant([]view.ID{g, g, g})}
-		if _, err := Run(sys, opts); err != nil {
+	}{
+		{"snapshot", ggg, safety, DFSEngine, 3},
+		{"snapshot", ggg, safety, BFSEngine, 8},
+		{"waitfree", abc, waitFree, DFSEngine, 14},
+	} {
+		opts := c.opts
+		opts.Engine = c.engine
+		if _, err := Run(c.sys, opts); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := Run(sys, opts)
+		res, err := Run(c.sys, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		perState := float64(after.Mallocs-before.Mallocs) / float64(res.States)
-		t.Logf("%v: %.2f allocations per state over %d states", c.engine, perState, res.States)
+		t.Logf("%s/%v: %.2f allocations per state over %d states", c.name, c.engine, perState, res.States)
 		if perState >= c.bound {
-			t.Errorf("%v: %.2f allocations per stored state, want fewer than %v", c.engine, perState, c.bound)
+			t.Errorf("%s/%v: %.2f allocations per stored state, want fewer than %v", c.name, c.engine, perState, c.bound)
 		}
 	}
 }
@@ -718,12 +732,12 @@ func TestChecksRejectOwnedOptions(t *testing.T) {
 	rejected(t, witness(Options{Resume: t.TempDir()}), "atomicity")
 }
 
-// TestFPTable exercises the engines' mem-tier visited set through the
-// store layer, including growth well past the initial capacity, the
+// TestFPTable exercises the engines' visited set with no budget through
+// the store layer, including growth well past the initial capacity, the
 // zero-fingerprint substitution and the round trip through the
 // checkpoint fp file.
 func TestFPTable(t *testing.T) {
-	st, err := store.Open(store.Config{Kind: store.Mem, Workers: 4})
+	st, err := store.Open(store.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@
 //	DFSEngine  stack + fp set (least)  single-threaded      inline  yes
 //	BFSEngine  two levels + fp set     Options.Workers      no      yes (shortest)
 //
-// Option combinations a storage tier or packaged check cannot honor
-// return an *UnsupportedOptionError.
+// Options a packaged check cannot honor return an
+// *UnsupportedOptionError.
 //
 // Both engines expand a state by the same successor steps, in the same
 // order (successors), and take every step as a packed store.Step
@@ -51,14 +51,14 @@
 // steps. A trace is built only when a violation or a cycle is reported,
 // and a resumed run reports the same trace as an uninterrupted one.
 //
-// Storage tiers. Every engine's visited set and frontier come from the
-// internal/store layer: Options.Store selects the fully-in-RAM mem tier
-// (the default) or the out-of-core disk tier, which bounds RAM by
-// Options.MemLimit and spills sorted fingerprint runs and delta-encoded
-// frontier path segments to Options.StoreDir. State counts, verdicts
-// and counterexamples are identical across tiers. Options.Checkpoint
-// periodically snapshots a run into a directory that a later Run can
-// continue from with Options.Resume: the visited set, the counters,
+// Storage. Every engine's visited set and frontier come from the
+// internal/store layer. With no Options.MemLimit budget (the default)
+// they live in RAM; under one they spill sorted fingerprint runs and
+// delta-encoded frontier path segments to Options.StoreDir once the
+// budget is reached. State counts, verdicts and counterexamples are
+// identical under every budget. Options.Checkpoint periodically
+// snapshots a run into a directory that a later Run can continue from
+// with Options.Resume, under any budget: the visited set, the counters,
 // the engine's pending work as one path segment of store entries (the
 // breadth-first frontier, or the DFS stack one frame per entry) and the
 // steps of the first DFS back edge.
@@ -160,18 +160,17 @@ type Options struct {
 	StallAbort bool
 	// StallDir is where stall profiles land ("" = current directory).
 	StallDir string
-	// Store selects the state-storage tier: store.Mem (the default)
-	// keeps the visited set and frontier fully in RAM; store.Disk bounds
-	// RAM by MemLimit and spills fingerprint runs and frontier path
-	// segments to StoreDir. All engines run on either tier with
-	// identical state counts and verdicts.
+	// Store is ignored; it remains only because the explorebench module
+	// sets it (see store.Kind).
 	Store store.Kind
-	// StoreDir is the disk tier's scratch directory ("" = a fresh temp
-	// directory, removed when the run ends). Mem rejects it.
+	// StoreDir is the scratch directory of spilled fingerprint runs and
+	// frontier path segments under a MemLimit budget ("" = a fresh temp
+	// directory, removed when the run ends). Unused with no budget.
 	StoreDir string
-	// MemLimit is the disk tier's RAM ceiling (0 = store.DefaultMemLimit)
-	// for the visited set and the frontier. Mem rejects it: the in-RAM
-	// store has no spill ceiling.
+	// MemLimit is the RAM budget of the visited set and the frontier,
+	// half each: past it they spill to StoreDir. 0 means no ceiling:
+	// nothing spills and no directory is made. Every engine gives the
+	// same state counts and verdicts under every budget.
 	MemLimit store.Bytes
 	// Checkpoint, when non-empty, names a directory the engine
 	// atomically re-snapshots every CheckpointEvery discovered states
@@ -193,7 +192,7 @@ type Options struct {
 	// visited, resume and ckpt are the storage layer Run binds before
 	// dispatching to an engine.
 	st      *store.Store
-	visited store.VisitedSet
+	visited *store.Visited
 	resume  *store.Checkpoint
 	ckpt    *ckptState
 }

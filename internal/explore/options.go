@@ -8,10 +8,9 @@ import (
 	"anonshm/internal/store"
 )
 
-// This file is the option-validation and checkpoint plumbing behind
-// Run: which (store, feature) combinations are meaningful, how
-// a resume is matched against the checkpoint it came from, and the
-// shared periodic-checkpoint trigger the engines poll.
+// This file is the checkpoint plumbing behind Run: how a resume is
+// matched against the checkpoint it came from, and the shared
+// periodic-checkpoint trigger the engines poll.
 
 // ErrCanceled is returned (wrapped with partial results) when
 // Options.Cancel fires mid-search. If Options.Checkpoint is set, a
@@ -37,22 +36,6 @@ type CheckpointMismatchError struct {
 func (e *CheckpointMismatchError) Error() string {
 	return fmt.Sprintf("explore: resume: checkpoint records %s=%s but the run requests %s=%s",
 		e.Field, e.Checkpoint, e.Field, e.Requested)
-}
-
-// validateOptions rejects option combinations the storage tier cannot
-// honor.
-func validateOptions(opts *Options) error {
-	if opts.Store == store.Mem {
-		if opts.MemLimit != 0 {
-			return &UnsupportedOptionError{Store: "mem", Option: "MemLimit",
-				Hint: "the in-RAM store has no spill ceiling; use Store: store.Disk (-store disk)"}
-		}
-		if opts.StoreDir != "" {
-			return &UnsupportedOptionError{Store: "mem", Option: "StoreDir",
-				Hint: "the in-RAM store writes nothing; use Store: store.Disk (-store disk)"}
-		}
-	}
-	return nil
 }
 
 // validateResume matches a loaded checkpoint's metadata against the
@@ -102,7 +85,7 @@ func (c *ckptState) due(states int64) bool {
 // write checkpoints the visited set, the engine's pending entries (the
 // breadth-first frontier or the depth-first stack) and res's counters,
 // which resumedResult reads back.
-func (c *ckptState) write(res Result, v store.VisitedSet, pending []store.Entry) error {
+func (c *ckptState) write(res Result, v *store.Visited, pending []store.Entry) error {
 	meta := c.id
 	meta.States = int64(res.States)
 	meta.Edges = int64(res.Edges)

@@ -23,13 +23,13 @@ import (
 // shards. Only seeding and a resume push into a
 // cur, both before a round starts, so a cur never grows during a round
 // and a worker that finds every cur empty has reached the end of the
-// level. The visited set comes from the store layer: on the mem tier a
-// sharded open-addressing fingerprint table whose readers probe with
-// atomic loads and never take a lock, on the disk tier a hot table
-// plus sorted runs behind an internal mutex. Deduplication therefore
-// does not serialize the workers on the mem tier — the only shared
-// mutable state on the hot path is the table's atomic slots, the
-// shards' locks and a handful of counters.
+// level. The visited set comes from the store layer: a sharded
+// open-addressing fingerprint table whose hits probe with atomic loads
+// and never take a lock, with or without a budget; only a miss takes
+// its shard's lock, and a flush to disk all of them. Deduplication
+// therefore does not serialize the workers — the only shared mutable
+// state on the hot path is the table's atomic slots, the shards' locks
+// and a handful of counters.
 //
 // Rounds. runParallel is the coordinator. It starts one round per level:
 // every worker expands until it finds nothing to pop and then returns,
@@ -56,7 +56,7 @@ import (
 // successors go to the frontier, which owns them until they are popped.
 //
 // Provenance. Every entry carries its discovery path (store.PathNode),
-// which the disk tier spills and checkpoints write. The path is also
+// which a spilling frontier and checkpoints write. The path is also
 // the entry's trace: the first invariant violation records the
 // violating state's path, and after the workers have joined the
 // coordinator replays it from the root into the counterexample trace
@@ -109,7 +109,7 @@ type parRun struct {
 	opts    Options
 	root    *machine.System // traces replay from it
 	workers []parWorker
-	visited store.VisitedSet
+	visited *store.Visited
 
 	states    atomic.Int64
 	edges     atomic.Int64

@@ -39,10 +39,9 @@ type Stats struct {
 	// skewed distribution means the workers did not share the levels
 	// evenly.
 	WorkerSteps []int64
-	// StoreKind names the storage tier the run used ("mem", "disk").
-	StoreKind string
 	// Store counts the storage layer's work: spills, compactions, path
-	// replays, checkpoints and disk bytes. All zero on the mem tier.
+	// replays, checkpoints and disk bytes. Spills, compactions and disk
+	// bytes stay zero with no Options.MemLimit budget.
 	Store store.Stats
 }
 
@@ -86,9 +85,6 @@ func (s *Stats) Merge(o Stats) {
 	}
 	for i, n := range o.WorkerSteps {
 		s.WorkerSteps[i] += n
-	}
-	if s.StoreKind == "" {
-		s.StoreKind = o.StoreKind
 	}
 	s.Store.Spills += o.Store.Spills
 	s.Store.Compactions += o.Store.Compactions

@@ -17,30 +17,51 @@ import (
 	"anonshm/internal/store"
 )
 
-// These tests pin the out-of-core story end to end: the disk tier must
-// be observationally identical to the historical in-RAM search (same
-// counters, same verdicts, on every engine and symmetry level), and a
-// run killed mid-search must resume from its checkpoint to the exact
-// totals an uninterrupted run produces.
+// These tests pin the out-of-core story end to end: a run under a RAM
+// budget that spills must be observationally identical to the in-RAM
+// search with no budget (same counters, same verdicts, on every engine
+// and symmetry level), and a run killed mid-search must resume from its
+// checkpoint to the exact totals an uninterrupted run produces, under
+// any budget.
 
-// tinyMemLimit forces the disk tier to actually spill on the small test
-// systems (the hot table floors at store's minimum, well under these
-// state counts).
+// tinyMemLimit is a budget under which the visited table and the
+// frontier actually spill on the small test systems: the table flushes
+// at 2,048 fingerprints, its floor, and a frontier shard spills past
+// 128 entries.
 const tinyMemLimit = store.Bytes(1 << 16)
 
-// diskOpts returns opts switched to the disk tier with a tiny ceiling.
-func diskOpts(t *testing.T, opts Options) Options {
+// budgets are the budgets the kill/resume tests run under, named for
+// where the run's state ends up: all in RAM with no budget, or partly
+// on disk under tinyMemLimit.
+var budgets = []struct {
+	name  string
+	limit store.Bytes
+}{{"mem", 0}, {"disk", tinyMemLimit}}
+
+// withBudget returns opts under the budget limit (0 = none), spilling
+// into a test directory.
+func withBudget(t *testing.T, opts Options, limit store.Bytes) Options {
 	t.Helper()
-	opts.Store = store.Disk
-	opts.StoreDir = t.TempDir()
-	opts.MemLimit = tinyMemLimit
+	opts.MemLimit = limit
+	if limit > 0 {
+		opts.StoreDir = t.TempDir()
+	}
 	return opts
 }
 
+// spillBudgets are the budgets the store-equivalence tests compare with
+// no budget, each with the visited fingerprint count at which it
+// flushes: a run past that many states must have spilled, or the
+// budget was never exercised.
+var spillBudgets = []struct {
+	limit   store.Bytes
+	flushAt int
+}{{1 << 20, 16384}, {tinyMemLimit, 2048}}
+
 // TestDiskMatchesMem is the store-equivalence test: on every small
-// system and every engine configuration, the disk tier under a
-// spill-forcing memory ceiling must report exactly the counters of the
-// in-RAM store.
+// system and every engine configuration, a run under each of
+// spillBudgets must report exactly the counters of the run with no
+// budget.
 func TestDiskMatchesMem(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		c := c
@@ -49,24 +70,20 @@ func TestDiskMatchesMem(t *testing.T) {
 				mopts := ec.on(c.opts)
 				ref, err := Run(c.sys.Clone(), mopts)
 				if err != nil {
-					t.Fatalf("%s mem: %v", ec.name, err)
+					t.Fatalf("%s with no budget: %v", ec.name, err)
 				}
-				got, err := Run(c.sys.Clone(), diskOpts(t, mopts))
-				if err != nil {
-					t.Fatalf("%s disk: %v", ec.name, err)
-				}
-				if keyOf(got) != keyOf(ref) {
-					t.Errorf("%s: disk %+v, mem %+v", ec.name, keyOf(got), keyOf(ref))
-				}
-				if got.Stats.StoreKind != "disk" {
-					t.Errorf("%s: StoreKind = %q, want disk", ec.name, got.Stats.StoreKind)
-				}
-				// The hot table floors at 4096 slots and flushes at
-				// half-full, so any run past that many states must have
-				// spilled — otherwise the ceiling was never exercised.
-				if got.States >= 4096 && got.Stats.Store.Spills == 0 {
-					t.Errorf("%s: ceiling %d never spilled (states=%d); equivalence untested",
-						ec.name, tinyMemLimit, got.States)
+				for _, b := range spillBudgets {
+					got, err := Run(c.sys.Clone(), withBudget(t, mopts, b.limit))
+					if err != nil {
+						t.Fatalf("%s under %v: %v", ec.name, b.limit, err)
+					}
+					if keyOf(got) != keyOf(ref) {
+						t.Errorf("%s: under %v %+v, with no budget %+v", ec.name, b.limit, keyOf(got), keyOf(ref))
+					}
+					if got.States >= b.flushAt && got.Stats.Store.Spills == 0 {
+						t.Errorf("%s: budget %v never spilled (states=%d); equivalence untested",
+							ec.name, b.limit, got.States)
+					}
 				}
 			}
 		})
@@ -76,7 +93,7 @@ func TestDiskMatchesMem(t *testing.T) {
 // TestDiskMatchesMemUnderSymmetry repeats the store-equivalence check on
 // every symmetry level: canonical fingerprints flow through the same
 // spill/merge path as exact ones, and the reduced counts must agree
-// between tiers on every engine configuration.
+// under every budget on every engine configuration.
 func TestDiskMatchesMemUnderSymmetry(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "a"}, Nondet: true})
 	if err != nil {
@@ -87,14 +104,16 @@ func TestDiskMatchesMemUnderSymmetry(t *testing.T) {
 			mopts := ec.on(Options{Canonicalizer: sym.Canonicalizer()})
 			ref, err := Run(sys.Clone(), mopts)
 			if err != nil {
-				t.Fatalf("%s/%v mem: %v", ec.name, sym, err)
+				t.Fatalf("%s/%v with no budget: %v", ec.name, sym, err)
 			}
-			got, err := Run(sys.Clone(), diskOpts(t, mopts))
-			if err != nil {
-				t.Fatalf("%s/%v disk: %v", ec.name, sym, err)
-			}
-			if keyOf(got) != keyOf(ref) {
-				t.Errorf("%s/%v: disk %+v, mem %+v", ec.name, sym, keyOf(got), keyOf(ref))
+			for _, b := range spillBudgets {
+				got, err := Run(sys.Clone(), withBudget(t, mopts, b.limit))
+				if err != nil {
+					t.Fatalf("%s/%v under %v: %v", ec.name, sym, b.limit, err)
+				}
+				if keyOf(got) != keyOf(ref) {
+					t.Errorf("%s/%v: under %v %+v, with no budget %+v", ec.name, sym, b.limit, keyOf(got), keyOf(ref))
+				}
 			}
 		}
 	}
@@ -118,8 +137,8 @@ func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 	}
 }
 
-// TestKillAndResume hard-cancels every engine configuration on both
-// tiers at several points of the run — right after the root, and a
+// TestKillAndResume hard-cancels every engine configuration under each
+// of budgets at several points of the run — right after the root, and a
 // quarter, half and three quarters of the way — then resumes from the
 // checkpoint and demands the exact totals of an uninterrupted run. A
 // periodic checkpoint every 200 states (about 50 a run) ends
@@ -127,17 +146,14 @@ func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 // repetitions of the whole test still fit go test's default 10-minute
 // timeout.
 func TestKillAndResume(t *testing.T) {
-	for _, kind := range []store.Kind{store.Mem, store.Disk} {
+	for _, b := range budgets {
 		for _, ec := range engineConfigs(4) {
-			t.Run(kind.String()+"/"+ec.name, func(t *testing.T) {
+			t.Run(b.name+"/"+ec.name, func(t *testing.T) {
 				sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := ec.on(Options{})
-				if kind == store.Disk {
-					opts = diskOpts(t, opts)
-				}
+				opts := withBudget(t, ec.on(Options{}), b.limit)
 				ref, err := Run(sys.Clone(), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -204,8 +220,8 @@ func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *ma
 // until it completes, and demands the uninterrupted run's totals and
 // dedup counters. Periodic checkpoints also end breadth-first rounds
 // mid-level between the cancels. It covers DFS and the breadth-first
-// engine at 1 and at 3 workers, both tiers (disk under tinyMemLimit)
-// and every symmetry level, on the N=2 same-input snapshot system,
+// engine at 1 and at 3 workers, no budget and tinyMemLimit, and every
+// symmetry level, on the N=2 same-input snapshot system,
 // whose 1,364 states (700 under either reduction) lie in 23 levels,
 // with two cancel sources:
 //
@@ -222,10 +238,13 @@ func cancelEverySucc(n int) (<-chan struct{}, func(uint64, machine.StepInfo, *ma
 // k is 10. -short, which make race and CI's repeated step use, sets it
 // to 40.
 //
-// On each tier one more breadth-first input, without symmetry, changes
-// the worker count at every resume, cycling through 1, 3 and 2: a
-// checkpoint does not record the worker count, and a resume deals the
-// frontier over however many workers it runs.
+// Under each budget one more breadth-first input, without symmetry,
+// changes the worker count at every resume, cycling through 1, 3 and 2:
+// a checkpoint does not record the worker count, and a resume deals the
+// frontier over however many workers it runs. Another changes the
+// budget at every resume, cycling through none, tinyMemLimit and 1 MiB:
+// a checkpoint does not record the budget either, and a resume loads
+// the checkpointed set into a table sized by its own budget.
 //
 // One more DFS input checks that a cycle verdict and its trace survive
 // every cut point: the blocking baseline at N=2 with one crash, whose 59
@@ -241,18 +260,26 @@ func TestKillResumeEveryK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []store.Kind{store.Mem, store.Disk} {
+	for _, b := range budgets {
 		for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
 			for _, ec := range engineConfigs(3) {
-				t.Run(fmt.Sprintf("%v/%v/%s", kind, sym, ec.name), func(t *testing.T) {
-					killResumeSources(t, sys, ec.on(Options{Canonicalizer: sym.Canonicalizer()}), kind, k, nil)
+				t.Run(fmt.Sprintf("%s/%v/%s", b.name, sym, ec.name), func(t *testing.T) {
+					opts := withBudget(t, ec.on(Options{Canonicalizer: sym.Canonicalizer()}), b.limit)
+					killResumeSources(t, sys, opts, k, nil)
 				})
 			}
 		}
-		t.Run(fmt.Sprintf("%v/none/bfs-workers-1-3-2", kind), func(t *testing.T) {
-			killResumeSources(t, sys, Options{Engine: BFSEngine}, kind, k, []int{1, 3, 2})
+		t.Run(b.name+"/none/bfs-workers-1-3-2", func(t *testing.T) {
+			workers := []int{1, 3, 2}
+			killResumeSources(t, sys, withBudget(t, Options{Engine: BFSEngine}, b.limit), k,
+				func(o *Options, run int) { o.Workers = workers[run%len(workers)] })
 		})
 	}
+	t.Run("budgets-0-64KiB-1MiB/none/bfs", func(t *testing.T) {
+		limits := []store.Bytes{0, tinyMemLimit, 1 << 20}
+		killResumeSources(t, sys, Options{Engine: BFSEngine}, k,
+			func(o *Options, run int) { o.MemLimit = limits[run%len(limits)] })
+	})
 	t.Run("blocking-cycle/dfs", func(t *testing.T) {
 		blocking := blockingSystem(t, 2)
 		opts := Options{Engine: DFSEngine, MaxCrashes: 1}
@@ -271,20 +298,17 @@ func TestKillResumeEveryK(t *testing.T) {
 	})
 }
 
-// killResumeSources runs killResumeEveryK on opts, on the tier kind, with
-// each of TestKillResumeEveryK's two cancel sources.
-func killResumeSources(t *testing.T, sys *machine.System, opts Options, kind store.Kind, k int, workers []int) {
-	if kind == store.Disk {
-		opts = diskOpts(t, opts)
-	}
+// killResumeSources runs killResumeEveryK on opts with each of
+// TestKillResumeEveryK's two cancel sources.
+func killResumeSources(t *testing.T, sys *machine.System, opts Options, k int, vary func(*Options, int)) {
 	t.Run("states", func(t *testing.T) {
-		killResumeEveryK(t, sys, opts, k, 7, false, workers)
+		killResumeEveryK(t, sys, opts, k, 7, false, vary)
 	})
 	t.Run("successors", func(t *testing.T) {
 		opts := opts
 		opts.MaxCrashes = 1
 		_, opts.Aux = cancelEverySucc(1) // the identity Aux on the reference run too
-		killResumeEveryK(t, sys, opts, 4*k, 4*k*7/10, true, workers)
+		killResumeEveryK(t, sys, opts, 4*k, 4*k*7/10, true, vary)
 	})
 }
 
@@ -292,12 +316,12 @@ func killResumeSources(t *testing.T, sys *machine.System, opts Options, kind sto
 // checkpoint every `every` states and a cancel after every k-th
 // discovered state, or with bySucc after every k-th generated
 // successor, resuming after every cancel, and compares the two: totals,
-// dedup counters and, when DFS finds a cycle, its trace. A non-empty
-// workers gives the worker count of each run in turn, the first run and
-// then each resume, cycling. It demands at least one cancel per 2k
+// dedup counters and, when DFS finds a cycle, its trace. A non-nil vary
+// changes the options of each run in turn, the first run (0) and then
+// each resume. It demands at least one cancel per 2k
 // events; on DFS, the successor cancels must also leave at least one
 // checkpoint whose top frame is partly expanded.
-func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every int, bySucc bool, workers []int) {
+func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every int, bySucc bool, vary func(*Options, int)) {
 	t.Helper()
 	ref, err := Run(sys.Clone(), opts)
 	if err != nil {
@@ -311,8 +335,8 @@ func killResumeEveryK(t *testing.T, sys *machine.System, opts Options, k, every 
 	run.Checkpoint, run.CheckpointEvery, run.ProgressEvery = dir, every, 1
 	kills, midExpansion := 0, 0
 	for {
-		if len(workers) > 0 {
-			run.Workers = workers[kills%len(workers)]
+		if vary != nil {
+			vary(&run, kills)
 		}
 		if bySucc {
 			run.Cancel, run.Aux = cancelEverySucc(k)
@@ -516,39 +540,6 @@ func TestSweepKillAndResume(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestOptionsValidation is the table of option combinations the
-// storage tier cannot honor; each must be rejected up front with an
-// *UnsupportedOptionError naming the offender.
-func TestOptionsValidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		opts   Options
-		option string
-	}{
-		{"mem+MemLimit", Options{MemLimit: 1 << 20}, "MemLimit"},
-		{"mem+StoreDir", Options{StoreDir: "/tmp/x"}, "StoreDir"},
-	}
-	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(sys.Clone(), tc.opts)
-			var ue *UnsupportedOptionError
-			if !errors.As(err, &ue) {
-				t.Fatalf("err = %v, want *UnsupportedOptionError", err)
-			}
-			if ue.Option != tc.option {
-				t.Errorf("rejected option %q, want %q", ue.Option, tc.option)
-			}
-			if ue.Hint == "" {
-				t.Error("rejection carries no hint")
-			}
-		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"anonshm/internal/canon"
 	"anonshm/internal/obs/span"
-	"anonshm/internal/store"
 )
 
 // TestTracedSweepSchema is the tentpole acceptance check: a traced N=2
@@ -90,8 +89,7 @@ func TestTracedSweepSchema(t *testing.T) {
 	}
 }
 
-// TestTracedDiskRunRecordsStorePhases drives the disk tier under a tiny
-// memory ceiling so spills, segment traffic and path replays all happen,
+// TestTracedDiskRunRecordsStorePhases runs under a tiny budget so spills, segment traffic and path replays all happen,
 // and verifies they surface as store.* span categories.
 func TestTracedDiskRunRecordsStorePhases(t *testing.T) {
 	tr := span.Collect()
@@ -100,7 +98,6 @@ func TestTracedDiskRunRecordsStorePhases(t *testing.T) {
 		Nondet: true,
 		Options: Options{
 			Engine:   BFSEngine,
-			Store:    store.Disk,
 			MemLimit: 1 << 10, // force the hot table and frontier to spill
 			Trace:    tr,
 		},

@@ -1,7 +1,7 @@
 // Package ledger is the persistent run history of the anonshm binaries:
 // one JSONL file (default .anonledger/runs.jsonl, overridable with
 // -ledger FILE) that every -ledger-enabled run appends one entry to —
-// its configuration (engine, symmetry, store tier, crash budget,
+// its configuration (engine, symmetry, memory budget, crash budget,
 // wirings), the explored-state totals from Result.Stats, wall time, and
 // the per-phase timing breakdown from span tracing. `cmd/figures
 // -trend` reads the ledger (plus the committed BENCH_*.json history)
@@ -44,7 +44,7 @@ type Entry struct {
 	// Check names what ran ("safety", "waitfree", "consensus", ...).
 	Check string `json:"check,omitempty"`
 	// Config holds the run parameters that define comparability:
-	// engine, symmetry, store, mem, crashes, inputs, nondet, wirings.
+	// engine, symmetry, mem, crashes, inputs, nondet, wirings.
 	Config map[string]any `json:"config,omitempty"`
 	// Wirings is how many wirings the sweep covered.
 	Wirings int `json:"wirings,omitempty"`
@@ -182,7 +182,7 @@ func FromReport(rep *obs.Report) (Entry, bool) {
 // explored and are ignored.
 var configFlags = map[string]bool{
 	"check": true, "inputs": true, "engine": true, "workers": true,
-	"symmetry": true, "store": true, "mem": true, "crashes": true,
+	"symmetry": true, "mem": true, "crashes": true,
 	"nondet": true, "wirings": true, "registers": true, "depth": true,
 	"max-states": true, "algo": true, "sched": true, "wiring": true,
 	"seed": true, "steps": true,

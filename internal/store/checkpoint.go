@@ -82,7 +82,7 @@ type Checkpoint struct {
 // WriteCheckpoint atomically replaces dir with a checkpoint of v and
 // the engine's pending entries (each carrying its Path). The caller
 // fills every Meta field but the version.
-func WriteCheckpoint(dir string, meta Meta, v VisitedSet, pending []Entry) error {
+func WriteCheckpoint(dir string, meta Meta, v *Visited, pending []Entry) error {
 	meta.Version = MetaVersion
 	tmp := dir + ".tmp"
 	if err := os.RemoveAll(tmp); err != nil {
@@ -131,7 +131,7 @@ func LoadCheckpoint(dir string) (*Checkpoint, error) {
 }
 
 // LoadVisited fills v with the checkpoint's visited set.
-func (c *Checkpoint) LoadVisited(v VisitedSet) error {
+func (c *Checkpoint) LoadVisited(v *Visited) error {
 	return v.LoadFPFile(filepath.Join(c.Dir, visitedName))
 }
 

@@ -9,31 +9,15 @@ import (
 	"testing"
 )
 
-// newSmallDisk builds a disk visited set with a tiny hot table so spills
-// and compactions actually happen in tests.
-func newSmallDisk(t *testing.T) (*Store, *diskVisited) {
-	t.Helper()
-	st, err := Open(Config{Kind: Disk, Dir: t.TempDir(), MemLimit: 1 << 17, Root: testRoot(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	v, err := st.NewVisited(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv, ok := v.(*diskVisited)
-	if !ok {
-		t.Fatalf("disk store built a %T", v)
-	}
-	return st, dv
-}
+// smallBudget is small enough that spills and compactions actually
+// happen in the tests below.
+const smallBudget = 1 << 17
 
 // TestDiskVisitedAgainstReference drives enough inserts through a tiny
 // hot table to force many spills and at least one compaction, checking
 // every answer against an in-RAM reference map.
 func TestDiskVisitedAgainstReference(t *testing.T) {
-	st, v := newSmallDisk(t)
+	st, v := openVisited(t, smallBudget)
 	defer v.Close()
 	ref := map[uint64]bool{}
 	fp := uint64(0x1234567890abcdef)
@@ -101,7 +85,7 @@ func TestDiskVisitedAgainstReference(t *testing.T) {
 }
 
 func TestDiskVisitedCloseRemovesRuns(t *testing.T) {
-	st, v := newSmallDisk(t)
+	st, v := openVisited(t, smallBudget)
 	fp := uint64(0xbeef)
 	for i := 0; i < 120_000; i++ {
 		fp = xorshift(fp)
@@ -206,7 +190,8 @@ func TestFileFormatRefused(t *testing.T) {
 		if err := os.WriteFile(path, c.blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := newMemTable(1).LoadFPFile(path); err == nil || !strings.Contains(err.Error(), c.want) {
+		_, v := openVisited(t, 0)
+		if err := v.LoadFPFile(path); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: LoadFPFile err = %v, want one saying %q", c.name, err, c.want)
 		}
 	}
@@ -217,7 +202,7 @@ func TestFileFormatRefused(t *testing.T) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	v := newMemTable(1)
+	_, v := openVisited(t, 0)
 	for i := uint64(1); i <= 1000; i++ {
 		if _, _, err := v.Insert(i*2654435761, int32(i%17)); err != nil {
 			t.Fatal(err)
@@ -248,7 +233,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		ck.Meta.InitFP != "00ff" || ck.Meta.Version != MetaVersion {
 		t.Fatalf("meta round trip: %+v", ck.Meta)
 	}
-	nv := newMemTable(1)
+	_, nv := openVisited(t, 0)
 	if err := ck.LoadVisited(nv); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Fingerprint run files: the on-disk visited-set format, shared by the
-// disk tier's spill runs and by checkpoints. A run is a sorted sequence
+// visited set's spill runs and by checkpoints. A run is a sorted sequence
 // of fixed-width fingerprints behind a small header, so membership
 // probes can binary-search a block and merges can stream.
 //

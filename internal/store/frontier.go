@@ -7,11 +7,11 @@ import (
 
 // Frontier is one shard of the breadth-first work queue: a head batch
 // and a tail batch in RAM with a FIFO chain of spilled segments between
-// them. Pushes land on the tail; on the disk tier, when the in-RAM
-// entry count crosses the shard's budget, the oldest half of the tail
-// is written out as one segment (dropping the live states — their paths
-// suffice). The mem tier's budget is unbounded, so its shards never
-// spill. Pops drain the head, then reload the oldest segment, then fall
+// them. Pushes land on the tail; when the in-RAM entry count crosses
+// the shard's share of the budget, the oldest half of the tail is
+// written out as one segment (dropping the live states — their paths
+// suffice). With no budget the share is unbounded, so the shard never
+// spills. Pops drain the head, then reload the oldest segment, then fall
 // through to the tail, so the global service order is exactly the
 // in-RAM order — the engine explores the same sequence whether or not
 // anything spilled. All methods are safe for concurrent use: the
@@ -35,18 +35,17 @@ type segRef struct {
 	bytes int64
 }
 
-// diskEntryEstimate is the assumed RAM cost of one in-RAM frontier
+// entryRAMEstimate is the assumed RAM cost of one in-RAM frontier
 // entry (system clone + path nodes + slack), used to turn the byte
 // budget into an entry budget.
-const diskEntryEstimate = 512
+const entryRAMEstimate = 512
 
 // minFrontierRAM floors the in-RAM entry budget: spilling pays only in
 // batches.
 const minFrontierRAM = 128
 
-// Push appends e. On the disk tier it may spill a batch of entries to a
-// segment file, dropping their Sys, so there every entry must carry its
-// Path.
+// Push appends e. Under a budget it may spill a batch of entries to a
+// segment file, dropping their Sys, so every entry must carry its Path.
 func (d *Frontier) Push(e Entry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -58,8 +58,8 @@ func (s Step) Apply(sys *machine.System) (machine.StepInfo, error) {
 // the discovery tree) nodes, not O(entries × d). The garbage collector
 // reclaims prefixes as soon as no live entry (in RAM) references them;
 // spilled segments encode the steps by value and drop the chain. The
-// path is the state's provenance: what the disk tier replays, what a
-// checkpoint writes, and what the explorer replays into a
+// path is the state's provenance: what a spilling frontier replays,
+// what a checkpoint writes, and what the explorer replays into a
 // counterexample trace.
 type PathNode struct {
 	// Parent is the discovering state's node (nil at the root).

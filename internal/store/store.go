@@ -1,42 +1,42 @@
 // Package store is the state-storage layer behind the explorer
 // engines: the visited set (fingerprint membership with
 // insert-if-absent) and the frontier (the discovered-but-unexpanded
-// work queue of the breadth-first engine). Every engine runs either
-// fully in RAM (Mem) or out-of-core (Disk) when the state space exceeds
-// memory; both tiers give the same counts. The visited set holds
-// fingerprints only, in one table per tier: a sharded open-addressing
-// table on the mem tier, the hot table and sorted runs below on the
-// disk tier. The frontier is one type on both tiers; only the disk tier
-// gives it a RAM ceiling.
+// work queue of the breadth-first engine). One dial sizes both:
+// Config.MemLimit, a RAM budget. With no budget (0) the visited set and
+// the frontier live in RAM and grow as needed, and the store writes no
+// file. Under a budget they spill to disk when it is reached, and every
+// budget gives the same counts. The visited set holds fingerprints
+// only, in one table: a sharded open-addressing hot table over sorted
+// runs that only a budget ever writes.
 //
-// The disk tier follows the Mace/DiVinE school of external-memory model
+// Spilling follows the Mace/DiVinE school of external-memory model
 // checking, adapted to states that cannot be serialized (machines are
 // live Go objects behind interfaces):
 //
-//   - The visited set keeps a bounded in-RAM hot table of recently
-//     inserted fingerprints; when it fills, the fingerprints are sorted
-//     and flushed as a compact append-only run file. Each run carries a
-//     small in-RAM sparse index (one fingerprint per 4KiB block of 512
-//     fingerprints) and a bloom filter, so membership probes cost at
-//     most one block read per run, and runs are k-way merged into one
-//     when their number grows (compaction).
-//   - The frontier spills, on this tier only, by *path*, not by state:
-//     every entry carries the step sequence that produced it from the
-//     initial state (a shared-structure linked list, so sibling entries
-//     share their ancestor prefix), and spilled segments store those
-//     paths delta-encoded against the previous entry. Popping a spilled
-//     entry replays its path from the root — O(depth) steps, the price
-//     of not holding the state in RAM.
+//   - The visited set's hot table holds recently inserted
+//     fingerprints; when it reaches its budgeted size, the fingerprints
+//     are sorted and flushed as a compact append-only run file. Each run
+//     carries a small in-RAM sparse index (one fingerprint per 4KiB
+//     block of 512 fingerprints) and a bloom filter, so membership
+//     probes cost at most one block read per run, and runs are k-way
+//     merged into one when their number grows (compaction).
+//   - The frontier spills by *path*, not by state: every entry carries
+//     the step sequence that produced it from the initial state (a
+//     shared-structure linked list, so sibling entries share their
+//     ancestor prefix), and spilled segments store those paths
+//     delta-encoded against the previous entry. Popping a spilled entry
+//     replays its path from the root — O(depth) steps, the price of not
+//     holding the state in RAM.
 //   - Checkpoints snapshot the visited set (one sorted fingerprint run),
 //     the engine's pending work as one path segment (the breadth-first
 //     frontier, or the depth-first stack with one entry per frame) and
 //     the engine counters into a directory that a later run can resume
-//     from.
+//     from, under any budget.
 //
-// On both tiers the discovery path is a state's one provenance record:
-// the explorer replays it into counterexample traces, so a trace needs
-// no RAM beyond the paths the pending entries already hold, and a
-// resumed run rebuilds the same trace.
+// The discovery path is a state's one provenance record: the explorer
+// replays it into counterexample traces, so a trace needs no RAM beyond
+// the paths the pending entries already hold, and a resumed run
+// rebuilds the same trace.
 //
 // Everything in this package is deterministic: no wall-clock reads, no
 // global randomness, and every table is sorted before it is written, so
@@ -58,43 +58,16 @@ import (
 	"anonshm/internal/obs/span"
 )
 
-// Kind selects the storage tier. The zero value is Mem.
+// Kind and its values Mem and Disk are ignored: Config.MemLimit alone
+// decides whether anything spills. They remain only because the
+// explorebench module sets Config.Kind and explore.Options.Store.
 type Kind uint8
 
+// The Kind values the explorebench module sets.
 const (
-	// Mem keeps the visited set and frontier fully in RAM, bounded only
-	// by memory.
 	Mem Kind = iota
-	// Disk bounds RAM use by Config.MemLimit and spills the visited set
-	// (sorted fingerprint runs) and frontier (delta-encoded path
-	// segments) to Config.Dir.
 	Disk
 )
-
-// String implements flag.Value.
-func (k Kind) String() string {
-	switch k {
-	case Mem:
-		return "mem"
-	case Disk:
-		return "disk"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Set implements flag.Value, so cmd binaries register -store directly.
-func (k *Kind) Set(s string) error {
-	switch s {
-	case "", "mem":
-		*k = Mem
-	case "disk":
-		*k = Disk
-	default:
-		return fmt.Errorf("store: unknown store kind %q (want mem or disk)", s)
-	}
-	return nil
-}
 
 // Bytes is a byte count that parses human-readable sizes ("64MiB",
 // "1GiB", "4096") as a flag.Value.
@@ -146,9 +119,6 @@ func (b *Bytes) Set(s string) error {
 	return nil
 }
 
-// DefaultMemLimit is the disk tier's RAM ceiling when none is given.
-const DefaultMemLimit = Bytes(256 << 20)
-
 // Order selects a frontier's service discipline. FIFO is the only one:
 // the breadth-first engine is the only frontier user, and the
 // depth-first engine keeps its own stack.
@@ -159,24 +129,24 @@ const FIFO Order = 0
 
 // Config configures one Store.
 type Config struct {
-	// Kind selects the tier (Mem by default).
+	// Kind is ignored; see Kind.
 	Kind Kind
-	// Dir is the disk tier's scratch directory. Empty means a fresh
-	// os.MkdirTemp directory, removed on Close.
+	// Dir is the scratch directory for visited runs and frontier
+	// segments under a budget. Empty means a fresh os.MkdirTemp
+	// directory, removed on Close. Without a budget nothing is written
+	// and Dir is unused.
 	Dir string
-	// MemLimit is the disk tier's RAM ceiling for the visited hot table
-	// and in-RAM frontier segments (0 = DefaultMemLimit). The mem tier
-	// rejects it — that is the caller's validation job (the explorer
-	// reports an UnsupportedOptionError).
+	// MemLimit is the RAM budget of the visited hot table and the
+	// in-RAM frontier entries, half each; past it both spill to Dir. 0
+	// means no ceiling: nothing spills and no directory is made.
 	MemLimit Bytes
-	// Root is the initial system; the disk tier replays spilled frontier
-	// paths from it. Required for Disk and for checkpoint resume.
+	// Root is the initial system; the frontier replays the paths of
+	// spilled and checkpoint-restored entries from it.
 	Root *machine.System
 	// Workers is the breadth-first engine's worker count; 0 means 1.
 	// Each worker holds two frontier shards (its part of the level being
-	// expanded and of the next), so the disk tier splits the frontier
-	// half of MemLimit into 2·Workers shares, and the mem tier sizes its
-	// visited table's shards by it.
+	// expanded and of the next), so a budget splits its frontier half
+	// into 2·Workers shares, and the visited table is sharded by it.
 	Workers int
 	// Trace, when non-nil, records the store's I/O phases as spans:
 	// visited spills and compactions, frontier segment spills/loads, and
@@ -189,8 +159,8 @@ type Config struct {
 // one frame of the depth-first stack.
 type Entry struct {
 	// Sys is the live state. Nil for entries decoded from a spilled
-	// segment or checkpoint, on either tier; Frontier.Pop replays Path
-	// from the root to rebuild it before returning the entry.
+	// segment or a checkpoint; Frontier.Pop replays Path from the root
+	// to rebuild it before returning the entry.
 	Sys *machine.System
 	// Aux is the engine's 64-bit auxiliary state for this entry.
 	Aux uint64
@@ -206,30 +176,9 @@ type Entry struct {
 	// Path is the reversed step list that produced this state from the
 	// root, shared structurally with sibling entries: the entry's
 	// provenance. Every entry an engine hands the store carries it (nil
-	// only at the root): the disk tier's frontier spills it, checkpoints
-	// write it, and the explorer replays it into a counterexample trace.
+	// only at the root): the frontier spills it, checkpoints write it,
+	// and the explorer replays it into a counterexample trace.
 	Path *PathNode
-}
-
-// VisitedSet is fingerprint membership with insert-if-absent. It holds
-// fingerprints only: engines track their own depths. Both tiers' sets
-// are safe for concurrent use.
-type VisitedSet interface {
-	// Insert records fp; fresh reports that it was absent. err is I/O
-	// failure in the disk tier (the mem tier never fails). depth is
-	// ignored and improved is always false: both remain only because
-	// the explorebench module calls Insert with this signature.
-	Insert(fp uint64, depth int32) (fresh, improved bool, err error)
-	// Len returns the number of distinct fingerprints inserted.
-	Len() int64
-	// WriteFPFile writes the set as one sorted fingerprint run at path
-	// (the checkpoint format, loadable by LoadFPFile).
-	WriteFPFile(path string) error
-	// LoadFPFile replaces the set's contents with a run previously
-	// written by WriteFPFile.
-	LoadFPFile(path string) error
-	// Close releases any resources (disk runs).
-	Close() error
 }
 
 // Stats counts the storage layer's work. All fields are cumulative for
@@ -286,45 +235,37 @@ func (s *stats) snapshot() Stats {
 // counters.
 type Store struct {
 	cfg     Config
-	dir     string // resolved scratch dir (disk tier)
+	dir     string // resolved scratch dir (under a budget)
 	ownDir  bool   // we created it; Close removes it
 	stats   *stats
 	nextSeg atomic.Int64 // segment file sequence, store-wide
 }
 
-// Open validates cfg and prepares the store. The disk tier creates (or
-// adopts) its scratch directory; Close removes it only if Open created
-// it.
+// Open prepares the store. Under a budget it creates (or adopts) its
+// scratch directory; Close removes it only if Open created it. With no
+// budget it touches no file.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	s := &Store{cfg: cfg, stats: &stats{}}
-	if cfg.Kind == Disk {
-		if cfg.Root == nil {
-			return nil, fmt.Errorf("store: disk tier needs Config.Root for path replay")
+	if cfg.MemLimit <= 0 {
+		return s, nil
+	}
+	if cfg.Dir == "" {
+		dir, err := os.MkdirTemp("", "anonshm-store-*")
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
-		if cfg.MemLimit <= 0 {
-			s.cfg.MemLimit = DefaultMemLimit
+		s.dir, s.ownDir = dir, true
+	} else {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
-		if cfg.Dir == "" {
-			dir, err := os.MkdirTemp("", "anonshm-store-*")
-			if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			s.dir, s.ownDir = dir, true
-		} else {
-			if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			s.dir = cfg.Dir
-		}
+		s.dir = cfg.Dir
 	}
 	return s, nil
 }
-
-// Kind returns the store's tier.
-func (s *Store) Kind() Kind { return s.cfg.Kind }
 
 // Snapshot returns the current storage counters.
 func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
@@ -332,43 +273,32 @@ func (s *Store) Snapshot() Stats { return s.stats.snapshot() }
 // AddCheckpoint counts one written checkpoint.
 func (s *Store) AddCheckpoint() { s.stats.checkpoints.Add(1) }
 
-// NewVisited builds the visited set: the sharded open-addressing table
-// on the mem tier, the hot table and runs on the disk tier. Both serve
-// any number of workers, so the argument is ignored; it remains only
-// because the explorebench module calls NewVisited with it.
-func (s *Store) NewVisited(bool) (VisitedSet, error) {
-	switch s.cfg.Kind {
-	case Mem:
-		return newMemTable(s.cfg.Workers), nil
-	case Disk:
-		// Half the budget feeds the visited hot table; the frontier
-		// shards split the rest.
-		return newDiskVisited(s, int64(s.cfg.MemLimit)/2)
-	default:
-		return nil, fmt.Errorf("store: unknown kind %v", s.cfg.Kind)
-	}
+// NewVisited builds the visited set, sized and flushed by the budget.
+// It serves any number of workers, so the argument is ignored; it
+// remains only because the explorebench module calls NewVisited with
+// it, as it does the never-nil error.
+func (s *Store) NewVisited(bool) (*Visited, error) {
+	return newVisited(s), nil
 }
 
-// NewFrontier builds one frontier shard. A mem-tier shard has no RAM
-// ceiling and never spills. w and order are ignored: every shard pops
-// in FIFO order, the only Order, and both parameters remain only
+// NewFrontier builds one frontier shard. With no budget a shard has no
+// RAM ceiling and never spills; under one, half the budget feeds the
+// frontier, two shards per worker. w and order are ignored: every shard
+// pops in FIFO order, the only Order, and both parameters remain only
 // because the explorebench module calls NewFrontier with them.
 func (s *Store) NewFrontier(w int, order Order) (*Frontier, error) {
-	switch s.cfg.Kind {
-	case Mem:
-		return &Frontier{st: s, maxRAM: math.MaxInt}, nil
-	case Disk:
-		// Half the budget feeds the frontier: two shards per worker.
+	maxRAM := math.MaxInt
+	if s.cfg.MemLimit > 0 {
 		budget := int64(s.cfg.MemLimit) / 2 / int64(2*s.cfg.Workers)
-		return &Frontier{st: s, maxRAM: max(int(budget/diskEntryEstimate), minFrontierRAM)}, nil
-	default:
-		return nil, fmt.Errorf("store: unknown kind %v", s.cfg.Kind)
+		maxRAM = max(int(budget/entryRAMEstimate), minFrontierRAM)
 	}
+	return &Frontier{st: s, maxRAM: maxRAM}, nil
 }
 
-// replaySample thins the per-replay spans: replays are the disk tier's
-// per-pop hot path (millions per run), so only one in replaySample gets
-// an event; totals stay unbiased enough to rank phases.
+// replaySample thins the per-replay spans: replays are a spilling
+// frontier's per-pop hot path (millions per run), so only one in
+// replaySample gets an event; totals stay unbiased enough to rank
+// phases.
 const replaySample = 256
 
 // Replay rebuilds e.Sys by replaying e.Path from the root. No-op when

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -18,26 +20,6 @@ func xorshift(x uint64) uint64 {
 	x ^= x >> 7
 	x ^= x << 17
 	return x
-}
-
-func TestKindFlag(t *testing.T) {
-	var k Kind
-	for _, c := range []struct {
-		in   string
-		want Kind
-		err  bool
-	}{{"mem", Mem, false}, {"disk", Disk, false}, {"", Mem, false}, {"tape", 0, true}} {
-		err := k.Set(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("Set(%q) err = %v, want err=%v", c.in, err, c.err)
-		}
-		if err == nil && k != c.want {
-			t.Errorf("Set(%q) = %v, want %v", c.in, k, c.want)
-		}
-	}
-	if Mem.String() != "mem" || Disk.String() != "disk" {
-		t.Errorf("Kind strings: %q %q", Mem.String(), Disk.String())
-	}
 }
 
 func TestBytesFlag(t *testing.T) {
@@ -105,23 +87,31 @@ func TestPathSharing(t *testing.T) {
 	}
 }
 
-// visitedImpls builds every VisitedSet implementation for a shared
-// conformance test.
-func visitedImpls(t *testing.T) map[string]VisitedSet {
+// budgets are the RAM budgets the shared tests run under, named for
+// where the fingerprints end up: all in the in-RAM table with no
+// budget, or partly in run files on disk under one that spills.
+var budgets = []struct {
+	name  string
+	limit Bytes
+}{{"memTable", 0}, {"disk", 1 << 20}}
+
+// openVisited opens a store under the budget limit (0 = none) and its
+// visited set, both closed when the test ends.
+func openVisited(t *testing.T, limit Bytes) (*Store, *Visited) {
 	t.Helper()
-	diskStore, err := Open(Config{Kind: Disk, Dir: t.TempDir(), MemLimit: 1 << 20, Root: testRoot(t)})
+	st, err := Open(Config{Dir: t.TempDir(), MemLimit: limit, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { diskStore.Close() })
-	dv, err := diskStore.NewVisited(false)
+	v, err := st.NewVisited(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]VisitedSet{
-		"memTable": newMemTable(4),
-		"disk":     dv,
-	}
+	t.Cleanup(func() {
+		v.Close()
+		st.Close()
+	})
+	return st, v
 }
 
 // testRoot builds a root system whose processor 0 is always enabled
@@ -138,7 +128,7 @@ func testRoot(t *testing.T) *machine.System {
 
 // fpFileSet writes v as a checkpoint fp file and reads it back as a
 // fingerprint set.
-func fpFileSet(t *testing.T, v VisitedSet) map[uint64]bool {
+func fpFileSet(t *testing.T, v *Visited) map[uint64]bool {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "visited.fp")
 	if err := v.WriteFPFile(path); err != nil {
@@ -155,9 +145,9 @@ func fpFileSet(t *testing.T, v VisitedSet) map[uint64]bool {
 }
 
 func TestVisitedConformance(t *testing.T) {
-	for name, v := range visitedImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			defer v.Close()
+	for _, b := range budgets {
+		t.Run(b.name, func(t *testing.T) {
+			_, v := openVisited(t, b.limit)
 			const n = 50_000
 			fp := uint64(0xdecafbad)
 			fps := make([]uint64, 0, n)
@@ -210,9 +200,9 @@ func TestVisitedConformance(t *testing.T) {
 }
 
 func TestVisitedFPFileRoundTrip(t *testing.T) {
-	for name, v := range visitedImpls(t) {
-		t.Run(name, func(t *testing.T) {
-			defer v.Close()
+	for _, b := range budgets {
+		t.Run(b.name, func(t *testing.T) {
+			_, v := openVisited(t, b.limit)
 			fp := uint64(0xfeedface)
 			for i := 0; i < 10_000; i++ {
 				fp = xorshift(fp)
@@ -225,7 +215,7 @@ func TestVisitedFPFileRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Reload into a fresh table and compare membership.
-			nv := newMemTable(1)
+			_, nv := openVisited(t, 0)
 			if err := nv.LoadFPFile(path); err != nil {
 				t.Fatal(err)
 			}
@@ -243,12 +233,14 @@ func TestVisitedFPFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMemTableConcurrentInserts drives the mem-tier table from 8
+// TestMemTableConcurrentInserts drives the visited table from 8
 // goroutines whose fingerprint streams overlap (each fingerprint goes
-// to 4 of them, in different orders), enough that every shard grows
-// several times while the others insert. Exactly one insert per
-// fingerprint may report fresh, and the table must count and write each
-// fingerprint once: an insert lost or doubled across a grow fails here.
+// to 4 of them, in different orders). With no budget every shard grows
+// several times while the others insert; under a 256 KiB budget the
+// table flushes about 32 times and compacts its runs about 4 times
+// while they insert. Exactly one insert per fingerprint may report fresh, and the
+// table must count and write each fingerprint once: an insert lost or
+// doubled across a grow, a flush or a compaction fails here.
 func TestMemTableConcurrentInserts(t *testing.T) {
 	const (
 		goroutines = 8
@@ -260,69 +252,93 @@ func TestMemTableConcurrentInserts(t *testing.T) {
 		fp = xorshift(fp)
 		fps[i] = fp
 	}
-	tbl := newMemTable(goroutines)
-	fresh := make([]atomic.Int32, distinct)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Goroutine g covers half the fingerprints, from its own
-			// offset, forwards or backwards.
-			for k := 0; k < distinct/2; k++ {
-				j := k
-				if g%2 == 1 {
-					j = distinct/2 - 1 - k
-				}
-				i := (g*distinct/goroutines + j) % distinct
-				ok, _, err := tbl.Insert(fps[i], 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if ok {
-					fresh[i].Add(1)
+	for _, limit := range []Bytes{0, 256 << 10} {
+		t.Run(fmt.Sprintf("budget-%v", limit), func(t *testing.T) {
+			st, err := Open(Config{Dir: t.TempDir(), MemLimit: limit, Workers: goroutines})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			tbl, err := st.NewVisited(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tbl.Close()
+			fresh := make([]atomic.Int32, distinct)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					// Goroutine g covers half the fingerprints, from its
+					// own offset, forwards or backwards.
+					for k := 0; k < distinct/2; k++ {
+						j := k
+						if g%2 == 1 {
+							j = distinct/2 - 1 - k
+						}
+						i := (g*distinct/goroutines + j) % distinct
+						ok, _, err := tbl.Insert(fps[i], 0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if ok {
+							fresh[i].Add(1)
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for i := range fresh {
+				if n := fresh[i].Load(); n != 1 {
+					t.Fatalf("fingerprint %#x reported fresh %d times, want 1", fps[i], n)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	for i := range fresh {
-		if n := fresh[i].Load(); n != 1 {
-			t.Fatalf("fingerprint %#x reported fresh %d times, want 1", fps[i], n)
-		}
-	}
-	for i := range tbl.shards {
-		if n := len(tbl.shards[i].slots.Load().arr); n < 256<<3 {
-			t.Fatalf("shard %d has %d slots: it grew fewer than 3 times", i, n)
-		}
-	}
-	if got := tbl.Len(); got != distinct {
-		t.Fatalf("Len() = %d, want %d", got, distinct)
-	}
-	path := filepath.Join(t.TempDir(), "visited.fp")
-	if err := tbl.WriteFPFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var written []uint64
-	if err := readFPRun(path, func(fp uint64) error {
-		written = append(written, fp)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := slices.Clone(fps)
-	slices.Sort(want)
-	if !slices.Equal(written, want) {
-		t.Fatalf("fp file holds %d fingerprints, not each of the %d once", len(written), distinct)
+			if s := st.Snapshot(); limit == 0 {
+				for i := range tbl.shards {
+					if n := len(tbl.shards[i].slots.Load().arr); n < 256<<3 {
+						t.Fatalf("shard %d has %d slots: it grew fewer than 3 times", i, n)
+					}
+				}
+			} else if s.Spills < 8 || s.Compactions < 1 {
+				t.Fatalf("%d flushes and %d compactions, want at least 8 and 1", s.Spills, s.Compactions)
+			}
+			if got := tbl.Len(); got != distinct {
+				t.Fatalf("Len() = %d, want %d", got, distinct)
+			}
+			path := filepath.Join(t.TempDir(), "visited.fp")
+			if err := tbl.WriteFPFile(path); err != nil {
+				t.Fatal(err)
+			}
+			var written []uint64
+			if err := readFPRun(path, func(fp uint64) error {
+				written = append(written, fp)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := slices.Clone(fps)
+			slices.Sort(want)
+			if !slices.Equal(written, want) {
+				t.Fatalf("fp file holds %d fingerprints, not each of the %d once", len(written), distinct)
+			}
+		})
 	}
 }
 
-// TestFrontierOrders pops FIFO on both tiers, across disk spills.
+// frontierBudgets are the frontier tests' budgets: none, and one small
+// enough to spill, named for where the entries end up.
+var frontierBudgets = []struct {
+	name  string
+	limit Bytes
+}{{"mem", 0}, {"disk", 1 << 16}}
+
+// TestFrontierOrders pops FIFO with no budget and across spills.
 func TestFrontierOrders(t *testing.T) {
-	for _, kind := range []Kind{Mem, Disk} {
-		t.Run(fmt.Sprintf("%v-%d", kind, FIFO), func(t *testing.T) {
-			st, err := Open(Config{Kind: kind, Dir: t.TempDir(), MemLimit: 1 << 16, Root: testRoot(t)})
+	for _, b := range frontierBudgets {
+		t.Run(fmt.Sprintf("%s-%d", b.name, FIFO), func(t *testing.T) {
+			st, err := Open(Config{Dir: t.TempDir(), MemLimit: b.limit, Root: testRoot(t)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +350,7 @@ func TestFrontierOrders(t *testing.T) {
 			defer fr.Close()
 			sys := testRoot(t)
 			var path *PathNode
-			const n = 2000 // enough to force disk spills at 64KiB
+			const n = 2000 // enough to force spills at 64KiB
 			for i := 0; i < n; i++ {
 				path = path.Extend(PackStep(0, 0))
 				if err := fr.Push(Entry{Sys: sys.Clone(), Aux: uint64(i), Depth: int32(i), Path: path}); err != nil {
@@ -366,14 +382,14 @@ func TestFrontierOrders(t *testing.T) {
 // TestFrontierPeersDrainOneShard: the breadth-first workers pop from
 // each other's shards, so several goroutines drain one shard at once,
 // loading its spilled segments and replaying its path-only entries as
-// they go. Every entry must come back exactly once with a live Sys, on
-// the mem tier and on the disk tier under a ceiling that spills several
-// segments, and every spilled segment must be loaded.
+// they go. Every entry must come back exactly once with a live Sys,
+// with no budget and under one that spills several segments, and every
+// spilled segment must be loaded.
 func TestFrontierPeersDrainOneShard(t *testing.T) {
 	const n, poppers = 2000, 4
-	for _, kind := range []Kind{Mem, Disk} {
-		t.Run(kind.String(), func(t *testing.T) {
-			st, err := Open(Config{Kind: kind, Dir: t.TempDir(), MemLimit: 1 << 16, Root: testRoot(t)})
+	for _, b := range frontierBudgets {
+		t.Run(b.name, func(t *testing.T) {
+			st, err := Open(Config{Dir: t.TempDir(), MemLimit: b.limit, Root: testRoot(t)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,7 +415,7 @@ func TestFrontierPeersDrainOneShard(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if s := st.Snapshot(); kind == Disk && s.FrontierSpills < 2 {
+			if s := st.Snapshot(); b.limit > 0 && s.FrontierSpills < 2 {
 				t.Fatalf("%d segments spilled, want several", s.FrontierSpills)
 			}
 			var popped [n]atomic.Int32
@@ -440,7 +456,7 @@ func TestFrontierPeersDrainOneShard(t *testing.T) {
 }
 
 func TestDiskFrontierSpills(t *testing.T) {
-	st, err := Open(Config{Kind: Disk, Dir: t.TempDir(), MemLimit: 1 << 16, Root: testRoot(t)})
+	st, err := Open(Config{Dir: t.TempDir(), MemLimit: 1 << 16, Root: testRoot(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,5 +488,50 @@ func TestDiskFrontierSpills(t *testing.T) {
 	}
 	if s.Replays == 0 || s.ReplaySteps == 0 {
 		t.Fatalf("draining spilled entries recorded no replays: %+v", s)
+	}
+}
+
+// TestNoBudgetWritesNothing: with no budget the store creates no
+// directory and writes no file, even when Config.Dir names one, however
+// many fingerprints and frontier entries it holds.
+func TestNoBudgetWritesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Open(Config{Dir: dir, Root: testRoot(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := st.NewVisited(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := st.NewFrontier(0, FIFO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := uint64(0xabad1dea)
+	for i := 0; i < 100_000; i++ {
+		fp = xorshift(fp)
+		if _, _, err := v.Insert(fp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys := testRoot(t)
+	var path *PathNode
+	for i := 0; i < 5000; i++ {
+		path = path.Extend(PackStep(0, 0))
+		if err := fr.Push(Entry{Sys: sys, Path: path}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := st.Snapshot(); s != (Stats{}) {
+		t.Errorf("unbudgeted store counted disk work: %+v", s)
+	}
+	for _, c := range []io.Closer{fr, v, st} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("unbudgeted store made %s (stat err = %v)", dir, err)
 	}
 }
