@@ -144,6 +144,16 @@ func (mem *Memory) Wiring(p int) []int {
 	return append([]int(nil), mem.perms[p]...)
 }
 
+// WiringTable identifies a memory's wiring permutations. New makes a
+// fresh table and CloneInto shares its source's, so a memory and every
+// copy made from it, directly or through other copies, have equal
+// tables, and memories from separate New calls never do. It reveals
+// nothing of the permutations.
+type WiringTable struct{ perms *[]int }
+
+// Table returns the identity of the memory's wiring table.
+func (mem *Memory) Table() WiringTable { return WiringTable{&mem.perms[0]} }
+
 // ReadResult describes one atomic read.
 type ReadResult struct {
 	Word       Word

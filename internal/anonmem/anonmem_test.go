@@ -162,6 +162,21 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestTableIdentity: copies share their source's wiring table, through
+// any chain of copies and into memories of another lineage; a separate
+// New never does, even from equal permutations.
+func TestTableIdentity(t *testing.T) {
+	mem, _ := New(2, word("i"), IdentityWirings(2, 2))
+	other, _ := New(2, word("i"), IdentityWirings(2, 2))
+	if mem.Table() == other.Table() {
+		t.Error("separate New calls share a wiring table")
+	}
+	cp := mem.CloneInto(nil).CloneInto(other)
+	if cp.Table() != mem.Table() {
+		t.Error("a copy of a copy lost its source's wiring table")
+	}
+}
+
 func TestKeyExcludesGhostState(t *testing.T) {
 	a, _ := New(2, word("i"), IdentityWirings(2, 2))
 	b, _ := New(2, word("i"), IdentityWirings(2, 2))

@@ -447,12 +447,14 @@ func minViolationDepth(t *testing.T, init *machine.System, inv func(Node) error,
 // register choice under the wait-freedom invariant (9,000 states) on
 // DFS. Successors are copied into recycled systems, Pending, Output and
 // the snapshot invariant allocate nothing, and the wait-freedom
-// invariant copies each state into a pooled solo system, so what
-// remains is the machines' own steps (the solo runs' included) and, on
-// the breadth-first engine, the systems its frontier keeps and each
-// state's discovery-path node. It counts mallocs over a second run of
-// each configuration, after a first has warmed the canonicalizer's
-// scratch pool and the invariant's.
+// invariant recalls most solo runs from its memo and runs the rest on a
+// pooled solo system, so what remains is the machines' own steps (the
+// missed solo runs' included), the memo's growth and, on the
+// breadth-first engine, the systems its frontier keeps and each state's
+// discovery-path node. It counts mallocs over a second run of each
+// configuration, after a first has warmed the canonicalizer's scratch
+// pool. Each run gets a fresh wait-freedom invariant, whose memo starts
+// empty: a reused one would recall every solo run of the second.
 func TestExpansionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -466,24 +468,32 @@ func TestExpansionAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := in.Lookup("g")
-	safety := Options{Canonicalizer: canon.FullSymmetry{}, MaxStates: 15_000, Invariant: SnapshotInvariant([]view.ID{g, g, g})}
-	waitFree := Options{Canonicalizer: canon.FullSymmetry{}, MaxStates: 9_000, Invariant: WaitFree(DefaultSoloBound(3, 3))}
+	safety := func() Options {
+		return Options{Canonicalizer: canon.FullSymmetry{}, MaxStates: 15_000, Invariant: SnapshotInvariant([]view.ID{g, g, g})}
+	}
+	waitFree := func() Options {
+		return Options{Canonicalizer: canon.FullSymmetry{}, MaxStates: 9_000, Invariant: WaitFree(DefaultSoloBound(3, 3))}
+	}
 	for _, c := range []struct {
 		name   string
 		sys    *machine.System
-		opts   Options
+		opts   func() Options
 		engine Engine
 		bound  float64
 	}{
 		{"snapshot", ggg, safety, DFSEngine, 3},
 		{"snapshot", ggg, safety, BFSEngine, 8},
-		{"waitfree", abc, waitFree, DFSEngine, 14},
+		{"waitfree", abc, waitFree, DFSEngine, 4},
 	} {
-		opts := c.opts
-		opts.Engine = c.engine
-		if _, err := Run(c.sys, opts); err != nil {
+		fresh := func() Options {
+			opts := c.opts()
+			opts.Engine = c.engine
+			return opts
+		}
+		if _, err := Run(c.sys, fresh()); err != nil {
 			t.Fatal(err)
 		}
+		opts := fresh()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := Run(c.sys, opts)
